@@ -10,8 +10,10 @@ oracles back all of them at desk scale.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, product
 
 import numpy as np
@@ -98,34 +100,57 @@ def _check_greedy_policy(instance: Instance, policy: Policy) -> None:
         raise ValueError("stochastic policy must be outcome monotonic")
 
 
+def _pop_current(heap: list, gain, stamp: int) -> tuple[float, int, int]:
+    """Pop the entry (-gain, index, |A| at evaluation) with the largest current
+    gain, ties to the lowest index. Stale entries met on the top are
+    re-evaluated and pushed back (lazy evaluation, Minoux 1978): for a
+    submodular objective a stale gain bounds the current one from above, so
+    a current entry on top beats every candidate below it."""
+    while heap[0][2] != stamp:
+        x = heap[0][1]
+        heapq.heapreplace(heap, (-gain(x), x, stamp))
+    return heapq.heappop(heap)
+
+
+def _lazy_greedy(
+    instance: Instance, policy: Policy, group_of: dict[int, int], room: list[int]
+) -> ExplanationSet:
+    """Greedy over the accepted values whose group has room left (`room` is
+    consumed in place); stops when no such value has positive gain."""
+    state = fixed_marginal_state(instance, policy)
+    heap = [
+        (-_fixed_gain(instance, state, x), x, 0)
+        for x in ground_set_accepted(instance, policy).indices
+        if room[group_of[x]] > 0
+    ]
+    heapq.heapify(heap)
+    A = ExplanationSet()
+    while heap:
+        gain = partial(_fixed_gain, instance, state)
+        neg_gain, x, _ = _pop_current(heap, gain, len(A))
+        if neg_gain >= 0.0:
+            break
+        _, state = marginal_gain_fixed(instance, policy, A, state, x)
+        A = A.add(x)
+        room[group_of[x]] -= 1
+        if room[group_of[x]] == 0:
+            heap = [e for e in heap if room[group_of[e[1]]] > 0]
+            heapq.heapify(heap)
+    return A
+
+
 def greedy_fixed_policy(instance: Instance, policy: Policy, k: int) -> ExplanationSet:
     """Greedy utility maximization of the explanation set at a fixed policy.
 
     Runs at most k iterations, each adding the accepted value with the
     largest marginal utility (ties: lowest index), and stops early when no
-    remaining candidate has positive gain. O(k m^2) overall.
+    remaining candidate has positive gain. Gains are O(m) each and evaluated
+    lazily: all m once, then only those whose stale bound reaches the top.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     _check_greedy_policy(instance, policy)
-    ground = list(ground_set_accepted(instance, policy).indices)
-    A = ExplanationSet()
-    chosen: set[int] = set()
-    state = fixed_marginal_state(instance, policy)
-    for _ in range(k):
-        best_x, best_gain = None, -np.inf
-        for x in ground:
-            if x in chosen:
-                continue
-            gain = _fixed_gain(instance, state, x)
-            if gain > best_gain:
-                best_x, best_gain = x, gain
-        if best_x is None or best_gain <= 0.0:
-            break
-        _, state = marginal_gain_fixed(instance, policy, A, state, best_x)
-        A = A.add(best_x)
-        chosen.add(best_x)
-    return A
+    return _lazy_greedy(instance, policy, dict.fromkeys(range(instance.m), 0), [k])
 
 
 def greedy_matroid(
@@ -146,31 +171,8 @@ def greedy_matroid(
                 f"capacity {cap} exceeds group size {len(g)}; effectively capped",
                 stacklevel=2,
             )
-    group_of = np.empty(instance.m, dtype=int)
-    for g, members in enumerate(matroid.groups):
-        for i in members:
-            group_of[i] = g
-    used = [0] * len(matroid.groups)
-
-    ground = list(ground_set_accepted(instance, policy).indices)
-    A = ExplanationSet()
-    chosen: set[int] = set()
-    state = fixed_marginal_state(instance, policy)
-    while True:
-        best_x, best_gain = None, -np.inf
-        for x in ground:
-            if x in chosen or used[group_of[x]] >= matroid.capacities[group_of[x]]:
-                continue
-            gain = _fixed_gain(instance, state, x)
-            if gain > best_gain:
-                best_x, best_gain = x, gain
-        if best_x is None or best_gain <= 0.0:
-            break
-        _, state = marginal_gain_fixed(instance, policy, A, state, best_x)
-        A = A.add(best_x)
-        chosen.add(best_x)
-        used[group_of[best_x]] += 1
-    return A
+    group_of = {i: g for g, members in enumerate(matroid.groups) for i in members}
+    return _lazy_greedy(instance, policy, group_of, list(matroid.capacities))
 
 
 def optimal_policy_for(instance: Instance, A: ExplanationSet) -> Policy:
@@ -296,27 +298,30 @@ def randomized_joint(instance: Instance, k: int, rng: RngStream) -> JointSolutio
     lowest index, and adds one drawn uniformly from the top k. Padding values
     are stripped from the result; the expected utility is within a factor
     1/e of optimal.
+
+    h is submodular (though not monotone), so stale gains stay upper bounds
+    and k lazy pops yield exactly the top k in (-gain, index) order: the draw
+    picks what a full ranking would.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     aug, perm = _padded_instance(instance, k)
-    ground = [int(i) for i in np.flatnonzero(aug.py >= aug.gamma)]
     A = ExplanationSet()
-    chosen: set[int] = set()
     state = joint_marginal_state(aug, A)
+    heap = [
+        (-_joint_gain(aug, state, x), x, 0)
+        for x in np.flatnonzero(aug.py >= aug.gamma).tolist()
+    ]
+    heapq.heapify(heap)
     for _ in range(k):
-        cands = [x for x in ground if x not in chosen]
-        if not cands:
-            break
-        ranked = sorted(
-            ((_joint_gain(aug, state, x), x) for x in cands),
-            key=lambda t: (-t[0], t[1]),
-        )
-        pool = ranked[: min(k, len(ranked))]
-        _, pick = pool[rng.integers(len(pool))]
+        # the padding keeps at least k + 1 candidates in the heap
+        gain = partial(_joint_gain, aug, state)
+        pool = [_pop_current(heap, gain, len(A)) for _ in range(k)]
+        pick = pool.pop(rng.integers(len(pool)))[1]
+        for entry in pool:
+            heapq.heappush(heap, entry)
         _, state = marginal_gain_joint(aug, A, state, pick)
         A = A.add(pick)
-        chosen.add(pick)
 
     original = [int(perm[a]) for a in A if int(perm[a]) < instance.m]
     result = ExplanationSet(tuple(original))

@@ -27,17 +27,6 @@ def black_box_utility(instance: Instance) -> float:
     return utility(instance, threshold_policy(instance), ExplanationSet())
 
 
-def _min_cost_objective(
-    px: np.ndarray, cost_to: np.ndarray, rejected: np.ndarray, penalty: float
-) -> float:
-    """Weighted average adaptation cost of rejected individuals to their
-    cheapest offered explanation; unservable individuals (all costs infinite)
-    count as the fixed penalty so candidates stay comparable."""
-    nearest = cost_to.min(axis=1) if cost_to.shape[1] else np.full(px.shape, np.inf)
-    nearest = np.where(np.isfinite(nearest), nearest, penalty)
-    return float(np.sum(px[rejected] * nearest[rejected]))
-
-
 def min_cost_explanations(
     instance: Instance, policy: Policy, k: int
 ) -> ExplanationSet:
@@ -46,28 +35,27 @@ def min_cost_explanations(
 
     Ties go to the lowest index. Individuals with no finite-cost option under
     any candidate contribute a constant penalty and never sway the choice.
+    A policy that accepts nothing yields the empty set. Each rejected
+    individual's cost to the nearest pick is kept, so the run is O(k m^2).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     ground = list(ground_set_accepted(instance, policy).indices)
-    if not ground:
-        raise ValueError("policy accepts nothing; no candidate explanations")
-    px, cost = instance.px, instance.cost
+    cost = instance.cost
     rejected = policy.pi < 1.0
-    finite = cost[np.isfinite(cost)]
-    penalty = 1.0 + (float(finite.max()) if finite.size else 0.0)
+    penalty = 1.0 + float(np.max(cost, where=np.isfinite(cost), initial=0.0))
+    px_r = instance.px[rejected]
+    # row x holds the costs of every rejected individual to x
+    cost_r = np.ascontiguousarray(cost[rejected].T)
+    # penalty exceeds every finite cost: unservable individuals cost exactly it
+    nearest = np.full(px_r.shape, penalty)
 
     A: list[int] = []
-    while len(A) < min(k, len(ground)):
-        best_x, best_obj = None, np.inf
-        for x in ground:
-            if x in A:
-                continue
-            cols = cost[:, A + [x]]
-            obj = _min_cost_objective(px, cols, rejected, penalty)
-            if obj < best_obj:
-                best_x, best_obj = x, obj
+    while ground and len(A) < k:
+        objs = [float(np.sum(px_r * np.minimum(nearest, cost_r[x]))) for x in ground]
+        best_x = ground.pop(int(np.argmin(objs)))  # first minimum: lowest index
         A.append(best_x)
+        nearest = np.minimum(nearest, cost_r[best_x])
     return ExplanationSet(tuple(A))
 
 

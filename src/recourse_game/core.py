@@ -90,7 +90,10 @@ class ExplanationSet:
     indices: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        # A list, not a generator: tuple(<generator>) builds by resizing, which
+        # skips CPython's per-length tuple free lists on allocation but refills
+        # them on release, so resident memory crept with every solver call.
+        idx = tuple([int(i) for i in self.indices])
         if any(i < 0 for i in idx):
             raise ValueError("explanation indices must be nonnegative")
         if len(set(idx)) != len(idx):

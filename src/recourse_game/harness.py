@@ -17,6 +17,7 @@ import csv
 import json
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -243,12 +244,14 @@ def run_compare(config: ExperimentConfig) -> Path:
 def run_leakage(config: ExperimentConfig) -> Path:
     """Utility of the jointly optimized solution under explanation leakage."""
     alpha = config.alpha_sweep[0]
+    if 0 in config.effective_k_sweep:
+        warnings.warn("leakage skips k=0: the joint optimizer needs k >= 1")
     rows = []
     for k in config.effective_k_sweep:
+        if k == 0:
+            continue
         for rep in range(config.repetitions):
             inst = _instance_for(config, alpha, k, rep)
-            if k == 0:
-                continue
             sol = randomized_joint(inst, k, _alg2_stream(config, alpha, k, rep))
             for p_l in config.pl_sweep:
                 u = leakage_utility(inst, sol.policy, sol.explanations, p_l)

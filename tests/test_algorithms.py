@@ -7,10 +7,109 @@ import numpy as np
 import pytest
 
 import recourse_game as rg
-from conftest import random_instance, subset
+from conftest import equivalence_cases, random_instance, subset
+from recourse_game import algorithms
+from recourse_game.algorithms import _joint_gain, _padded_instance
+from recourse_game.behavior import _fixed_gain
 
 E_INV = 1.0 / np.e
 ONE_MINUS_E_INV = 1.0 - 1.0 / np.e
+
+
+# -- eager reference loops ----------------------------------------------------
+# Full re-scans of every candidate in every iteration: the lazy solvers must
+# pick exactly what these pick.
+
+def eager_greedy(inst, policy, group_of, capacities):
+    used = [0] * len(capacities)
+    ground = list(rg.ground_set_accepted(inst, policy).indices)
+    A = rg.ExplanationSet()
+    state = rg.fixed_marginal_state(inst, policy)
+    while True:
+        best_x, best_gain = None, -np.inf
+        for x in ground:
+            if x in A or used[group_of[x]] >= capacities[group_of[x]]:
+                continue
+            gain = _fixed_gain(inst, state, x)
+            if gain > best_gain:
+                best_x, best_gain = x, gain
+        if best_x is None or best_gain <= 0.0:
+            break
+        _, state = rg.marginal_gain_fixed(inst, policy, A, state, best_x)
+        A = A.add(best_x)
+        used[group_of[best_x]] += 1
+    return A
+
+
+def eager_randomized_joint(inst, k, rng):
+    aug, perm = _padded_instance(inst, k)
+    ground = [int(i) for i in np.flatnonzero(aug.py >= aug.gamma)]
+    A = rg.ExplanationSet()
+    state = rg.joint_marginal_state(aug, A)
+    for _ in range(k):
+        ranked = sorted(
+            ((_joint_gain(aug, state, x), x) for x in ground if x not in A),
+            key=lambda t: (-t[0], t[1]),
+        )
+        pool = ranked[: min(k, len(ranked))]
+        _, pick = pool[rng.integers(len(pool))]
+        _, state = rg.marginal_gain_joint(aug, A, state, pick)
+        A = A.add(pick)
+    result = rg.ExplanationSet(tuple(int(perm[a]) for a in A if perm[a] < inst.m))
+    policy = rg.optimal_policy_for(inst, result)
+    return result, rg.utility(inst, policy, result)
+
+
+def test_lazy_greedy_matches_eager():
+    for inst, k in equivalence_cases("alg-lazy-greedy"):
+        policy = rg.threshold_policy(inst)
+        assert (
+            rg.greedy_fixed_policy(inst, policy, k).indices
+            == eager_greedy(inst, policy, [0] * inst.m, [k]).indices
+        )
+
+
+@pytest.mark.filterwarnings("ignore:capacity")
+def test_lazy_matroid_matches_eager():
+    rng = rg.RngStream(rg.derive_seed(0, "alg-lazy-matroid-split"))
+    for inst, k in equivalence_cases("alg-lazy-matroid"):
+        policy = rg.threshold_policy(inst)
+        split = 1 + rng.integers(inst.m - 1)
+        caps = (rng.integers(k + 1), rng.integers(k + 1))
+        matroid = rg.PartitionMatroid(
+            groups=(tuple(range(split)), tuple(range(split, inst.m))),
+            capacities=caps,
+        )
+        group_of = [0] * split + [1] * (inst.m - split)
+        assert (
+            rg.greedy_matroid(inst, policy, matroid).indices
+            == eager_greedy(inst, policy, group_of, caps).indices
+        )
+
+
+def test_lazy_randomized_joint_matches_eager():
+    for t, (inst, k) in enumerate(equivalence_cases("alg-lazy-joint")):
+        lazy_rng, eager_rng = rg.RngStream(t), rg.RngStream(t)
+        sol = rg.randomized_joint(inst, k, lazy_rng)
+        A, u = eager_randomized_joint(inst, k, eager_rng)
+        assert sol.explanations.indices == A.indices
+        assert repr(sol.utility) == repr(u)
+        assert lazy_rng.integers(2**31) == eager_rng.integers(2**31)
+
+
+def test_lazy_randomized_joint_evaluates_fewer_gains(monkeypatch):
+    inst = rg.generate_synthetic(rg.SynthConfig(m=300, gamma=0.3, seed=11))
+    k = 15
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return _joint_gain(*args)
+
+    monkeypatch.setattr(algorithms, "_joint_gain", counted)
+    rg.randomized_joint(inst, k, rg.RngStream(3))
+    ground = len(rg.ground_set_viable(inst)) + 2 * k
+    assert calls[0] < 0.5 * k * ground
 
 
 # -- greedy at a fixed policy -------------------------------------------------

@@ -6,15 +6,47 @@ import numpy as np
 import pytest
 
 import recourse_game as rg
-from conftest import random_instance
-from recourse_game.baselines import _min_cost_objective
+from conftest import equivalence_cases, random_instance
+
+
+def _min_cost_objective(
+    px: np.ndarray, cost_to: np.ndarray, rejected: np.ndarray, penalty: float
+) -> float:
+    """Weighted average adaptation cost of rejected individuals to their
+    cheapest offered explanation; unservable individuals (all costs infinite)
+    count as the fixed penalty so candidates stay comparable."""
+    nearest = cost_to.min(axis=1) if cost_to.shape[1] else np.full(px.shape, np.inf)
+    nearest = np.where(np.isfinite(nearest), nearest, penalty)
+    return float(np.sum(px[rejected] * nearest[rejected]))
+
+
+def mc_penalty(inst):
+    finite = inst.cost[np.isfinite(inst.cost)]
+    return 1.0 + (float(finite.max()) if finite.size else 0.0)
 
 
 def mc_objective(inst, policy, A):
     rejected = policy.pi < 1.0
-    finite = inst.cost[np.isfinite(inst.cost)]
-    penalty = 1.0 + (float(finite.max()) if finite.size else 0.0)
-    return _min_cost_objective(inst.px, inst.cost[:, list(A)], rejected, penalty)
+    cols = inst.cost[:, list(A)]
+    return _min_cost_objective(inst.px, cols, rejected, mc_penalty(inst))
+
+
+def eager_min_cost(inst, policy, k):
+    """Re-scores every candidate on the full cost[:, A + [x]] block."""
+    ground = list(rg.ground_set_accepted(inst, policy).indices)
+    rejected = policy.pi < 1.0
+    A: list[int] = []
+    while len(A) < min(k, len(ground)):
+        best_x, best_obj = None, np.inf
+        for x in ground:
+            if x in A:
+                continue
+            cols = inst.cost[:, A + [x]]
+            obj = _min_cost_objective(inst.px, cols, rejected, mc_penalty(inst))
+            if obj < best_obj:
+                best_x, best_obj = x, obj
+        A.append(best_x)
+    return tuple(A)
 
 
 # -- threshold policy ---------------------------------------------------------
@@ -121,10 +153,17 @@ def test_min_cost_last_pick_is_swap_optimal_and_bounded_by_optimum():
     assert np.mean(ratios) < 1.2
 
 
-def test_min_cost_requires_candidates():
+def test_min_cost_incremental_matches_eager():
+    for inst, k in equivalence_cases("base-mc-lazy"):
+        policy = rg.threshold_policy(inst)
+        assert rg.min_cost_explanations(inst, policy, k).indices == eager_min_cost(
+            inst, policy, k
+        )
+
+
+def test_min_cost_without_candidates_is_empty():
     inst = rg.make_instance([0.5, 0.5], [0.4, 0.3], np.zeros((2, 2)), 0.9)
-    with pytest.raises(ValueError, match="accepts nothing"):
-        rg.min_cost_explanations(inst, rg.threshold_policy(inst), 1)
+    assert rg.min_cost_explanations(inst, rg.threshold_policy(inst), 1).indices == ()
     ok = rg.make_instance([0.5, 0.5], [0.9, 0.3], np.zeros((2, 2)), 0.5)
     with pytest.raises(ValueError, match="k must be"):
         rg.min_cost_explanations(ok, rg.threshold_policy(ok), 0)

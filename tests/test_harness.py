@@ -75,6 +75,27 @@ def test_compare_k_zero_collapses_to_black_box(tmp_path):
         assert len(utilities) == 1
 
 
+def test_compare_without_viable_values_gives_black_box_everywhere(tmp_path):
+    # gamma above every sampled outcome: the threshold policy accepts nothing
+    config = small_config(
+        tmp_path, synthetic=rg.SynthConfig(m=3, gamma=0.95), k=2, k_sweep=(2,),
+        repetitions=1, base_seed=1,
+    )
+    _, rows = read_rows(run_compare(config))
+    utility = {r["regime"]: r["utility"] for r in rows}
+    assert set(utility) == {"black_box", "min_cost", "diverse", "alg1", "alg2"}
+    assert set(utility.values()) == {utility["black_box"]}
+
+
+def test_leakage_k_zero_warns_and_writes_header_only(tmp_path):
+    config = small_config(tmp_path, k=0, k_sweep=(0,))
+    with pytest.warns(UserWarning, match="k=0"):
+        path = run_leakage(config)
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# recourse-game")
+    assert lines[1:] == ["k,p_l,repetition,utility"]
+
+
 def test_leakage_zero_probability_matches_compare_alg2(tmp_path):
     config = small_config(tmp_path)
     _, compare_rows = read_rows(run_compare(config))

@@ -52,7 +52,8 @@ def min_cost_explanations(
 
     A: list[int] = []
     while ground and len(A) < k:
-        objs = [float(np.sum(px_r * np.minimum(nearest, cost_r[x]))) for x in ground]
+        # a row sum of the block equals that row's 1-D sum, bit for bit
+        objs = (px_r * np.minimum(nearest, cost_r[ground])).sum(axis=1)
         best_x = ground.pop(int(np.argmin(objs)))  # first minimum: lowest index
         A.append(best_x)
         nearest = np.minimum(nearest, cost_r[best_x])

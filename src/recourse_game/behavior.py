@@ -134,67 +134,95 @@ def utility(instance: Instance, policy: Policy, A: ExplanationSet) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class FixedMarginalState:
-    """Per-individual cache for O(m) marginal gains at a fixed policy.
+class MarginalState:
+    """Per-individual cache for O(m) marginal gains at A, for the joint
+    objective and for a fixed policy, which is the joint case with pi frozen.
 
-    value[i] is individual i's current utility contribution per unit mass,
-    moving[i] says whether she currently follows some explanation, and
-    rejected marks pi < 1. reach is the full adaptation matrix, shared
-    (read-only) between successive states.
+    near[x, i] says i can adapt to x once x is offered; it is built once per
+    solver call and shared, read-only, by later states. rejected marks
+    pi < 1, flippable the accepted values outside A that a better candidate
+    within unit cost flips to rejection (none at a fixed policy), value[i]
+    is i's current utility per unit mass, and moving[i] says whether i
+    follows an explanation.
     """
 
-    reach: np.ndarray
+    near: np.ndarray
     rejected: np.ndarray
+    flippable: np.ndarray
     value: np.ndarray
     moving: np.ndarray
 
 
+def _responses(instance: Instance, policy: Policy, A: ExplanationSet):
+    """(value, moving) of every individual at A."""
+    res = best_respond(instance, policy, A)
+    value = policy.pi[res.moved] * (instance.py[res.moved] - instance.gamma)
+    return value, res.moved != np.arange(instance.m)
+
+
 def fixed_marginal_state(
     instance: Instance, policy: Policy, A: ExplanationSet = ExplanationSet()
-) -> FixedMarginalState:
+) -> MarginalState:
     """Build the incremental state for utility(policy, ·) at A."""
-    res = best_respond(instance, policy, A)
-    pi, py, gamma = policy.pi, instance.py, instance.gamma
-    value = pi[res.moved] * (py[res.moved] - gamma)
-    moving = res.moved != np.arange(instance.m)
-    return FixedMarginalState(
-        reach=adaptation_matrix(instance, policy),
-        rejected=policy.pi < 1.0,
-        value=value,
-        moving=moving,
-    )
+    value, moving = _responses(instance, policy, A)
+    near = np.ascontiguousarray(adaptation_matrix(instance, policy).T)
+    nothing = np.zeros(instance.m, dtype=bool)
+    return MarginalState(near, policy.pi < 1.0, nothing, value, moving)
 
 
-def _fixed_gain(instance: Instance, state: FixedMarginalState, x: int) -> float:
-    """f(A ∪ {x}) - f(A) in O(m) from the cached state."""
-    base = instance.py[x] - instance.gamma
-    affected = state.reach[:, x] & state.rejected
-    delta = np.where(
-        state.moving, np.maximum(base - state.value, 0.0), base - state.value
-    )
-    return float(np.sum(instance.px[affected] * delta[affected]))
+def _gains(instance: Instance, state: MarginalState, xs) -> np.ndarray:
+    """Marginal gains of the candidates xs (none in A) from one numpy pass
+    over a len(xs) x m block: x's own mass, the values it flips (who then
+    adapt to it), and the rejected values that reach it and do better there.
+
+    Every term is a full-row masked sum, and a row sum of a C-contiguous
+    block equals that row's 1-D sum, so a gain is bit-identical in any block.
+    """
+    px, py = instance.px, instance.py
+    xs = np.asarray(xs, dtype=int)
+    base = py[xs] - instance.gamma
+    # movers only switch to a better target; max(diff, -inf) is diff exactly
+    floor = np.where(state.moving, 0.0, -np.inf)
+    term = px * np.maximum(base[:, None] - state.value, floor)
+    near = state.near[xs]
+    gain = px[xs] * (base - state.value[xs])
+    if state.flippable.any():  # flippable values stay: term is px * diff
+        flips = near & state.flippable & (py[xs, None] > py)
+        gain += np.where(flips, term, 0.0).sum(axis=1)
+    reach = near & state.rejected
+    reach[np.arange(xs.size), xs] = False
+    return gain + np.where(reach, term, 0.0).sum(axis=1)
+
+
+def _advance(instance: Instance, state: MarginalState, x: int) -> MarginalState:
+    """The state at A ∪ {x}: x is accepted and stays, the values it flips
+    adapt to it, and the rejected values that reach it take it when they
+    stay today or do better there."""
+    py = instance.py
+    base = py[x] - instance.gamma
+    flips = state.near[x] & state.flippable & (py[x] > py)
+    takes = state.near[x] & state.rejected & (~state.moving | (base > state.value))
+    takes[x] = False
+    value = np.where(flips | takes, base, state.value)
+    moving = state.moving | flips | takes
+    rejected = state.rejected | flips
+    flippable = state.flippable & ~flips
+    value[x], moving[x], rejected[x], flippable[x] = base, False, False, False
+    return MarginalState(state.near, rejected, flippable, value, moving)
 
 
 def marginal_gain_fixed(
     instance: Instance,
     policy: Policy,
     A: ExplanationSet,
-    state: FixedMarginalState,
+    state: MarginalState,
     x: int,
-) -> tuple[float, FixedMarginalState]:
+) -> tuple[float, MarginalState]:
     """Marginal utility of adding x to A at a fixed policy, plus the state
     for A ∪ {x}. Requires x not already in A; state must correspond to A."""
     if x in A:
         raise ValueError(f"candidate {x} already in A")
-    gain = _fixed_gain(instance, state, x)
-    base = instance.py[x] - instance.gamma
-    switch = state.reach[:, x] & state.rejected
-    takes = switch & (~state.moving | (base > state.value))
-    value = np.where(takes, base, state.value)
-    moving = state.moving | takes
-    return gain, FixedMarginalState(
-        reach=state.reach, rejected=state.rejected, value=value, moving=moving
-    )
+    return float(_gains(instance, state, [x])[0]), _advance(instance, state, x)
 
 
 def transport_matrix(

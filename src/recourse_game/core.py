@@ -107,7 +107,7 @@ class ExplanationSet:
         return len(self.indices)
 
     def __contains__(self, i) -> bool:
-        return int(i) in set(self.indices)
+        return int(i) in self.indices
 
     def as_set(self) -> frozenset:
         return frozenset(self.indices)

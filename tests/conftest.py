@@ -59,3 +59,32 @@ def equivalence_cases(tag: str, n: int = 200):
         m = 4 + rng.integers(57)
         inst = tie_heavy_instance(rng, m) if t % 2 else random_instance(rng, m)
         yield inst, 1 + rng.integers(4)
+
+
+# The per-candidate gain kernels that the batched one replaced, reading the
+# merged state: compressed sums over the affected individuals only. Zero
+# terms change the summation tree, so they agree with the batched kernel to
+# a few ulp, not bit for bit.
+
+def ref_fixed_gain(inst: rg.Instance, state, x: int) -> float:
+    base = inst.py[x] - inst.gamma
+    affected = state.near[x] & state.rejected
+    delta = np.where(
+        state.moving, np.maximum(base - state.value, 0.0), base - state.value
+    )
+    return float(np.sum(inst.px[affected] * delta[affected]))
+
+
+def ref_joint_gain(inst: rg.Instance, state, x: int) -> float:
+    px, py = inst.px, inst.py
+    base = py[x] - inst.gamma
+    flips = state.flippable & (py[x] > py) & state.near[x]
+    reachable = state.rejected & state.near[x]
+    reachable[x] = False
+    gain = px[x] * (base - state.value[x])
+    gain += float(np.sum(px[flips] * (base - state.value[flips])))
+    delta = np.where(
+        state.moving, np.maximum(base - state.value, 0.0), base - state.value
+    )
+    gain += float(np.sum(px[reachable] * delta[reachable]))
+    return float(gain)

@@ -7,55 +7,81 @@ import numpy as np
 import pytest
 
 import recourse_game as rg
-from conftest import equivalence_cases, random_instance, subset
+from conftest import (
+    equivalence_cases,
+    random_instance,
+    ref_fixed_gain,
+    ref_joint_gain,
+    subset,
+)
 from recourse_game import algorithms
-from recourse_game.algorithms import _joint_gain, _padded_instance
-from recourse_game.behavior import _fixed_gain
+from recourse_game.algorithms import _padded_instance
+from recourse_game.behavior import _gains
 
 E_INV = 1.0 / np.e
 ONE_MINUS_E_INV = 1.0 - 1.0 / np.e
 
 
+def kernel_gains(inst, state, xs):
+    return _gains(inst, state, xs).tolist()
+
+
+def per_candidate(ref):
+    return lambda inst, state, xs: [ref(inst, state, x) for x in xs]
+
+
 # -- eager reference loops ----------------------------------------------------
 # Full re-scans of every candidate in every iteration: the lazy solvers must
-# pick exactly what these pick.
+# pick exactly what these pick. Per iteration each yields the state, the
+# gains of the remaining candidates and the pick (None where the greedy
+# stops); the joint one yields the padded instance first.
 
-def eager_greedy(inst, policy, group_of, capacities):
+def eager_greedy_steps(inst, policy, group_of, capacities, gains=kernel_gains):
     used = [0] * len(capacities)
     ground = list(rg.ground_set_accepted(inst, policy).indices)
     A = rg.ExplanationSet()
     state = rg.fixed_marginal_state(inst, policy)
     while True:
-        best_x, best_gain = None, -np.inf
-        for x in ground:
-            if x in A or used[group_of[x]] >= capacities[group_of[x]]:
-                continue
-            gain = _fixed_gain(inst, state, x)
-            if gain > best_gain:
-                best_x, best_gain = x, gain
-        if best_x is None or best_gain <= 0.0:
-            break
+        cands = [
+            x for x in ground
+            if x not in A and used[group_of[x]] < capacities[group_of[x]]
+        ]
+        scored = dict(zip(cands, gains(inst, state, cands))) if cands else {}
+        best_x = max(cands, key=lambda x: (scored[x], -x), default=None)
+        if best_x is None or scored[best_x] <= 0.0:
+            yield state, scored, None
+            return
+        yield state, scored, best_x
         _, state = rg.marginal_gain_fixed(inst, policy, A, state, best_x)
         A = A.add(best_x)
         used[group_of[best_x]] += 1
-    return A
 
 
-def eager_randomized_joint(inst, k, rng):
-    aug, perm = _padded_instance(inst, k)
+def eager_greedy(inst, policy, group_of, capacities):
+    steps = eager_greedy_steps(inst, policy, group_of, capacities)
+    return rg.ExplanationSet(tuple(x for _, _, x in steps if x is not None))
+
+
+def eager_joint_steps(inst, k, rng, gains=kernel_gains):
+    aug, _ = _padded_instance(inst, k)
     ground = [int(i) for i in np.flatnonzero(aug.py >= aug.gamma)]
     A = rg.ExplanationSet()
     state = rg.joint_marginal_state(aug, A)
     for _ in range(k):
-        ranked = sorted(
-            ((_joint_gain(aug, state, x), x) for x in ground if x not in A),
-            key=lambda t: (-t[0], t[1]),
-        )
+        cands = [x for x in ground if x not in A]
+        scored = dict(zip(cands, gains(aug, state, cands)))
+        ranked = sorted(cands, key=lambda x: (-scored[x], x))
         pool = ranked[: min(k, len(ranked))]
-        _, pick = pool[rng.integers(len(pool))]
+        pick = pool[rng.integers(len(pool))]
+        yield aug, state, scored, pick
         _, state = rg.marginal_gain_joint(aug, A, state, pick)
         A = A.add(pick)
-    result = rg.ExplanationSet(tuple(int(perm[a]) for a in A if perm[a] < inst.m))
+
+
+def eager_randomized_joint(inst, k, rng):
+    _, perm = _padded_instance(inst, k)
+    picks = [x for *_, x in eager_joint_steps(inst, k, rng)]
+    result = rg.ExplanationSet(tuple(int(perm[x]) for x in picks if perm[x] < inst.m))
     policy = rg.optimal_policy_for(inst, result)
     return result, rg.utility(inst, policy, result)
 
@@ -100,16 +126,116 @@ def test_lazy_randomized_joint_matches_eager():
 def test_lazy_randomized_joint_evaluates_fewer_gains(monkeypatch):
     inst = rg.generate_synthetic(rg.SynthConfig(m=300, gamma=0.3, seed=11))
     k = 15
-    calls = [0]
+    rows = [0]
 
-    def counted(*args):
-        calls[0] += 1
-        return _joint_gain(*args)
+    def counted(instance, state, xs):
+        rows[0] += len(xs)
+        return _gains(instance, state, xs)
 
-    monkeypatch.setattr(algorithms, "_joint_gain", counted)
+    monkeypatch.setattr(algorithms, "_gains", counted)
     rg.randomized_joint(inst, k, rg.RngStream(3))
     ground = len(rg.ground_set_viable(inst)) + 2 * k
-    assert calls[0] < 0.5 * k * ground
+    assert rows[0] < 0.5 * k * ground
+
+
+def test_solvers_never_score_an_empty_block(monkeypatch, two_group):
+    calls = []
+
+    def checked(instance, state, xs):
+        assert len(xs) > 0
+        calls.append(len(xs))
+        return _gains(instance, state, xs)
+
+    monkeypatch.setattr(algorithms, "_gains", checked)
+    inst, matroid = two_group
+    policy = rg.threshold_policy(inst)
+    # no budget, or nothing accepted: the empty set, without a kernel call
+    assert rg.greedy_fixed_policy(inst, policy, 0).indices == ()
+    closed = rg.PartitionMatroid(groups=matroid.groups, capacities=(0, 0))
+    assert rg.greedy_matroid(inst, policy, closed).indices == ()
+    assert rg.greedy_fixed_policy(inst, rg.Policy(np.zeros(inst.m)), 3).indices == ()
+    assert calls == []
+    for g, caps in ((1, (0, 1)), (0, (1, 0))):
+        half = rg.PartitionMatroid(groups=matroid.groups, capacities=caps)
+        assert set(rg.greedy_matroid(inst, policy, half)) <= set(matroid.groups[g])
+    assert calls
+
+
+def test_kernel_gain_is_batch_invariant():
+    rng = rg.RngStream(rg.derive_seed(0, "alg-batch-invariance"))
+    for t, (inst, k) in enumerate(equivalence_cases("alg-batch")):
+        if t % 2:
+            aug, _ = _padded_instance(inst, k)
+            ground = np.flatnonzero(aug.py >= aug.gamma)
+            A = rg.ExplanationSet(subset(rng, ground.tolist(), 0.2)[:k])
+            state = rg.joint_marginal_state(aug, A)
+        else:
+            aug = inst
+            policy = rg.threshold_policy(inst)
+            ground = np.flatnonzero(policy.pi == 1.0)
+            A = rg.ExplanationSet(subset(rng, ground.tolist(), 0.2)[:k])
+            state = rg.fixed_marginal_state(inst, policy, A)
+        xs = np.array([x for x in ground if x not in A], dtype=int)
+        if xs.size == 0:
+            continue
+        whole = _gains(aug, state, xs)
+        alone = np.array([_gains(aug, state, [x])[0] for x in xs])
+        order = rng.generator.permutation(xs.size)
+        blocks = np.empty(xs.size)
+        lo = 0
+        while lo < xs.size:
+            hi = lo + 1 + rng.integers(xs.size - lo)
+            blocks[order[lo:hi]] = _gains(aug, state, xs[order[lo:hi]])
+            lo = hi
+        assert whole.tobytes() == alone.tobytes() == blocks.tobytes()
+
+
+def test_kernel_matches_reference_gains():
+    worst = 0.0
+    for t, (inst, k) in enumerate(equivalence_cases("alg-reference")):
+        policy = rg.threshold_policy(inst)
+        group_of = [0] * inst.m
+        for state, scored, _ in eager_greedy_steps(inst, policy, group_of, [k]):
+            for x, g in scored.items():
+                worst = max(worst, abs(g - ref_fixed_gain(inst, state, x)))
+        for aug, state, scored, _ in eager_joint_steps(inst, k, rg.RngStream(t)):
+            for x, g in scored.items():
+                worst = max(worst, abs(g - ref_joint_gain(aug, state, x)))
+    assert worst <= 1e-15
+
+
+def first_divergence(steps_a, steps_b):
+    """(state, gains, pick_a, pick_b) at the first iteration whose picks
+    differ, or None; a greedy that stopped picks None."""
+    for a, b in zip(steps_a, steps_b):
+        if a[-1] != b[-1]:
+            return a[-3], a[-2], a[-1], b[-1]
+    return None
+
+
+def test_reference_picks_differ_only_at_near_ties():
+    def gap(scored, a, b):
+        return abs(scored.get(a, 0.0) - scored.get(b, 0.0))
+
+    for t, (inst, k) in enumerate(equivalence_cases("alg-reference")):
+        policy = rg.threshold_policy(inst)
+        one_group = [0] * inst.m
+        hit = first_divergence(
+            eager_greedy_steps(inst, policy, one_group, [k]),
+            eager_greedy_steps(
+                inst, policy, one_group, [k], per_candidate(ref_fixed_gain)
+            ),
+        )
+        if hit is not None:
+            assert gap(hit[1], hit[2], hit[3]) <= 1e-15
+        hit = first_divergence(
+            eager_joint_steps(inst, k, rg.RngStream(t)),
+            eager_joint_steps(
+                inst, k, rg.RngStream(t), per_candidate(ref_joint_gain)
+            ),
+        )
+        if hit is not None:
+            assert gap(hit[1], hit[2], hit[3]) <= 1e-15
 
 
 # -- greedy at a fixed policy -------------------------------------------------

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import recourse_game as rg
-from conftest import random_instance, subset
+from conftest import random_instance, ref_fixed_gain, subset, tie_heavy_instance
+from recourse_game.behavior import _gains
 
 
 def rational_monotone_policy(rng, inst) -> rg.Policy:
@@ -169,6 +170,27 @@ def test_marginal_gain_rejects_member(nonmono):
     state = rg.fixed_marginal_state(nonmono, policy, A)
     with pytest.raises(ValueError):
         rg.marginal_gain_fixed(nonmono, policy, A, state, 0)
+
+
+def test_fixed_gains_batch_invariant_and_near_reference():
+    # stochastic monotone policies and arbitrary A, tie-heavy every other case
+    rng = rg.RngStream(rg.derive_seed(0, "behavior-kernel"))
+    for t in range(200):
+        m = 3 + rng.integers(40)
+        inst = tie_heavy_instance(rng, m) if t % 2 else random_instance(rng, m)
+        policy = rational_monotone_policy(rng, inst)
+        accepted = list(rg.ground_set_accepted(inst, policy).indices)
+        A = rg.ExplanationSet(subset(rng, accepted, 0.3))
+        xs = [x for x in accepted if x not in A]
+        if not xs:
+            continue
+        state = rg.fixed_marginal_state(inst, policy, A)
+        whole = _gains(inst, state, xs)
+        alone = np.array([_gains(inst, state, [x])[0] for x in xs])
+        assert whole.tobytes() == alone.tobytes()
+        for x, g in zip(xs, whole):
+            assert g == rg.marginal_gain_fixed(inst, policy, A, state, x)[0]
+            assert abs(g - ref_fixed_gain(inst, state, x)) <= 1e-15
 
 
 def test_monotone_and_submodular_sampled():

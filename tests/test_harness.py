@@ -50,6 +50,23 @@ def test_compare_rerun_is_byte_identical(tmp_path):
     assert first == second
 
 
+def test_determinism_check_fails_when_a_rerun_writes_nothing(monkeypatch):
+    from recourse_game import checks, harness
+
+    real, written = harness.run_transport, []
+
+    def writes_once(config):
+        # the rerun reports the same files but writes none of them
+        if not written:
+            written.extend(real(config))
+        return list(written)
+
+    monkeypatch.setattr(harness, "run_transport", writes_once)
+    result = checks.check_determinism(0)
+    assert not result.passed
+    assert "transport:transport_alg1.csv" in result.detail
+
+
 def test_provenance_header(tmp_path):
     path = run_compare(small_config(tmp_path))
     provenance, rows = read_rows(path)

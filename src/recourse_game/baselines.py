@@ -67,22 +67,21 @@ def diverse_explanations(instance: Instance, policy: Policy, k: int) -> Explanat
     if k < 1:
         raise ValueError("k must be >= 1")
     ground = list(ground_set_accepted(instance, policy).indices)
-    reach = adaptation_matrix(instance, policy)
-    rejected = policy.pi < 1.0
-    covered = np.zeros(instance.m, dtype=bool)
+    # row x marks who can adapt to x; open_ marks rejected, uncovered values
+    near = np.ascontiguousarray(adaptation_matrix(instance, policy).T)
+    open_ = policy.pi < 1.0
+    px = instance.px
 
     A: list[int] = []
-    while len(A) < min(k, len(ground)):
-        best_x, best_gain = None, 0.0
-        for x in ground:
-            if x in A:
-                continue
-            newly = rejected & ~covered & reach[:, x]
-            gain = float(instance.px[newly].sum())
+    while ground and len(A) < k:
+        best, best_gain = None, 0.0
+        for pos, x in enumerate(ground):
+            gain = float(px[open_ & near[x]].sum())
             if gain > best_gain:
-                best_x, best_gain = x, gain
-        if best_x is None:
+                best, best_gain = pos, gain
+        if best is None:
             break
-        A.append(best_x)
-        covered |= reach[:, best_x]
+        x = ground.pop(best)
+        A.append(x)
+        open_ &= ~near[x]
     return ExplanationSet(tuple(A))

@@ -61,12 +61,13 @@ def assign_explanations(
     out = np.full(m, NO_EXPLANATION, dtype=int)
     if len(A) == 0:
         return Assignment(out)
+    pi = policy.pi
     a_idx = np.fromiter(A.indices, dtype=int)
-    reach = adaptation_matrix(instance, policy)[:, a_idx]
     cost_a = instance.cost[:, a_idx]
+    reach = pi[a_idx] - cost_a >= pi[:, None]
     py_a = instance.py[a_idx]
 
-    rejected = policy.pi < 1.0
+    rejected = pi < 1.0
     covered = rejected & reach.any(axis=1)
 
     # argmax py over A ∩ R(x_i), ties: min cost, then min index
@@ -109,12 +110,11 @@ def best_respond(
     m = instance.m
     pi, py, gamma = policy.pi, instance.py, instance.gamma
     assignment = assign_explanations(instance, policy, A).explanation_of
-    reach = adaptation_matrix(instance, policy)
 
     idx = np.arange(m)
     has_e = assignment != NO_EXPLANATION
     safe_e = np.where(has_e, assignment, 0)
-    follows = has_e & reach[idx, safe_e] & (pi < 1.0)
+    follows = has_e & (pi[safe_e] - instance.cost[idx, safe_e] >= pi) & (pi < 1.0)
     moved = np.where(follows, safe_e, idx)
 
     induced = np.bincount(moved, weights=instance.px, minlength=m)
@@ -248,23 +248,36 @@ def transport_matrix(
     return out
 
 
-def _preferred_target(
-    instance: Instance, policy: Policy, i: int, options: list[int]
-) -> int:
-    """Best-response target of individual i among candidate explanations.
+def _leak_targets(instance: Instance, policy: Policy, A: ExplanationSet):
+    """(base, leaked): base[i] is i's best-response target when she knows
+    only her assigned explanation e, leaked[i, c] her target when she also
+    knows A[c].
 
-    She follows, among the options inside her region of adaptation, the one
-    with maximal net benefit pi(.) - cost[i, .]; ties go to higher outcome,
-    then lower cost, then lower index. If none is reachable she stays (i).
+    A rejected individual follows, among e and A[c] inside her region of
+    adaptation, the one with the larger net benefit pi(.) - cost[i, .]; ties
+    go to lower cost from i, then higher outcome, then lower index. If
+    neither is reachable she stays at i, and accepted individuals never move.
+    A reachable e already has the highest outcome among the reachable members
+    of A, then the lowest cost, then the lowest index, so on equal net
+    benefit only a lower cost lets A[c] beat it.
     """
-    pi, py, cost = policy.pi, instance.py, instance.cost
-    best, best_key = i, None
-    for j in options:
-        if pi[j] - cost[i, j] >= pi[i]:
-            key = (pi[j] - cost[i, j], -cost[i, j], py[j], -j)
-            if best_key is None or key > best_key:
-                best, best_key = j, key
-    return best
+    pi, cost = policy.pi, instance.cost
+    idx = np.arange(instance.m)
+    e = assign_explanations(instance, policy, A).explanation_of
+    has_e = e != NO_EXPLANATION
+    e = np.where(has_e, e, idx)
+    cost_e = cost[idx, e]
+    net_e = pi[e] - cost_e
+    reach_e = has_e & (net_e >= pi)
+    base = np.where(reach_e, e, idx)
+
+    a_idx = np.fromiter(A.indices, dtype=int, count=len(A))
+    cost_a = cost[:, a_idx]
+    net_a = pi[a_idx] - cost_a
+    net_e, cost_e = net_e[:, None], cost_e[:, None]
+    beats = (net_a > net_e) | (net_a == net_e) & (cost_a < cost_e)
+    wins = has_e[:, None] & (net_a >= pi[:, None]) & (~reach_e[:, None] | beats)
+    return base, np.where(wins, a_idx, base[:, None])
 
 
 def leakage_utility(
@@ -283,35 +296,19 @@ def leakage_utility(
     if len(A) == 0:
         return utility(instance, policy, A)
 
-    pi, py, px, gamma = policy.pi, instance.py, instance.px, instance.gamma
-    assignment = assign_explanations(instance, policy, A).explanation_of
-    a_idx = list(A.indices)
-
-    def contribution(target: int) -> float:
-        return pi[target] * (py[target] - gamma)
-
-    # Per-individual expected values; individuals whose choice no draw can
-    # change keep the plain best-response value, so p_l = 0 (and |A| = 1)
-    # reproduce utility() exactly rather than within rounding.
-    value = np.empty(instance.m)
-    for i in range(instance.m):
-        if pi[i] == 1.0:
-            value[i] = contribution(i)
-            continue
-        e = assignment[i]
-        base_target = _preferred_target(instance, policy, i, [e])
-        if p_l == 0.0:
-            value[i] = contribution(base_target)
-            continue
-        targets = [
-            _preferred_target(instance, policy, i, [e, leaked]) for leaked in a_idx
-        ]
-        if all(t == base_target for t in targets):
-            value[i] = contribution(base_target)
-        else:
-            mix = sum(contribution(t) for t in targets) / len(a_idx)
-            value[i] = (1.0 - p_l) * contribution(base_target) + p_l * mix
-    return float(np.sum(px * value))
+    base, leaked = _leak_targets(instance, policy, A)
+    contribution = policy.pi * (instance.py - instance.gamma)
+    # Individuals whose choice no draw can change keep the plain best-response
+    # value, so p_l = 0 (and |A| = 1) reproduce utility() exactly rather than
+    # within rounding.
+    value = contribution[base]
+    if p_l > 0.0:
+        changed = (leaked != base[:, None]).any(axis=1)
+        mix = np.zeros(instance.m)
+        for column in contribution[leaked.T]:  # left to right, as sum() adds
+            mix += column
+        value = np.where(changed, (1.0 - p_l) * value + p_l * (mix / len(A)), value)
+    return float(np.sum(instance.px * value))
 
 
 def leakage_utility_mc(
@@ -330,32 +327,20 @@ def leakage_utility_mc(
     """
     if not 0.0 <= p_l <= 1.0:
         raise ValueError("p_l must lie in [0, 1]")
-    pi, py, px, gamma = policy.pi, instance.py, instance.px, instance.gamma
     m = instance.m
-    assignment = assign_explanations(instance, policy, A).explanation_of
-    a_idx = list(A.indices)
-
+    base, leaked = _leak_targets(instance, policy, A)
+    contribution = policy.pi * (instance.py - instance.gamma)
     # Per-individual payoff table: column 0 = assigned explanation only,
     # column 1+c = assigned plus leaked A[c].
-    n_opt = 1 + len(a_idx)
-    payoff = np.empty((m, n_opt))
-    for i in range(m):
-        if pi[i] == 1.0:
-            payoff[i, :] = pi[i] * (py[i] - gamma)
-            continue
-        e = assignment[i]
-        t0 = _preferred_target(instance, policy, i, [e] if e >= 0 else [])
-        payoff[i, 0] = pi[t0] * (py[t0] - gamma)
-        for c, leaked in enumerate(a_idx):
-            t = _preferred_target(instance, policy, i, [e, leaked])
-            payoff[i, 1 + c] = pi[t] * (py[t] - gamma)
+    payoff = contribution[np.column_stack([base, leaked])]
 
-    if len(a_idx) == 0:
+    if len(A) == 0:
         draws = np.zeros((samples, m), dtype=int)
     else:
         leak = rng.random((samples, m)) < p_l
-        which = rng.integers(0, len(a_idx), size=(samples, m))
+        which = rng.integers(0, len(A), size=(samples, m))
         draws = np.where(leak, 1 + which, 0)
+    px = instance.px
     per_sample = (payoff[np.arange(m)[None, :], draws] * px[None, :]).sum(axis=1)
     mean = float(per_sample.mean())
     stderr = float(per_sample.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0

@@ -88,3 +88,67 @@ def ref_joint_gain(inst: rg.Instance, state, x: int) -> float:
     )
     gain += float(np.sum(px[reachable] * delta[reachable]))
     return float(gain)
+
+
+# The per-individual leakage loops that the vectorized target table
+# replaced: they agree with leakage_utility and leakage_utility_mc bit for
+# bit.
+
+def ref_preferred_target(inst: rg.Instance, policy: rg.Policy, i: int, options) -> int:
+    pi, py, cost = policy.pi, inst.py, inst.cost
+    best, best_key = i, None
+    for j in options:
+        if pi[j] - cost[i, j] >= pi[i]:
+            key = (pi[j] - cost[i, j], -cost[i, j], py[j], -j)
+            if best_key is None or key > best_key:
+                best, best_key = j, key
+    return best
+
+
+def ref_leakage_utility(inst: rg.Instance, policy: rg.Policy, A, p_l: float) -> float:
+    if len(A) == 0:
+        return rg.utility(inst, policy, A)
+    pi, py, px, gamma = policy.pi, inst.py, inst.px, inst.gamma
+    assignment = rg.assign_explanations(inst, policy, A).explanation_of
+    a_idx = list(A.indices)
+
+    def contribution(target: int) -> float:
+        return pi[target] * (py[target] - gamma)
+
+    value = np.empty(inst.m)
+    for i in range(inst.m):
+        if pi[i] == 1.0:
+            value[i] = contribution(i)
+            continue
+        e = assignment[i]
+        base_target = ref_preferred_target(inst, policy, i, [e])
+        if p_l == 0.0:
+            value[i] = contribution(base_target)
+            continue
+        targets = [ref_preferred_target(inst, policy, i, [e, x]) for x in a_idx]
+        if all(t == base_target for t in targets):
+            value[i] = contribution(base_target)
+        else:
+            mix = sum(contribution(t) for t in targets) / len(a_idx)
+            value[i] = (1.0 - p_l) * contribution(base_target) + p_l * mix
+    return float(np.sum(px * value))
+
+
+def ref_leak_payoff(inst: rg.Instance, policy: rg.Policy, A) -> np.ndarray:
+    """m x (1 + |A|) payoff table: column 0 for the assigned explanation
+    only, column 1 + c for the assigned one plus leaked A[c]."""
+    pi, py, gamma = policy.pi, inst.py, inst.gamma
+    assignment = rg.assign_explanations(inst, policy, A).explanation_of
+    a_idx = list(A.indices)
+    payoff = np.empty((inst.m, 1 + len(a_idx)))
+    for i in range(inst.m):
+        if pi[i] == 1.0:
+            payoff[i, :] = pi[i] * (py[i] - gamma)
+            continue
+        e = assignment[i]
+        t0 = ref_preferred_target(inst, policy, i, [e] if e >= 0 else [])
+        payoff[i, 0] = pi[t0] * (py[t0] - gamma)
+        for c, x in enumerate(a_idx):
+            t = ref_preferred_target(inst, policy, i, [e, x])
+            payoff[i, 1 + c] = pi[t] * (py[t] - gamma)
+    return payoff

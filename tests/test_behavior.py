@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 import recourse_game as rg
-from conftest import random_instance, ref_fixed_gain, subset, tie_heavy_instance
+from conftest import (
+    equivalence_cases,
+    random_instance,
+    ref_fixed_gain,
+    ref_leak_payoff,
+    ref_leakage_utility,
+    subset,
+    tie_heavy_instance,
+)
 from recourse_game.behavior import _gains
 
 
@@ -311,6 +319,103 @@ def test_leakage_rejects_bad_probability():
     inst = leaky_instance()
     with pytest.raises(ValueError):
         rg.leakage_utility(inst, rg.threshold_policy(inst), rg.ExplanationSet((0,)), 1.5)
+
+
+def test_leakage_ties_go_to_lower_cost_before_higher_outcome():
+    # Value 1 can stay at net 0.75 or take 0, and value 2 can take 1 or 0 at
+    # net 0; in both, 0 has the higher outcome and is assigned, the leaked 1
+    # is cheaper. Lower cost wins, so leakage hurts; were outcome to decide
+    # first, nobody would switch and the utility would stay at 0.6.
+    cost = [[0.0, 2.0, 2.0], [0.25, 0.0, 2.0], [1.0, 0.75, 0.0]]
+    inst = rg.make_instance([0.2, 0.3, 0.5], [0.9, 0.6, 0.1], cost, 0.3)
+    policy = rg.Policy([1.0, 0.75, 0.0])
+    A = rg.ExplanationSet((0, 1))
+    values = [rg.leakage_utility(inst, policy, A, p) for p in (0.0, 0.5, 1.0)]
+    assert values == pytest.approx([0.6, 0.525, 0.45], abs=1e-12)
+
+
+def leak_cases(tag: str, n: int):
+    """(instance, policy, A) over equivalence_cases, cycling through the
+    threshold policy, a {0, 0.5, 1} grid and continuous monotone policies;
+    A is a shuffled subset of all values, rejected ones included, or empty."""
+    rng = rg.RngStream(rg.derive_seed(0, tag))
+    for t, (inst, _) in enumerate(equivalence_cases(tag, n)):
+        if t % 3 == 0:
+            policy = rg.threshold_policy(inst)
+        elif t % 3 == 1:
+            policy = rg.Policy(rng.generator.choice([0.0, 0.5, 1.0], size=inst.m))
+        else:
+            policy = rational_monotone_policy(rng, inst)
+        size = rng.integers(min(inst.m, 12) + 1)
+        A = tuple(int(x) for x in rng.generator.permutation(inst.m)[:size])
+        yield inst, policy, rg.ExplanationSet(A)
+
+
+def ref_leakage_mc(inst, policy, A, p_l, samples, rng):
+    payoff = ref_leak_payoff(inst, policy, A)
+    m = inst.m
+    if len(A) == 0:
+        draws = np.zeros((samples, m), dtype=int)
+    else:
+        leak = rng.random((samples, m)) < p_l
+        which = rng.integers(0, len(A), size=(samples, m))
+        draws = np.where(leak, 1 + which, 0)
+    per_sample = (payoff[np.arange(m)[None, :], draws] * inst.px[None, :]).sum(axis=1)
+    return float(per_sample.mean()), float(per_sample.std(ddof=1) / np.sqrt(samples))
+
+
+def test_leakage_matches_reference_loop_bit_for_bit():
+    for inst, policy, A in leak_cases("leak-equivalence", 200):
+        for p_l in (0.0, 0.37, 1.0):
+            got = rg.leakage_utility(inst, policy, A, p_l)
+            assert repr(got) == repr(ref_leakage_utility(inst, policy, A, p_l))
+
+
+def test_leakage_mc_matches_reference_loop_bit_for_bit():
+    for t, (inst, policy, A) in enumerate(leak_cases("leak-mc-equivalence", 120)):
+        p_l = (0.0, 0.37, 1.0)[t % 3]
+        got = rg.leakage_utility_mc(
+            inst, policy, A, p_l, samples=40, rng=np.random.default_rng(t)
+        )
+        want = ref_leakage_mc(inst, policy, A, p_l, 40, np.random.default_rng(t))
+        assert got == want
+
+
+def test_leakage_matches_reference_loop_on_tie_heavy_examples():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+    @st.composite
+    def cases(draw):
+        m = draw(st.integers(2, 7))
+        py = sorted(draw(st.lists(st.sampled_from(grid), min_size=m, max_size=m)))
+        px = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+        px[0] += sum(px) == 0
+        levels = st.sampled_from([0.0, 0.5, 1.0, 1.5, np.inf])
+        cost = np.array(draw(st.lists(levels, min_size=m * m, max_size=m * m)))
+        cost = cost.reshape(m, m)
+        np.fill_diagonal(cost, 0.0)
+        gamma = draw(st.sampled_from([0.25, 0.5, 0.75]))
+        inst = rg.make_instance(np.divide(px, sum(px)), py[::-1], cost, gamma)
+        pi = draw(st.lists(st.sampled_from(grid), min_size=m, max_size=m))
+        A = draw(st.lists(st.integers(0, m - 1), unique=True, max_size=m))
+        return inst, rg.Policy(pi), rg.ExplanationSet(tuple(A))
+
+    @hypothesis.settings(
+        max_examples=300, derandomize=True, database=None, deadline=None
+    )
+    @hypothesis.given(cases(), st.sampled_from([0.0, 0.37, 1.0]))
+    def check(case, p_l):
+        inst, policy, A = case
+        got = rg.leakage_utility(inst, policy, A, p_l)
+        assert repr(got) == repr(ref_leakage_utility(inst, policy, A, p_l))
+        got = rg.leakage_utility_mc(
+            inst, policy, A, p_l, samples=8, rng=np.random.default_rng(1)
+        )
+        assert got == ref_leakage_mc(inst, policy, A, p_l, 8, np.random.default_rng(1))
+
+    check()
 
 
 # -- group improvement -------------------------------------------------------

@@ -35,12 +35,7 @@ from .core import (
     ground_set_viable,
     is_outcome_monotonic,
     is_rational,
-    sort_canonical,
 )
-
-# Dummy padding cost: strictly above the unit benefit gain, so dummies never
-# enter a region of adaptation and never block an acceptance.
-_PAD_COST = 2.0
 
 BRUTE_FORCE_CAP = 20
 
@@ -117,7 +112,7 @@ def _first_heap(gains, ground: list[int], block: int) -> list:
 
 def _pop_best(heap: list, gains, stamp: int, n: int, block: int) -> list:
     """Pop the n entries (-gain, index, |A| at evaluation) with the largest
-    current gains, in (-gain, index) order; the heap must hold n entries.
+    current gains, in (-gain, index) order, or every entry if fewer remain.
 
     Lazy evaluation (Minoux 1978): a stale gain of a submodular objective
     bounds the current one from above, so a current entry on top beats all
@@ -125,7 +120,7 @@ def _pop_best(heap: list, gains, stamp: int, n: int, block: int) -> list:
     among the top `block`, which changes no gain and so not the result.
     """
     pool = []
-    while len(pool) < n:
+    while heap and len(pool) < n:
         if heap[0][2] == stamp:
             pool.append(heapq.heappop(heap))
             continue
@@ -208,15 +203,10 @@ def optimal_policy_for(instance: Instance, A: ExplanationSet) -> Policy:
     """
     py, cost, gamma = instance.py, instance.cost, instance.gamma
     viable = py >= gamma
-    a_idx = np.fromiter(A.indices, dtype=int) if len(A) else np.empty(0, dtype=int)
+    a_idx = np.fromiter(A.indices, dtype=int, count=len(A))
     if np.any(~viable[a_idx]):
         raise ValueError("explanations must come from the viable set")
-    if len(A):
-        blocked = (
-            (py[a_idx][None, :] > py[:, None]) & (cost[:, a_idx] <= 1.0)
-        ).any(axis=1)
-    else:
-        blocked = np.zeros(instance.m, dtype=bool)
+    blocked = ((py[a_idx] > py[:, None]) & (cost[:, a_idx] <= 1.0)).any(axis=1)
     pi = (viable & ~blocked).astype(float)
     pi[a_idx] = 1.0
     return Policy(pi)
@@ -246,27 +236,18 @@ def marginal_gain_joint(
     return float(_gains(instance, state, [x])[0]), _advance(instance, state, x)
 
 
-def _padded_instance(instance: Instance, k: int) -> tuple[Instance, np.ndarray]:
-    """Append 2k zero-mass values with outcome exactly gamma and cost 2 in
-    both directions, then re-sort canonically. Their marginal contribution to
-    h is identically zero, which keeps the top-k candidate pool full."""
-    m, pad = instance.m, 2 * k
-    px = np.concatenate([instance.px, np.zeros(pad)])
-    py = np.concatenate([instance.py, np.full(pad, instance.gamma)])
-    cost = np.full((m + pad, m + pad), _PAD_COST)
-    cost[:m, :m] = instance.cost
-    np.fill_diagonal(cost, 0.0)
-    return sort_canonical(px, py, cost, instance.gamma)
-
-
 def randomized_joint(instance: Instance, k: int, rng: RngStream) -> JointSolution:
     """Randomized greedy for the joint policy/explanations problem.
 
-    Each of the k iterations ranks remaining viable candidates (including the
-    zero-marginal padding values) by marginal difference of h, ties broken by
-    lowest index, and adds one drawn uniformly from the top k. Padding values
-    are stripped from the result; the expected utility is within a factor
-    1/e of optimal.
+    Each of the k iterations ranks the remaining viable candidates by
+    marginal difference of h, ties broken by lowest index, and draws one of
+    k slots uniformly; the expected utility is within a factor 1/e of
+    optimal (Buchbinder, Feldman, Naor & Schwartz 2014). The slots hold the
+    candidates with nonnegative gain in rank order; any slot left over holds
+    one of the algorithm's 2k zero-gain dummy values, and drawing it adds
+    nothing. The dummies stay virtual: a real candidate of gain 0 ranks
+    ahead of them by index, and at least k + 1 of them remain, so a
+    candidate of negative gain is never drawn.
 
     h is submodular (though not monotone), so stale gains stay upper bounds
     and the lazy pool is exactly the top k in (-gain, index) order: the draw
@@ -275,24 +256,22 @@ def randomized_joint(instance: Instance, k: int, rng: RngStream) -> JointSolutio
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    aug, perm = _padded_instance(instance, k)
-    state = joint_marginal_state(aug, ExplanationSet())
-    viable = np.flatnonzero(aug.py >= aug.gamma).tolist()
-    heap = _first_heap(partial(_gains, aug, state), viable, k)
+    state = joint_marginal_state(instance, ExplanationSet())
+    viable = np.flatnonzero(instance.py >= instance.gamma).tolist()
+    heap = _first_heap(partial(_gains, instance, state), viable, k)
     A: list[int] = []
     for _ in range(k):
-        # the padding keeps at least k + 1 candidates in the heap
-        pool = _pop_best(heap, partial(_gains, aug, state), len(A), k, k)
-        pick = pool.pop(rng.integers(len(pool)))[1]
+        pool = _pop_best(heap, partial(_gains, instance, state), len(A), k, k)
+        slot = rng.integers(k)
+        # entries hold -gain: a slot past the nonnegative gains is a dummy
+        if slot < len(pool) and pool[slot][0] <= 0.0:
+            pick = pool.pop(slot)[1]
+            state = _advance(instance, state, pick)
+            A.append(pick)
         for entry in pool:
             heapq.heappush(heap, entry)
-        state = _advance(aug, state, pick)
-        A.append(pick)
 
-    original = [int(perm[a]) for a in A if int(perm[a]) < instance.m]
-    # free the padded instance's m x m arrays before the final evaluation
-    del aug, state, heap
-    result = ExplanationSet(tuple(original))
+    result = ExplanationSet(tuple(A))
     policy = optimal_policy_for(instance, result)
     return JointSolution(
         policy=policy, explanations=result, utility=utility(instance, policy, result)

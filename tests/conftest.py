@@ -8,6 +8,39 @@ from recourse_game.checks import (
     two_group_witness,
 )
 
+# The grids of tie-heavy instances: py on a grid that includes every gamma,
+# and costs that sit exactly on the unit benefit or are unreachable.
+TIE_GAMMAS = [0.25, 0.5, 0.75]
+TIE_PY = [0.0, 0.25, 0.5, 0.75, 1.0]
+TIE_COSTS = [0.0, 0.5, 1.0, 1.5, np.inf]
+
+try:
+    import hypothesis
+except ImportError:
+    hypothesis = None
+else:
+    # Property tests replay the same examples on every run and machine.
+    hypothesis.settings.register_profile(
+        "derandomized", derandomize=True, database=None, deadline=None
+    )
+    hypothesis.settings.load_profile("derandomized")
+    st = hypothesis.strategies
+
+    @st.composite
+    def tie_heavy_instances(draw, min_m=1, max_m=10):
+        """Instances on the tie-heavy grids, with zero-mass values; the
+        viable set may be empty."""
+        m = draw(st.integers(min_m, max_m))
+        py = sorted(draw(st.lists(st.sampled_from(TIE_PY), min_size=m, max_size=m)))
+        px = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+        px[0] += sum(px) == 0
+        levels = st.sampled_from(TIE_COSTS)
+        cost = np.array(draw(st.lists(levels, min_size=m * m, max_size=m * m)))
+        cost = cost.reshape(m, m)
+        np.fill_diagonal(cost, 0.0)
+        gamma = draw(st.sampled_from(TIE_GAMMAS))
+        return rg.make_instance(np.divide(px, sum(px)), py[::-1], cost, gamma)
+
 
 @pytest.fixture
 def nonmono() -> rg.Instance:
@@ -41,12 +74,12 @@ def tie_heavy_instance(rng: rg.RngStream, m: int) -> rg.Instance:
     gamma, px on a small integer grid with zero-mass values, and costs drawn
     from {0, 0.5, 1, 1.5, inf}."""
     gen = rng.generator
-    gamma = float(gen.choice([0.25, 0.5, 0.75]))
-    py = np.sort(gen.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=m))[::-1]
+    gamma = float(gen.choice(TIE_GAMMAS))
+    py = np.sort(gen.choice(TIE_PY, size=m))[::-1]
     px = gen.integers(0, 4, size=m).astype(float)
     if px.sum() == 0.0:
         px[0] = 1.0
-    cost = gen.choice([0.0, 0.5, 1.0, 1.5, np.inf], size=(m, m))
+    cost = gen.choice(TIE_COSTS, size=(m, m))
     np.fill_diagonal(cost, 0.0)
     return rg.make_instance(px / px.sum(), py, cost, gamma)
 

@@ -1,6 +1,7 @@
 """Greedy, matroid greedy, closed-form joint policy, randomized joint
 optimizer, and the exhaustive oracles."""
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -15,7 +16,6 @@ from conftest import (
     subset,
 )
 from recourse_game import algorithms
-from recourse_game.algorithms import _padded_instance
 from recourse_game.behavior import _gains
 
 E_INV = 1.0 / np.e
@@ -34,7 +34,7 @@ def per_candidate(ref):
 # Full re-scans of every candidate in every iteration: the lazy solvers must
 # pick exactly what these pick. Per iteration each yields the state, the
 # gains of the remaining candidates and the pick (None where the greedy
-# stops); the joint one yields the padded instance first.
+# stops or the joint greedy draws a dummy slot).
 
 def eager_greedy_steps(inst, policy, group_of, capacities, gains=kernel_gains):
     used = [0] * len(capacities)
@@ -63,27 +63,63 @@ def eager_greedy(inst, policy, group_of, capacities):
 
 
 def eager_joint_steps(inst, k, rng, gains=kernel_gains):
-    aug, _ = _padded_instance(inst, k)
+    """The k slots hold the candidates of nonnegative gain, best first; a
+    slot past them is one of the 2k zero-gain dummies and picks nothing."""
+    ground = [int(i) for i in np.flatnonzero(inst.py >= inst.gamma)]
+    A = rg.ExplanationSet()
+    state = rg.joint_marginal_state(inst, A)
+    for _ in range(k):
+        cands = [x for x in ground if x not in A]
+        scored = dict(zip(cands, gains(inst, state, cands))) if cands else {}
+        nonnegative = [x for x in cands if scored[x] >= 0.0]
+        slots = sorted(nonnegative, key=lambda x: (-scored[x], x))
+        slot = rng.integers(k)
+        pick = slots[slot] if slot < len(slots) else None
+        yield state, scored, pick
+        if pick is not None:
+            _, state = rg.marginal_gain_joint(inst, A, state, pick)
+            A = A.add(pick)
+
+
+def eager_randomized_joint(inst, k, rng):
+    picks = [x for *_, x in eager_joint_steps(inst, k, rng) if x is not None]
+    result = rg.ExplanationSet(tuple(picks))
+    policy = rg.optimal_policy_for(inst, result)
+    return result, rg.utility(inst, policy, result)
+
+
+# The padded formulation the solver used to run: 2k dummy values (zero
+# mass, outcome exactly gamma, cost 2 both ways) appended as real data and
+# re-sorted. It computes gains on a copy whose px is re-normalized and whose
+# summation trees differ, so its picks match the virtual slots only up to
+# near-ties.
+
+def _padded_instance(inst, k):
+    m, pad = inst.m, 2 * k
+    px = np.concatenate([inst.px, np.zeros(pad)])
+    py = np.concatenate([inst.py, np.full(pad, inst.gamma)])
+    cost = np.full((m + pad, m + pad), 2.0)
+    cost[:m, :m] = inst.cost
+    np.fill_diagonal(cost, 0.0)
+    return rg.sort_canonical(px, py, cost, inst.gamma)
+
+
+def padded_joint_steps(inst, k, rng):
+    """Per iteration: the padded state, the real candidates' gains and the
+    pick, mapped back through perm (None for a dummy)."""
+    aug, perm = _padded_instance(inst, k)
     ground = [int(i) for i in np.flatnonzero(aug.py >= aug.gamma)]
     A = rg.ExplanationSet()
     state = rg.joint_marginal_state(aug, A)
     for _ in range(k):
         cands = [x for x in ground if x not in A]
-        scored = dict(zip(cands, gains(aug, state, cands)))
+        scored = dict(zip(cands, kernel_gains(aug, state, cands)))
         ranked = sorted(cands, key=lambda x: (-scored[x], x))
-        pool = ranked[: min(k, len(ranked))]
-        pick = pool[rng.integers(len(pool))]
-        yield aug, state, scored, pick
+        pick = ranked[rng.integers(k)]  # at least k + 1 dummies remain
+        real = {int(perm[x]): g for x, g in scored.items() if perm[x] < inst.m}
+        yield state, real, int(perm[pick]) if perm[pick] < inst.m else None
         _, state = rg.marginal_gain_joint(aug, A, state, pick)
         A = A.add(pick)
-
-
-def eager_randomized_joint(inst, k, rng):
-    _, perm = _padded_instance(inst, k)
-    picks = [x for *_, x in eager_joint_steps(inst, k, rng)]
-    result = rg.ExplanationSet(tuple(int(perm[x]) for x in picks if perm[x] < inst.m))
-    policy = rg.optimal_policy_for(inst, result)
-    return result, rg.utility(inst, policy, result)
 
 
 def test_lazy_greedy_matches_eager():
@@ -165,12 +201,10 @@ def test_kernel_gain_is_batch_invariant():
     rng = rg.RngStream(rg.derive_seed(0, "alg-batch-invariance"))
     for t, (inst, k) in enumerate(equivalence_cases("alg-batch")):
         if t % 2:
-            aug, _ = _padded_instance(inst, k)
-            ground = np.flatnonzero(aug.py >= aug.gamma)
+            ground = np.flatnonzero(inst.py >= inst.gamma)
             A = rg.ExplanationSet(subset(rng, ground.tolist(), 0.2)[:k])
-            state = rg.joint_marginal_state(aug, A)
+            state = rg.joint_marginal_state(inst, A)
         else:
-            aug = inst
             policy = rg.threshold_policy(inst)
             ground = np.flatnonzero(policy.pi == 1.0)
             A = rg.ExplanationSet(subset(rng, ground.tolist(), 0.2)[:k])
@@ -178,14 +212,14 @@ def test_kernel_gain_is_batch_invariant():
         xs = np.array([x for x in ground if x not in A], dtype=int)
         if xs.size == 0:
             continue
-        whole = _gains(aug, state, xs)
-        alone = np.array([_gains(aug, state, [x])[0] for x in xs])
+        whole = _gains(inst, state, xs)
+        alone = np.array([_gains(inst, state, [x])[0] for x in xs])
         order = rng.generator.permutation(xs.size)
         blocks = np.empty(xs.size)
         lo = 0
         while lo < xs.size:
             hi = lo + 1 + rng.integers(xs.size - lo)
-            blocks[order[lo:hi]] = _gains(aug, state, xs[order[lo:hi]])
+            blocks[order[lo:hi]] = _gains(inst, state, xs[order[lo:hi]])
             lo = hi
         assert whole.tobytes() == alone.tobytes() == blocks.tobytes()
 
@@ -198,25 +232,27 @@ def test_kernel_matches_reference_gains():
         for state, scored, _ in eager_greedy_steps(inst, policy, group_of, [k]):
             for x, g in scored.items():
                 worst = max(worst, abs(g - ref_fixed_gain(inst, state, x)))
-        for aug, state, scored, _ in eager_joint_steps(inst, k, rg.RngStream(t)):
+        for state, scored, _ in eager_joint_steps(inst, k, rg.RngStream(t)):
             for x, g in scored.items():
-                worst = max(worst, abs(g - ref_joint_gain(aug, state, x)))
+                worst = max(worst, abs(g - ref_joint_gain(inst, state, x)))
     assert worst <= 1e-15
 
 
 def first_divergence(steps_a, steps_b):
     """(state, gains, pick_a, pick_b) at the first iteration whose picks
     differ, or None; a greedy that stopped picks None."""
-    for a, b in zip(steps_a, steps_b):
-        if a[-1] != b[-1]:
-            return a[-3], a[-2], a[-1], b[-1]
+    for (state, scored, a), (*_, b) in zip(steps_a, steps_b):
+        if a != b:
+            return state, scored, a, b
     return None
 
 
-def test_reference_picks_differ_only_at_near_ties():
-    def gap(scored, a, b):
-        return abs(scored.get(a, 0.0) - scored.get(b, 0.0))
+def gap(scored, a, b):
+    """Gain gap between two picks; a stop or a dummy (None) counts as 0."""
+    return abs(scored.get(a, 0.0) - scored.get(b, 0.0))
 
+
+def test_reference_picks_differ_only_at_near_ties():
     for t, (inst, k) in enumerate(equivalence_cases("alg-reference")):
         policy = rg.threshold_policy(inst)
         one_group = [0] * inst.m
@@ -236,6 +272,20 @@ def test_reference_picks_differ_only_at_near_ties():
         )
         if hit is not None:
             assert gap(hit[1], hit[2], hit[3]) <= 1e-15
+
+
+def test_padded_picks_differ_only_at_near_ties():
+    diverged = 0
+    for t, (inst, k) in enumerate(equivalence_cases("alg-padded", 1400)):
+        hit = first_divergence(
+            eager_joint_steps(inst, k, rg.RngStream(t)),
+            padded_joint_steps(inst, k, rg.RngStream(t)),
+        )
+        if hit is not None:
+            diverged += 1
+            assert gap(hit[1], hit[2], hit[3]) <= 1e-15
+    # the padded copy's gains are a few ulp off, so some near-ties do flip
+    assert diverged > 0
 
 
 # -- greedy at a fixed policy -------------------------------------------------
@@ -403,6 +453,35 @@ def test_randomized_joint_mean_guarantee_sampled():
 def test_randomized_joint_rejects_bad_k(nonmono):
     with pytest.raises(ValueError):
         rg.randomized_joint(nonmono, 0, rg.RngStream(0))
+
+
+def test_randomized_joint_degenerate_inputs(nonmono):
+    none_viable = rg.make_instance([0.5, 0.5], [0.2, 0.1], np.zeros((2, 2)), 0.3)
+    assert len(rg.ground_set_viable(nonmono)) < 5
+    for inst, k in ((none_viable, 3), (nonmono, 5)):
+        rng, ref = rg.RngStream(17), rg.RngStream(17)
+        sol = rg.randomized_joint(inst, k, rng)
+        assert isinstance(sol, rg.JointSolution)
+        assert set(sol.explanations) <= set(rg.ground_set_viable(inst))
+        assert repr(sol.utility) == repr(rg.joint_objective(inst, sol.explanations))
+        # exactly k draws of integers(k), whatever the pool holds
+        for _ in range(k):
+            ref.integers(k)
+        assert rng.integers(2**31) == ref.integers(2**31)
+    sol = rg.randomized_joint(none_viable, 3, rg.RngStream(0))
+    assert sol.explanations.indices == ()
+    assert sol.policy.pi.tolist() == [0.0, 0.0]
+
+
+def test_randomized_joint_peaks_below_the_cost_matrix():
+    inst = rg.generate_synthetic(rg.SynthConfig(m=300, gamma=0.3, seed=11))
+    tracemalloc.start()
+    try:
+        rg.randomized_joint(inst, 15, rg.RngStream(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < inst.cost.nbytes
 
 
 # -- matroid greedy -----------------------------------------------------------

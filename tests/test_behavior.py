@@ -383,28 +383,19 @@ def test_leakage_mc_matches_reference_loop_bit_for_bit():
 
 def test_leakage_matches_reference_loop_on_tie_heavy_examples():
     hypothesis = pytest.importorskip("hypothesis")
+    from conftest import TIE_PY, tie_heavy_instances
+
     st = hypothesis.strategies
-    grid = [0.0, 0.25, 0.5, 0.75, 1.0]
 
     @st.composite
     def cases(draw):
-        m = draw(st.integers(2, 7))
-        py = sorted(draw(st.lists(st.sampled_from(grid), min_size=m, max_size=m)))
-        px = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
-        px[0] += sum(px) == 0
-        levels = st.sampled_from([0.0, 0.5, 1.0, 1.5, np.inf])
-        cost = np.array(draw(st.lists(levels, min_size=m * m, max_size=m * m)))
-        cost = cost.reshape(m, m)
-        np.fill_diagonal(cost, 0.0)
-        gamma = draw(st.sampled_from([0.25, 0.5, 0.75]))
-        inst = rg.make_instance(np.divide(px, sum(px)), py[::-1], cost, gamma)
-        pi = draw(st.lists(st.sampled_from(grid), min_size=m, max_size=m))
+        inst = draw(tie_heavy_instances(2, 7))
+        m = inst.m
+        pi = draw(st.lists(st.sampled_from(TIE_PY), min_size=m, max_size=m))
         A = draw(st.lists(st.integers(0, m - 1), unique=True, max_size=m))
         return inst, rg.Policy(pi), rg.ExplanationSet(tuple(A))
 
-    @hypothesis.settings(
-        max_examples=300, derandomize=True, database=None, deadline=None
-    )
+    @hypothesis.settings(max_examples=300)
     @hypothesis.given(cases(), st.sampled_from([0.0, 0.37, 1.0]))
     def check(case, p_l):
         inst, policy, A = case

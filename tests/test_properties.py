@@ -1,0 +1,112 @@
+"""The solvers' guarantees as derandomized properties on tie-heavy and
+boundary instances: outcomes on a grid that includes gamma, zero-mass
+values, costs of exactly 1.0 or inf, empty viable sets and k=0."""
+
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+import recourse_game as rg
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from conftest import tie_heavy_instances  # noqa: E402
+
+E_INV = 1.0 / np.e
+ONE_MINUS_E_INV = 1.0 - 1.0 / np.e
+
+instances = tie_heavy_instances(1, 10)
+
+
+def draw_subset(data, items) -> tuple[int, ...]:
+    keep = data.draw(st.lists(st.booleans(), min_size=len(items), max_size=len(items)))
+    return tuple(x for x, kept in zip(items, keep) if kept)
+
+
+@hypothesis.given(instances, st.integers(1, 4), st.integers(0, 2**32))
+def test_randomized_joint_returns_k_viable_members_at_their_objective(inst, k, seed):
+    sol = rg.randomized_joint(inst, k, rg.RngStream(seed))
+    A = sol.explanations
+    assert len(A) <= k
+    assert set(A) <= set(rg.ground_set_viable(inst))
+    assert repr(sol.utility) == repr(rg.joint_objective(inst, A))
+
+
+@hypothesis.given(instances, st.integers(1, 3))
+def test_randomized_joint_mean_reaches_one_over_e(inst, k):
+    opt = rg.brute_force_joint(inst, k).utility
+    runs = [rg.randomized_joint(inst, k, rg.RngStream(r)).utility for r in range(100)]
+    assert np.mean(runs) >= E_INV * opt - 1e-12
+
+
+@hypothesis.given(instances, st.integers(0, 4))
+def test_greedy_reaches_one_minus_one_over_e(inst, k):
+    policy = rg.threshold_policy(inst)
+    A = rg.greedy_fixed_policy(inst, policy, k)
+    if k == 0:
+        assert A.indices == ()
+    f_opt = rg.utility(inst, policy, rg.brute_force_fixed(inst, policy, k))
+    assert rg.utility(inst, policy, A) >= ONE_MINUS_E_INV * f_opt - 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:capacity")
+@hypothesis.given(tie_heavy_instances(2, 10), st.data())
+def test_matroid_greedy_reaches_one_half(inst, data):
+    policy = rg.threshold_policy(inst)
+    split = data.draw(st.integers(1, inst.m - 1))
+    matroid = rg.PartitionMatroid(
+        groups=(tuple(range(split)), tuple(range(split, inst.m))),
+        capacities=(data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))),
+    )
+    A = rg.greedy_matroid(inst, policy, matroid)
+    assert matroid.is_feasible(A.indices)
+    ground = rg.ground_set_accepted(inst, policy).indices
+    f_opt = max(
+        rg.utility(inst, policy, rg.ExplanationSet(combo))
+        for size in range(min(len(ground), matroid.k) + 1)
+        for combo in combinations(ground, size)
+        if matroid.is_feasible(combo)
+    )
+    assert rg.utility(inst, policy, A) >= 0.5 * f_opt - 1e-12
+
+
+@hypothesis.given(instances, st.data())
+def test_closed_form_policy_matches_enumeration(inst, data):
+    A = rg.ExplanationSet(draw_subset(data, rg.ground_set_viable(inst).indices))
+    u_star = rg.joint_objective(inst, A)
+    _, u_best = rg.exhaustive_best_policy(inst, A)
+    assert u_best - 1e-12 <= u_star <= u_best
+
+
+@hypothesis.given(instances, st.data())
+def test_marginal_gains_equal_full_recompute(inst, data):
+    viable = rg.ground_set_viable(inst).indices
+    hypothesis.assume(viable)
+    x = data.draw(st.sampled_from(viable))
+    A = rg.ExplanationSet(draw_subset(data, [i for i in viable if i != x]))
+    policy = rg.threshold_policy(inst)
+    state = rg.fixed_marginal_state(inst, policy, A)
+    gain, _ = rg.marginal_gain_fixed(inst, policy, A, state, x)
+    exact = rg.utility(inst, policy, A.add(x)) - rg.utility(inst, policy, A)
+    assert abs(gain - exact) <= 1e-12
+    gain, _ = rg.marginal_gain_joint(inst, A, rg.joint_marginal_state(inst, A), x)
+    exact = rg.joint_objective(inst, A.add(x)) - rg.joint_objective(inst, A)
+    assert abs(gain - exact) <= 1e-12
+
+
+@hypothesis.given(instances, st.data())
+def test_both_objectives_are_submodular(inst, data):
+    viable = rg.ground_set_viable(inst).indices
+    hypothesis.assume(viable)
+    x = data.draw(st.sampled_from(viable))
+    B = rg.ExplanationSet(draw_subset(data, [i for i in viable if i != x]))
+    A = rg.ExplanationSet(draw_subset(data, B.indices))
+    policy = rg.threshold_policy(inst)
+
+    def fixed(S):
+        return rg.utility(inst, policy, S)
+
+    for f in (fixed, lambda S: rg.joint_objective(inst, S)):
+        assert f(A.add(x)) - f(A) >= f(B.add(x)) - f(B) - 1e-12

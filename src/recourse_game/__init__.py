@@ -12,16 +12,12 @@ harness.
 from .algorithms import (
     BRUTE_FORCE_CAP,
     JointSolution,
-    RngStream,
     brute_force_fixed,
     brute_force_joint,
-    derive_seed,
     exhaustive_best_policy,
     greedy_fixed_policy,
     greedy_matroid,
-    joint_marginal_state,
     joint_objective,
-    marginal_gain_joint,
     optimal_policy_for,
     randomized_joint,
 )
@@ -37,12 +33,9 @@ from .behavior import (
     BestResponseResult,
     assign_explanations,
     best_respond,
-    fixed_marginal_state,
     group_improvement,
     leakage_utility,
     leakage_utility_mc,
-    marginal_gain_fixed,
-    region_of_adaptation,
     transport_matrix,
     utility,
 )
@@ -64,11 +57,13 @@ from .datagen import (
     FeatureTable,
     SynthConfig,
     build_cost_matrix,
+    derive_seed,
     generate_synthetic,
     load_feature_table,
     load_instance,
     save_feature_table,
     save_instance,
+    seeded_rng,
 )
 from .harness import TOOL_VERSION, ExperimentConfig
 
@@ -87,7 +82,6 @@ __all__ = [
     "NO_EXPLANATION",
     "PartitionMatroid",
     "Policy",
-    "RngStream",
     "SynthConfig",
     "TOOL_VERSION",
     "assign_explanations",
@@ -99,7 +93,6 @@ __all__ = [
     "derive_seed",
     "diverse_explanations",
     "exhaustive_best_policy",
-    "fixed_marginal_state",
     "generate_synthetic",
     "greedy_fixed_policy",
     "greedy_matroid",
@@ -108,21 +101,18 @@ __all__ = [
     "group_improvement",
     "is_outcome_monotonic",
     "is_rational",
-    "joint_marginal_state",
     "joint_objective",
     "leakage_utility",
     "leakage_utility_mc",
     "load_feature_table",
     "load_instance",
     "make_instance",
-    "marginal_gain_fixed",
-    "marginal_gain_joint",
     "min_cost_explanations",
     "optimal_policy_for",
     "randomized_joint",
-    "region_of_adaptation",
     "save_feature_table",
     "save_instance",
+    "seeded_rng",
     "sort_canonical",
     "threshold_policy",
     "transport_matrix",

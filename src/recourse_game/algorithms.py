@@ -9,10 +9,9 @@ oracles back all of them at desk scale.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, product, repeat
 
@@ -42,46 +41,6 @@ BRUTE_FORCE_CAP = 20
 # Heap entries the fixed-policy greedy refreshes per kernel call; 16 to 64
 # were fastest at m=200 and m=1000 (1 was 5x slower).
 _GREEDY_BLOCK = 32
-
-
-def derive_seed(*parts) -> int:
-    """Stable 64-bit seed from arbitrary (stringified) components.
-
-    Uses sha256, not Python's salted hash, so derived streams are identical
-    across processes and platforms.
-    """
-    blob = "\x1f".join(str(p) for p in parts).encode("utf-8")
-    return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
-
-
-@dataclass(eq=False)
-class RngStream:
-    """Seeded, portable random stream (PCG64). Same seed, same draws."""
-
-    seed: int
-    _gen: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._gen = np.random.Generator(np.random.PCG64(int(self.seed)))
-
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
-
-    def integers(self, n: int) -> int:
-        return int(self._gen.integers(n))
-
-    def random(self, size=None):
-        return self._gen.random(size)
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self._gen.uniform(low, high, size)
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self._gen.normal(loc, scale, size)
-
-    def derive(self, *parts) -> "RngStream":
-        return RngStream(derive_seed(self.seed, *parts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,7 +195,9 @@ def marginal_gain_joint(
     return float(_gains(instance, state, [x])[0]), _advance(instance, state, x)
 
 
-def randomized_joint(instance: Instance, k: int, rng: RngStream) -> JointSolution:
+def randomized_joint(
+    instance: Instance, k: int, rng: np.random.Generator
+) -> JointSolution:
     """Randomized greedy for the joint policy/explanations problem.
 
     Each of the k iterations ranks the remaining viable candidates by
@@ -252,7 +213,8 @@ def randomized_joint(instance: Instance, k: int, rng: RngStream) -> JointSolutio
     h is submodular (though not monotone), so stale gains stay upper bounds
     and the lazy pool is exactly the top k in (-gain, index) order: the draw
     picks what a full ranking would. Gains are scored k candidates per
-    kernel call.
+    kernel call. The k draws come from rng, so `seeded_rng(seed)` makes a
+    run reproducible.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

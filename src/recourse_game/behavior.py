@@ -33,12 +33,6 @@ def adaptation_matrix(instance: Instance, policy: Policy) -> np.ndarray:
     return pi[None, :] - instance.cost >= pi[:, None]
 
 
-def region_of_adaptation(instance: Instance, policy: Policy, i: int) -> np.ndarray:
-    """Indices j with pi(x_j) - cost[i, j] >= pi(x_i), sorted ascending."""
-    pi = policy.pi
-    return np.flatnonzero(pi - instance.cost[i] >= pi[i])
-
-
 @dataclass(frozen=True, eq=False)
 class Assignment:
     """explanation_of[i] is the explanation index given to individual i, or
@@ -240,8 +234,6 @@ def transport_matrix(
     res = best_respond(instance, policy, A)
     movers = np.flatnonzero(res.moved != np.arange(instance.m))
     out = np.zeros((bins, bins))
-    if movers.size == 0:
-        return out
     src = np.minimum((instance.py[movers] * bins).astype(int), bins - 1)
     dst = np.minimum((instance.py[res.moved[movers]] * bins).astype(int), bins - 1)
     np.add.at(out, (src, dst), instance.px[movers])
@@ -369,8 +361,8 @@ def group_improvement(
     out = np.zeros(len(groups))
     for z, g in enumerate(groups):
         members = np.fromiter((int(i) for i in g), dtype=int)
-        rej = members[rejected[members]] if members.size else members
-        mass = float(instance.px[rej].sum()) if rej.size else 0.0
+        rej = members[rejected[members]]
+        mass = float(instance.px[rej].sum())
         if mass > 0.0:
             out[z] = float(gain[rej].sum()) / mass
     return out

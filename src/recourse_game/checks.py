@@ -15,10 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .algorithms import (
-    RngStream,
     brute_force_fixed,
     brute_force_joint,
-    derive_seed,
     exhaustive_best_policy,
     greedy_fixed_policy,
     greedy_matroid,
@@ -51,7 +49,7 @@ from .core import (
     ground_set_viable,
     make_instance,
 )
-from .datagen import SynthConfig, generate_synthetic
+from .datagen import SynthConfig, derive_seed, generate_synthetic, seeded_rng
 
 E_INV = 1.0 / np.e
 ONE_MINUS_E_INV = 1.0 - 1.0 / np.e
@@ -120,11 +118,11 @@ def two_group_witness() -> tuple[Instance, PartitionMatroid]:
 
 
 # ---------------------------------------------------------------------------
-# Random sampling helpers (all driven by one RngStream per criterion).
+# Random sampling helpers (all driven by one seeded Generator per criterion).
 # ---------------------------------------------------------------------------
 
 def _sample_instance(
-    rng: RngStream,
+    rng: np.random.Generator,
     m_lo: int,
     m_hi: int,
     min_viable: int = 0,
@@ -141,7 +139,7 @@ def _sample_instance(
             return inst
 
 
-def _random_monotone_policy(rng: RngStream, instance: Instance) -> Policy:
+def _random_monotone_policy(rng: np.random.Generator, instance: Instance) -> Policy:
     """Random rational, outcome-monotonic policy with a nonempty certain-
     acceptance prefix. Outcomes of synthetic instances are distinct almost
     surely, so nonincreasing acceptance suffices for monotonicity."""
@@ -157,7 +155,7 @@ def _random_monotone_policy(rng: RngStream, instance: Instance) -> Policy:
     return Policy(pi)
 
 
-def _subset(rng: RngStream, items, p: float = 0.5) -> tuple[int, ...]:
+def _subset(rng: np.random.Generator, items, p: float = 0.5) -> tuple[int, ...]:
     return tuple(i for i in items if rng.random() < p)
 
 
@@ -211,7 +209,7 @@ def check_set_cover_fixture(base_seed: int = 0) -> CheckResult:
 def check_policy_oracle_equivalence(base_seed: int = 0) -> CheckResult:
     """Closed-form policy beats every deterministic policy containing A."""
     t0 = time.perf_counter()
-    rng = RngStream(derive_seed(base_seed, "policy-oracle"))
+    rng = seeded_rng(derive_seed(base_seed, "policy-oracle"))
     violations, worst = 0, 0.0
     for _ in range(200):
         inst = _sample_instance(rng, 2, 10)
@@ -232,15 +230,13 @@ def check_fixed_objective_properties(base_seed: int = 0) -> CheckResult:
     """Non-negativity, monotonicity, submodularity of the fixed-policy
     objective over 1000 random draws."""
     t0 = time.perf_counter()
-    rng = RngStream(derive_seed(base_seed, "fixed-properties"))
+    rng = seeded_rng(derive_seed(base_seed, "fixed-properties"))
     neg = mono = sub = 0
     for _ in range(1000):
-        while True:
-            inst = _sample_instance(rng, 4, 10, min_viable=1)
-            policy = _random_monotone_policy(rng, inst)
-            accepted = ground_set_accepted(inst, policy).indices
-            if len(accepted) >= 1:
-                break
+        # value 0 is viable, so the policy accepts it: accepted is nonempty
+        inst = _sample_instance(rng, 4, 10, min_viable=1)
+        policy = _random_monotone_policy(rng, inst)
+        accepted = ground_set_accepted(inst, policy).indices
         x = accepted[rng.integers(len(accepted))]
         B = _subset(rng, [i for i in accepted if i != x])
         A = _subset(rng, B)
@@ -265,7 +261,7 @@ def check_joint_objective_submodularity(base_seed: int = 0) -> CheckResult:
     """Non-negativity and submodularity of the joint objective; its
     non-monotonicity is witnessed by the fixture criterion."""
     t0 = time.perf_counter()
-    rng = RngStream(derive_seed(base_seed, "joint-properties"))
+    rng = seeded_rng(derive_seed(base_seed, "joint-properties"))
     neg = sub = 0
     for _ in range(1000):
         inst = _sample_instance(rng, 4, 10, min_viable=2)
@@ -294,7 +290,7 @@ def check_joint_objective_submodularity(base_seed: int = 0) -> CheckResult:
 def check_greedy_guarantee(base_seed: int = 0) -> CheckResult:
     """Greedy reaches at least (1 - 1/e) of the exhaustive optimum."""
     t0 = time.perf_counter()
-    rng = RngStream(derive_seed(base_seed, "greedy-guarantee"))
+    rng = seeded_rng(derive_seed(base_seed, "greedy-guarantee"))
     violations, ratios = 0, []
     for _ in range(100):
         inst = _sample_instance(rng, 4, 12, min_viable=1)
@@ -316,7 +312,7 @@ def check_greedy_guarantee(base_seed: int = 0) -> CheckResult:
 def check_randomized_joint_guarantee(base_seed: int = 0) -> CheckResult:
     """Mean randomized-greedy utility reaches 1/e of the joint optimum."""
     t0 = time.perf_counter()
-    rng = RngStream(derive_seed(base_seed, "randomized-guarantee"))
+    rng = seeded_rng(derive_seed(base_seed, "randomized-guarantee"))
     violations, ratios = 0, []
     for t in range(20):
         inst = _sample_instance(rng, 4, 10, min_viable=1)
@@ -324,7 +320,7 @@ def check_randomized_joint_guarantee(base_seed: int = 0) -> CheckResult:
         opt = brute_force_joint(inst, k).utility
         runs = [
             randomized_joint(
-                inst, k, RngStream(derive_seed(base_seed, "rj-run", t, r))
+                inst, k, seeded_rng(derive_seed(base_seed, "rj-run", t, r))
             ).utility
             for r in range(200)
         ]
@@ -344,7 +340,7 @@ def check_randomized_joint_guarantee(base_seed: int = 0) -> CheckResult:
 def check_marginal_consistency(base_seed: int = 0) -> CheckResult:
     """O(m) marginal gains equal full recomputation to 1e-12."""
     t0 = time.perf_counter()
-    rng = RngStream(derive_seed(base_seed, "marginals"))
+    rng = seeded_rng(derive_seed(base_seed, "marginals"))
     worst_fixed = worst_joint = 0.0
     for _ in range(1000):
         inst = _sample_instance(rng, 4, 10, min_viable=1)
@@ -377,15 +373,13 @@ def check_leakage_analytics(base_seed: int = 0) -> CheckResult:
     """Analytic leakage matches Monte Carlo within 3 standard errors and
     reduces exactly to plain utility at zero leakage probability."""
     t0 = time.perf_counter()
-    rng = RngStream(derive_seed(base_seed, "leakage"))
+    rng = seeded_rng(derive_seed(base_seed, "leakage"))
     mc_fail = zero_fail = 0
     for _ in range(20):
-        while True:
-            inst = _sample_instance(rng, 4, 10, min_viable=1)
-            policy = threshold_policy(inst)
-            accepted = ground_set_accepted(inst, policy).indices
-            if len(accepted) >= 1:
-                break
+        # value 0 is viable, so the policy accepts it: accepted is nonempty
+        inst = _sample_instance(rng, 4, 10, min_viable=1)
+        policy = threshold_policy(inst)
+        accepted = ground_set_accepted(inst, policy).indices
         size = 1 + rng.integers(min(3, len(accepted)))
         order = list(accepted)
         picks = []
@@ -394,9 +388,7 @@ def check_leakage_analytics(base_seed: int = 0) -> CheckResult:
         A = ExplanationSet(tuple(picks))
         p_l = float(rng.uniform(0.0, 1.0))
         analytic = leakage_utility(inst, policy, A, p_l)
-        mc, se = leakage_utility_mc(
-            inst, policy, A, p_l, samples=100_000, rng=rng.generator
-        )
+        mc, se = leakage_utility_mc(inst, policy, A, p_l, samples=100_000, rng=rng)
         if abs(analytic - mc) > 3.0 * se + 1e-12:
             mc_fail += 1
         if leakage_utility(inst, policy, A, 0.0) != utility(inst, policy, A):
@@ -428,7 +420,7 @@ def check_synthetic_trend(base_seed: int = 0) -> CheckResult:
         )
         sums["alg1"] += utility(inst, policy, greedy_fixed_policy(inst, policy, k))
         sums["alg2"] += randomized_joint(
-            inst, k, RngStream(derive_seed(base_seed, "preset-alg2", rep))
+            inst, k, seeded_rng(derive_seed(base_seed, "preset-alg2", rep))
         ).utility
     means = {r: s / reps for r, s in sums.items()}
     baseline_best = max(means["black_box"], means["min_cost"], means["diverse"])

@@ -10,7 +10,7 @@ never by a large finite surrogate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -115,9 +115,6 @@ class ExplanationSet:
     def add(self, i: int) -> "ExplanationSet":
         return ExplanationSet(self.indices + (int(i),))
 
-    def sorted(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.indices))
-
 
 @dataclass(frozen=True)
 class PartitionMatroid:
@@ -151,19 +148,6 @@ class PartitionMatroid:
     @property
     def k(self) -> int:
         return sum(self.capacities)
-
-    def group_of(self, i: int) -> int:
-        for g, members in enumerate(self.groups):
-            if i in members:
-                return g
-        raise KeyError(i)
-
-    def is_feasible(self, indices: Iterable[int]) -> bool:
-        chosen = set(int(i) for i in indices)
-        return all(
-            len(chosen & set(g)) <= c
-            for g, c in zip(self.groups, self.capacities)
-        )
 
 
 def validate(instance: Instance) -> str | None:

@@ -1,5 +1,6 @@
-"""Instance construction: synthetic generators, percentile-shift cost
-matrices from tabular features, and flat-file ingestion.
+"""Instance construction: seeded random streams, synthetic generators,
+percentile-shift cost matrices from tabular features, and flat-file
+ingestion.
 
 File formats
 ------------
@@ -14,6 +15,7 @@ decrease) or ``discrete``, then one data row per feature value.
 from __future__ import annotations
 
 import csv
+import hashlib
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,13 +23,28 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .algorithms import RngStream
 from .core import Instance, make_instance, sort_canonical
 
 KIND_ACTIONABLE = "actionable"
 KIND_ACTIONABLE_UP = "actionable_up"
 KIND_DISCRETE = "discrete"
 _KINDS = (KIND_ACTIONABLE, KIND_ACTIONABLE_UP, KIND_DISCRETE)
+
+
+def derive_seed(*parts) -> int:
+    """Stable 64-bit seed from arbitrary (stringified) components.
+
+    Uses sha256, not Python's salted hash, so derived streams are identical
+    across processes and platforms.
+    """
+    blob = "\x1f".join(str(p) for p in parts).encode("utf-8")
+    return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
+
+
+def seeded_rng(seed: int) -> np.random.Generator:
+    """Portable random stream: same seed, same draws. The bit generator is
+    pinned to PCG64 because numpy's default may change between releases."""
+    return np.random.Generator(np.random.PCG64(int(seed)))
 
 
 @dataclass(frozen=True)
@@ -58,7 +75,7 @@ class SynthConfig:
 
 def generate_synthetic(config: SynthConfig) -> Instance:
     """Draw an instance from the synthetic model; fully determined by seed."""
-    rng = RngStream(config.seed)
+    rng = seeded_rng(config.seed)
     m = config.m
     while True:
         weights = rng.normal(config.weight_mean, config.weight_std, m)

@@ -23,13 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import (
-    RngStream,
-    derive_seed,
-    greedy_fixed_policy,
-    greedy_matroid,
-    randomized_joint,
-)
+from .algorithms import greedy_fixed_policy, greedy_matroid, randomized_joint
 from .baselines import (
     black_box_utility,
     diverse_explanations,
@@ -38,7 +32,14 @@ from .baselines import (
 )
 from .behavior import group_improvement, leakage_utility, transport_matrix, utility
 from .core import Instance, PartitionMatroid, make_instance
-from .datagen import SynthConfig, generate_synthetic, load_instance, save_instance
+from .datagen import (
+    SynthConfig,
+    derive_seed,
+    generate_synthetic,
+    load_instance,
+    save_instance,
+    seeded_rng,
+)
 
 TOOL_VERSION = "0.1.0"
 
@@ -177,8 +178,10 @@ def _instance_for(
     return _scale_costs(inst, alpha)
 
 
-def _alg2_stream(config: ExperimentConfig, alpha: float, k: int, rep: int) -> RngStream:
-    return RngStream(derive_seed(config.base_seed, "alg2", alpha, k, rep))
+def _alg2_stream(
+    config: ExperimentConfig, alpha: float, k: int, rep: int
+) -> np.random.Generator:
+    return seeded_rng(derive_seed(config.base_seed, "alg2", alpha, k, rep))
 
 
 def _regime_solutions(config, inst, k, alpha, rep):
@@ -187,9 +190,7 @@ def _regime_solutions(config, inst, k, alpha, rep):
     out = {}
     for regime in REGIMES:
         t0 = time.perf_counter()
-        if k == 0:
-            u = black_box_utility(inst)
-        elif regime == "black_box":
+        if k == 0 or regime == "black_box":
             u = black_box_utility(inst)
         elif regime == "min_cost":
             u = utility(inst, policy, min_cost_explanations(inst, policy, k))

@@ -60,34 +60,43 @@ def two_group():
     return two_group_witness()
 
 
-def random_instance(rng: rg.RngStream, m: int, gamma: float | None = None) -> rg.Instance:
+def random_instance(
+    rng: np.random.Generator, m: int, gamma: float | None = None
+) -> rg.Instance:
     g = gamma if gamma is not None else float(rng.uniform(0.15, 0.85))
     return rg.generate_synthetic(rg.SynthConfig(m=m, gamma=g, seed=rng.integers(2**62)))
 
 
-def subset(rng: rg.RngStream, items, p: float = 0.5) -> tuple[int, ...]:
+def subset(rng: np.random.Generator, items, p: float = 0.5) -> tuple[int, ...]:
     return tuple(i for i in items if rng.random() < p)
 
 
-def tie_heavy_instance(rng: rg.RngStream, m: int) -> rg.Instance:
+def tie_heavy_instance(rng: np.random.Generator, m: int) -> rg.Instance:
     """Instance built to produce exact ties: py on a grid that includes
     gamma, px on a small integer grid with zero-mass values, and costs drawn
     from {0, 0.5, 1, 1.5, inf}."""
-    gen = rng.generator
-    gamma = float(gen.choice(TIE_GAMMAS))
-    py = np.sort(gen.choice(TIE_PY, size=m))[::-1]
-    px = gen.integers(0, 4, size=m).astype(float)
+    gamma = float(rng.choice(TIE_GAMMAS))
+    py = np.sort(rng.choice(TIE_PY, size=m))[::-1]
+    px = rng.integers(0, 4, size=m).astype(float)
     if px.sum() == 0.0:
         px[0] = 1.0
-    cost = gen.choice(TIE_COSTS, size=(m, m))
+    cost = rng.choice(TIE_COSTS, size=(m, m))
     np.fill_diagonal(cost, 0.0)
     return rg.make_instance(px / px.sum(), py, cost, gamma)
+
+
+def is_feasible(matroid: rg.PartitionMatroid, indices) -> bool:
+    """True iff indices take at most each group's capacity from it."""
+    chosen = set(indices)
+    return all(
+        len(chosen & set(g)) <= c for g, c in zip(matroid.groups, matroid.capacities)
+    )
 
 
 def equivalence_cases(tag: str, n: int = 200):
     """n seeded (instance, k) pairs with m in [4, 60]: every other one is
     tie-heavy, the rest come from the synthetic generator."""
-    rng = rg.RngStream(rg.derive_seed(0, tag))
+    rng = rg.seeded_rng(rg.derive_seed(0, tag))
     for t in range(n):
         m = 4 + rng.integers(57)
         inst = tie_heavy_instance(rng, m) if t % 2 else random_instance(rng, m)

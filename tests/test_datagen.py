@@ -65,7 +65,7 @@ def test_synth_config_validation():
 # -- weighted empirical CDF and cost matrices ----------------------------------
 
 def test_ecdf_properties():
-    rng = rg.RngStream(rg.derive_seed(0, "datagen-ecdf"))
+    rng = rg.seeded_rng(rg.derive_seed(0, "datagen-ecdf"))
     values = rng.uniform(size=30)
     weights = rng.uniform(size=30)
     weights /= weights.sum()

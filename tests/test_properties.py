@@ -12,7 +12,15 @@ import recourse_game as rg
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from conftest import tie_heavy_instances  # noqa: E402
+from conftest import is_feasible, tie_heavy_instances  # noqa: E402
+from recourse_game.algorithms import (  # noqa: E402
+    joint_marginal_state,
+    marginal_gain_joint,
+)
+from recourse_game.behavior import (  # noqa: E402
+    fixed_marginal_state,
+    marginal_gain_fixed,
+)
 
 E_INV = 1.0 / np.e
 ONE_MINUS_E_INV = 1.0 - 1.0 / np.e
@@ -27,7 +35,7 @@ def draw_subset(data, items) -> tuple[int, ...]:
 
 @hypothesis.given(instances, st.integers(1, 4), st.integers(0, 2**32))
 def test_randomized_joint_returns_k_viable_members_at_their_objective(inst, k, seed):
-    sol = rg.randomized_joint(inst, k, rg.RngStream(seed))
+    sol = rg.randomized_joint(inst, k, rg.seeded_rng(seed))
     A = sol.explanations
     assert len(A) <= k
     assert set(A) <= set(rg.ground_set_viable(inst))
@@ -37,7 +45,7 @@ def test_randomized_joint_returns_k_viable_members_at_their_objective(inst, k, s
 @hypothesis.given(instances, st.integers(1, 3))
 def test_randomized_joint_mean_reaches_one_over_e(inst, k):
     opt = rg.brute_force_joint(inst, k).utility
-    runs = [rg.randomized_joint(inst, k, rg.RngStream(r)).utility for r in range(100)]
+    runs = [rg.randomized_joint(inst, k, rg.seeded_rng(r)).utility for r in range(100)]
     assert np.mean(runs) >= E_INV * opt - 1e-12
 
 
@@ -61,13 +69,13 @@ def test_matroid_greedy_reaches_one_half(inst, data):
         capacities=(data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))),
     )
     A = rg.greedy_matroid(inst, policy, matroid)
-    assert matroid.is_feasible(A.indices)
+    assert is_feasible(matroid, A.indices)
     ground = rg.ground_set_accepted(inst, policy).indices
     f_opt = max(
         rg.utility(inst, policy, rg.ExplanationSet(combo))
         for size in range(min(len(ground), matroid.k) + 1)
         for combo in combinations(ground, size)
-        if matroid.is_feasible(combo)
+        if is_feasible(matroid, combo)
     )
     assert rg.utility(inst, policy, A) >= 0.5 * f_opt - 1e-12
 
@@ -87,11 +95,11 @@ def test_marginal_gains_equal_full_recompute(inst, data):
     x = data.draw(st.sampled_from(viable))
     A = rg.ExplanationSet(draw_subset(data, [i for i in viable if i != x]))
     policy = rg.threshold_policy(inst)
-    state = rg.fixed_marginal_state(inst, policy, A)
-    gain, _ = rg.marginal_gain_fixed(inst, policy, A, state, x)
+    state = fixed_marginal_state(inst, policy, A)
+    gain, _ = marginal_gain_fixed(inst, policy, A, state, x)
     exact = rg.utility(inst, policy, A.add(x)) - rg.utility(inst, policy, A)
     assert abs(gain - exact) <= 1e-12
-    gain, _ = rg.marginal_gain_joint(inst, A, rg.joint_marginal_state(inst, A), x)
+    gain, _ = marginal_gain_joint(inst, A, joint_marginal_state(inst, A), x)
     exact = rg.joint_objective(inst, A.add(x)) - rg.joint_objective(inst, A)
     assert abs(gain - exact) <= 1e-12
 

@@ -240,24 +240,32 @@ def randomized_joint(
     )
 
 
+def _best_subset(ground, k: int, score) -> tuple[ExplanationSet, float]:
+    """Exhaustive maximizer of score over subsets of ground with at most k
+    members, and its score. Refuses ground sets above BRUTE_FORCE_CAP; ties
+    resolve to the lexicographically smallest index tuple."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    ground = sorted(ground)
+    if len(ground) > BRUTE_FORCE_CAP:
+        raise ValueError(f"ground set too large for brute force (> {BRUTE_FORCE_CAP})")
+    best_u, best = -np.inf, ()
+    for size in range(0, min(k, len(ground)) + 1):
+        for combo in combinations(ground, size):
+            u = score(ExplanationSet(combo))
+            if u > best_u or (u == best_u and combo < best):
+                best_u, best = u, combo
+    return ExplanationSet(best), best_u
+
+
 def brute_force_fixed(instance: Instance, policy: Policy, k: int) -> ExplanationSet:
     """Exhaustive maximizer of utility over A ⊆ P_pi, |A| <= k.
 
     Verification oracle only; refuses ground sets above BRUTE_FORCE_CAP.
     Ties resolve to the lexicographically smallest index tuple.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    ground = sorted(ground_set_accepted(instance, policy).indices)
-    if len(ground) > BRUTE_FORCE_CAP:
-        raise ValueError(f"ground set too large for brute force (> {BRUTE_FORCE_CAP})")
-    best_u, best = -np.inf, ()
-    for size in range(0, min(k, len(ground)) + 1):
-        for combo in combinations(ground, size):
-            u = utility(instance, policy, ExplanationSet(combo))
-            if u > best_u or (u == best_u and combo < best):
-                best_u, best = u, combo
-    return ExplanationSet(best)
+    ground = ground_set_accepted(instance, policy).indices
+    return _best_subset(ground, k, partial(utility, instance, policy))[0]
 
 
 def brute_force_joint(instance: Instance, k: int) -> JointSolution:
@@ -266,18 +274,8 @@ def brute_force_joint(instance: Instance, k: int) -> JointSolution:
     Only explanation sets are enumerated; the policy for each candidate A is
     the closed-form optimum, so this is a valid oracle for the joint problem.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    ground = sorted(ground_set_viable(instance).indices)
-    if len(ground) > BRUTE_FORCE_CAP:
-        raise ValueError(f"ground set too large for brute force (> {BRUTE_FORCE_CAP})")
-    best_u, best = -np.inf, ()
-    for size in range(0, min(k, len(ground)) + 1):
-        for combo in combinations(ground, size):
-            u = joint_objective(instance, ExplanationSet(combo))
-            if u > best_u or (u == best_u and combo < best):
-                best_u, best = u, combo
-    A = ExplanationSet(best)
+    ground = ground_set_viable(instance).indices
+    A, best_u = _best_subset(ground, k, partial(joint_objective, instance))
     return JointSolution(
         policy=optimal_policy_for(instance, A), explanations=A, utility=best_u
     )

@@ -41,6 +41,31 @@ class Assignment:
     explanation_of: np.ndarray
 
 
+def _followed(instance: Instance, policy: Policy, A: ExplanationSet):
+    """(a_idx, net, reach, moved): the members of A, the net benefit
+    net[i, c] = pi[A[c]] - cost[i, A[c]], reach = net >= pi[i] on rejected
+    rows (all False on accepted ones), and moved[i], the member of A that i
+    follows, or i itself when reach[i] is empty.
+
+    i follows the reachable member with the highest outcome (ties: lower
+    cost from i, then lower index). This is the one place that decides it.
+    """
+    m, pi = instance.m, policy.pi
+    a_idx = np.fromiter(A.indices, dtype=int, count=len(A))
+    cost_a = instance.cost[:, a_idx]
+    net = pi[a_idx] - cost_a
+    reach = (net >= pi[:, None]) & (pi < 1.0)[:, None]
+
+    py_masked = np.where(reach, instance.py[a_idx], -np.inf)
+    best_py = py_masked.max(axis=1, initial=-np.inf)
+    tie1 = reach & (py_masked == best_py[:, None])
+    cost_masked = np.where(tie1, cost_a, np.inf)
+    best_cost = cost_masked.min(axis=1, initial=np.inf)
+    tie2 = tie1 & (cost_masked == best_cost[:, None])
+    target = np.where(tie2, a_idx, m).min(axis=1, initial=m)
+    return a_idx, net, reach, np.where(target < m, target, np.arange(m))
+
+
 def assign_explanations(
     instance: Instance, policy: Policy, A: ExplanationSet
 ) -> Assignment:
@@ -52,36 +77,14 @@ def assign_explanations(
     cost member of A is reported (ties: lower index).
     """
     m = instance.m
-    out = np.full(m, NO_EXPLANATION, dtype=int)
     if len(A) == 0:
-        return Assignment(out)
-    pi = policy.pi
-    a_idx = np.fromiter(A.indices, dtype=int)
+        return Assignment(np.full(m, NO_EXPLANATION, dtype=int))
+    a_idx, _, reach, moved = _followed(instance, policy, A)
     cost_a = instance.cost[:, a_idx]
-    reach = pi[a_idx] - cost_a >= pi[:, None]
-    py_a = instance.py[a_idx]
-
-    rejected = pi < 1.0
-    covered = rejected & reach.any(axis=1)
-
-    # argmax py over A ∩ R(x_i), ties: min cost, then min index
-    py_masked = np.where(reach, py_a[None, :], -np.inf)
-    best_py = py_masked.max(axis=1)
-    tie1 = reach & (py_masked == best_py[:, None])
-    cost_masked = np.where(tie1, cost_a, np.inf)
-    best_cost = cost_masked.min(axis=1)
-    tie2 = tie1 & (cost_masked == best_cost[:, None])
-    target_cov = np.where(tie2, a_idx[None, :], m).min(axis=1)
-
-    # A ∩ R(x_i) empty: argmin cost over A, ties: min index
-    min_cost = cost_a.min(axis=1)
-    at_min = cost_a == min_cost[:, None]
-    target_unc = np.where(at_min, a_idx[None, :], m).min(axis=1)
-
-    out[covered] = target_cov[covered]
-    uncovered = rejected & ~covered
-    out[uncovered] = target_unc[uncovered]
-    return Assignment(out)
+    at_min = cost_a == cost_a.min(axis=1)[:, None]
+    nearest = np.where(at_min, a_idx, m).min(axis=1)
+    out = np.where(reach.any(axis=1), moved, nearest)
+    return Assignment(np.where(policy.pi < 1.0, out, NO_EXPLANATION))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,13 +106,7 @@ def best_respond(
     """Simulate every individual's best response to (policy, A)."""
     m = instance.m
     pi, py, gamma = policy.pi, instance.py, instance.gamma
-    assignment = assign_explanations(instance, policy, A).explanation_of
-
-    idx = np.arange(m)
-    has_e = assignment != NO_EXPLANATION
-    safe_e = np.where(has_e, assignment, 0)
-    follows = has_e & (pi[safe_e] - instance.cost[idx, safe_e] >= pi) & (pi < 1.0)
-    moved = np.where(follows, safe_e, idx)
+    moved = _followed(instance, policy, A)[3]
 
     induced = np.bincount(moved, weights=instance.px, minlength=m)
     # Utility accumulated per individual in index order; equal to the
@@ -149,9 +146,9 @@ class MarginalState:
 
 def _responses(instance: Instance, policy: Policy, A: ExplanationSet):
     """(value, moving) of every individual at A."""
-    res = best_respond(instance, policy, A)
-    value = policy.pi[res.moved] * (instance.py[res.moved] - instance.gamma)
-    return value, res.moved != np.arange(instance.m)
+    moved = _followed(instance, policy, A)[3]
+    value = policy.pi[moved] * (instance.py[moved] - instance.gamma)
+    return value, moved != np.arange(instance.m)
 
 
 def fixed_marginal_state(
@@ -253,23 +250,11 @@ def _leak_targets(instance: Instance, policy: Policy, A: ExplanationSet):
     of A, then the lowest cost, then the lowest index, so on equal net
     benefit only a lower cost lets A[c] beat it.
     """
-    pi, cost = policy.pi, instance.cost
-    idx = np.arange(instance.m)
-    e = assign_explanations(instance, policy, A).explanation_of
-    has_e = e != NO_EXPLANATION
-    e = np.where(has_e, e, idx)
-    cost_e = cost[idx, e]
-    net_e = pi[e] - cost_e
-    reach_e = has_e & (net_e >= pi)
-    base = np.where(reach_e, e, idx)
-
-    a_idx = np.fromiter(A.indices, dtype=int, count=len(A))
-    cost_a = cost[:, a_idx]
-    net_a = pi[a_idx] - cost_a
-    net_e, cost_e = net_e[:, None], cost_e[:, None]
-    beats = (net_a > net_e) | (net_a == net_e) & (cost_a < cost_e)
-    wins = has_e[:, None] & (net_a >= pi[:, None]) & (~reach_e[:, None] | beats)
-    return base, np.where(wins, a_idx, base[:, None])
+    a_idx, net, reach, base = _followed(instance, policy, A)
+    cost_e = instance.cost[np.arange(instance.m), base][:, None]
+    net_e = policy.pi[base][:, None] - cost_e
+    beats = (net > net_e) | (net == net_e) & (instance.cost[:, a_idx] < cost_e)
+    return base, np.where(reach & beats, a_idx, base[:, None])
 
 
 def leakage_utility(

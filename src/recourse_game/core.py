@@ -67,7 +67,7 @@ class Policy:
         pi = _readonly(self.pi)
         if pi.ndim != 1:
             raise ValueError("policy must be a vector")
-        if np.any(np.isnan(pi)) or np.any(pi < 0.0) or np.any(pi > 1.0):
+        if not ((pi >= 0.0) & (pi <= 1.0)).all():  # NaN fails both
             raise ValueError("policy entries must lie in [0, 1]")
         object.__setattr__(self, "pi", pi)
 
@@ -162,21 +162,21 @@ def validate(instance: Instance) -> str | None:
         return "px and py must be vectors of equal length"
     if cost.shape != (m, m):
         return f"cost must be {m}x{m}, got {cost.shape}"
-    if np.any(np.isnan(px)) or np.any(px < 0.0):
-        bad = int(np.flatnonzero(np.isnan(px) | (px < 0.0))[0])
-        return f"px[{bad}] is negative or NaN"
+    bad = np.flatnonzero(~(px >= 0.0))
+    if bad.size:
+        return f"px[{int(bad[0])}] is negative or NaN"
     total = float(px.sum())
     if abs(total - 1.0) > PROB_SUM_TOL:
         return f"px sums to {total:g}"
-    if np.any(np.isnan(py)) or np.any(py < 0.0) or np.any(py > 1.0):
-        bad = int(np.flatnonzero(np.isnan(py) | (py < 0.0) | (py > 1.0))[0])
-        return f"py[{bad}] outside [0, 1]"
+    bad = np.flatnonzero(~((py >= 0.0) & (py <= 1.0)))
+    if bad.size:
+        return f"py[{int(bad[0])}] outside [0, 1]"
     drop = np.flatnonzero(py[:-1] < py[1:])
     if drop.size:
         return f"py not nonincreasing at index {int(drop[0])}"
-    if np.any(np.isnan(cost)) or np.any(cost < 0.0):
-        i, j = np.argwhere(np.isnan(cost) | (cost < 0.0))[0]
-        return f"cost[{int(i)}][{int(j)}] is negative or NaN"
+    bad = np.argwhere(~(cost >= 0.0))
+    if bad.size:
+        return f"cost[{int(bad[0, 0])}][{int(bad[0, 1])}] is negative or NaN"
     diag = np.flatnonzero(np.diagonal(cost) != 0.0)
     if diag.size:
         return f"cost[{int(diag[0])}][{int(diag[0])}] must be 0"

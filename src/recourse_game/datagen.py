@@ -71,21 +71,19 @@ class SynthConfig:
             raise ValueError("m must be >= 2")
         if not 0.0 <= self.finite_cost_fraction <= 1.0:
             raise ValueError("finite_cost_fraction must lie in [0, 1]")
+        # A nonpositive mean with no spread never draws a positive weight.
+        if not (self.weight_mean > 0.0 and self.weight_std >= 0.0):
+            raise ValueError("weight_mean must be > 0 and weight_std >= 0")
 
 
 def generate_synthetic(config: SynthConfig) -> Instance:
     """Draw an instance from the synthetic model; fully determined by seed."""
     rng = seeded_rng(config.seed)
     m = config.m
-    while True:
-        weights = rng.normal(config.weight_mean, config.weight_std, m)
-        while np.any(weights < 0.0):
-            bad = weights < 0.0
-            weights[bad] = rng.normal(
-                config.weight_mean, config.weight_std, int(bad.sum())
-            )
-        if weights.sum() > 0.0:
-            break
+    weights = rng.normal(config.weight_mean, config.weight_std, m)
+    while np.any(weights < 0.0):
+        bad = weights < 0.0
+        weights[bad] = rng.normal(config.weight_mean, config.weight_std, int(bad.sum()))
     px = weights / weights.sum()
 
     py = rng.uniform(size=m)

@@ -331,7 +331,7 @@ def run_matroid(config: ExperimentConfig) -> Path:
         rows.append(
             [
                 g,
-                _fmt(float(inst.px[idx].sum()) if idx else 0.0),
+                _fmt(float(inst.px[idx].sum())),
                 len(a_card.as_set() & set(members)),
                 len(a_mat.as_set() & set(members)),
                 _fmt(impr_card[g]),

@@ -194,3 +194,41 @@ def ref_leak_payoff(inst: rg.Instance, policy: rg.Policy, A) -> np.ndarray:
             t = ref_preferred_target(inst, policy, i, [e, x])
             payoff[i, 1 + c] = pi[t] * (py[t] - gamma)
     return payoff
+
+
+# The per-individual loop that the shared target pass replaced: who gets
+# which explanation, and who follows it.
+
+def ref_assignment(inst: rg.Instance, policy: rg.Policy, A) -> tuple[list, list]:
+    """(explanation_of, moved). A rejected i is assigned the member of A in
+    her region of adaptation with the largest (py[j], -cost[i, j], -j) and
+    follows it; with none there she is assigned the one with the smallest
+    (cost[i, j], j) and stays. Accepted individuals get none and stay."""
+    pi, py, cost = policy.pi, inst.py, inst.cost
+    explanation_of, moved = [], []
+    for i in range(inst.m):
+        reachable = [j for j in A if pi[j] - cost[i, j] >= pi[i]]
+        if pi[i] == 1.0 or len(A) == 0:
+            e = rg.NO_EXPLANATION
+        elif reachable:
+            e = max(reachable, key=lambda j: (py[j], -cost[i, j], -j))
+        else:
+            e = min(A, key=lambda j: (cost[i, j], j))
+        explanation_of.append(e)
+        moved.append(e if e in reachable else i)
+    return explanation_of, moved
+
+
+def ref_leak_targets(inst: rg.Instance, policy: rg.Policy, A) -> np.ndarray:
+    """m x |A| table: i's target when she knows her assigned explanation
+    and A[c]."""
+    explanation_of, _ = ref_assignment(inst, policy, A)
+    leaked = [
+        [
+            i if policy.pi[i] == 1.0
+            else ref_preferred_target(inst, policy, i, [explanation_of[i], x])
+            for x in A
+        ]
+        for i in range(inst.m)
+    ]
+    return np.array(leaked, dtype=int).reshape(inst.m, len(A))

@@ -585,6 +585,10 @@ def test_brute_force_joint_witness(nonmono):
     assert k1.utility == pytest.approx(0.9, abs=1e-12)
     assert k2.explanations.indices == (0,)
     assert k2.utility == pytest.approx(0.9, abs=1e-12)
+    with pytest.raises(ValueError, match="nonnegative"):
+        rg.brute_force_joint(nonmono, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        rg.brute_force_fixed(nonmono, rg.threshold_policy(nonmono), -1)
     k0 = rg.brute_force_joint(nonmono, 0)
     assert k0.explanations.indices == ()
     assert np.array_equal(k0.policy.pi, rg.threshold_policy(nonmono).pi)

@@ -15,7 +15,9 @@ from conftest import (
     tie_heavy_instance,
 )
 from recourse_game.behavior import (
+    _followed,
     _gains,
+    _leak_targets,
     adaptation_matrix,
     fixed_marginal_state,
     marginal_gain_fixed,
@@ -92,6 +94,25 @@ def test_assignment_prefers_outcome_then_cost_then_index():
     policy = rg.Policy([1.0, 1.0, 0.0])
     a = rg.assign_explanations(inst, policy, rg.ExplanationSet((0, 1)))
     assert a.explanation_of[2] == 1
+
+
+def test_rejected_member_of_a_follows_itself():
+    # 1 is rejected and in A: she reaches herself and 2 (same net benefit,
+    # lower outcome) but not 0, so she is covered, assigned 1, and stays.
+    inst = rg.make_instance(
+        [0.2, 0.5, 0.3],
+        [0.9, 0.5, 0.2],
+        [[0.0, 0.0, 0.0], [rg.INFINITE_COST, 0.0, 0.0], [0.5, 0.5, 0.0]],
+        0.3,
+    )
+    policy = rg.Policy([1.0, 0.0, 0.0])
+    A = rg.ExplanationSet((2, 1, 0))
+    _, _, reach, _ = _followed(inst, policy, A)
+    assert reach[1].tolist() == [True, True, False]
+    assert rg.assign_explanations(inst, policy, A).explanation_of[1] == 1
+    assert rg.best_respond(inst, policy, A).moved[1] == 1
+    base, leaked = _leak_targets(inst, policy, A)
+    assert base[1] == 1 and leaked[1].tolist() == [1, 1, 1]
 
 
 # -- best response and utility ----------------------------------------------

@@ -60,6 +60,16 @@ def test_synth_config_validation():
         rg.SynthConfig(m=1)
     with pytest.raises(ValueError):
         rg.SynthConfig(m=5, finite_cost_fraction=1.5)
+    # with no positive weight possible, generation would redraw forever
+    for mean, std in ((0.0, 0.0), (-0.5, 0.0), (0.5, -0.1)):
+        with pytest.raises(ValueError, match="weight"):
+            rg.SynthConfig(m=4, weight_mean=mean, weight_std=std)
+
+
+def test_zero_weight_std_gives_uniform_px():
+    inst = rg.generate_synthetic(rg.SynthConfig(m=6, weight_std=0.0, seed=3))
+    assert np.all(inst.px == inst.px[0])
+    assert inst.px.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 # -- weighted empirical CDF and cost matrices ----------------------------------

@@ -12,12 +12,18 @@ import recourse_game as rg
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from conftest import is_feasible, tie_heavy_instances  # noqa: E402
+from conftest import (  # noqa: E402
+    is_feasible,
+    ref_assignment,
+    ref_leak_targets,
+    tie_heavy_instances,
+)
 from recourse_game.algorithms import (  # noqa: E402
     joint_marginal_state,
     marginal_gain_joint,
 )
 from recourse_game.behavior import (  # noqa: E402
+    _leak_targets,
     fixed_marginal_state,
     marginal_gain_fixed,
 )
@@ -118,3 +124,18 @@ def test_both_objectives_are_submodular(inst, data):
 
     for f in (fixed, lambda S: rg.joint_objective(inst, S)):
         assert f(A.add(x)) - f(A) >= f(B.add(x)) - f(B) - 1e-12
+
+
+@hypothesis.given(instances, st.data())
+def test_targets_match_per_individual_loop(inst, data):
+    levels = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    policy = rg.Policy(data.draw(st.lists(levels, min_size=inst.m, max_size=inst.m)))
+    order = data.draw(st.permutations(range(inst.m)))
+    A = rg.ExplanationSet(order[: data.draw(st.integers(0, inst.m))])
+    explanation_of, moved = ref_assignment(inst, policy, A)
+    assert rg.best_respond(inst, policy, A).moved.tolist() == moved
+    assigned = rg.assign_explanations(inst, policy, A).explanation_of
+    assert assigned.tolist() == explanation_of
+    base, leaked = _leak_targets(inst, policy, A)
+    assert base.tolist() == moved
+    np.testing.assert_array_equal(leaked, ref_leak_targets(inst, policy, A))

@@ -20,6 +20,7 @@ from .algorithms import (
     joint_objective,
     optimal_policy_for,
     randomized_joint,
+    randomized_joint_runs,
 )
 from .baselines import (
     black_box_utility,
@@ -110,6 +111,7 @@ __all__ = [
     "min_cost_explanations",
     "optimal_policy_for",
     "randomized_joint",
+    "randomized_joint_runs",
     "save_feature_table",
     "save_instance",
     "seeded_rng",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, product, repeat
@@ -195,10 +196,11 @@ def marginal_gain_joint(
     return float(_gains(instance, state, [x])[0]), _advance(instance, state, x)
 
 
-def randomized_joint(
-    instance: Instance, k: int, rng: np.random.Generator
-) -> JointSolution:
-    """Randomized greedy for the joint policy/explanations problem.
+def randomized_joint_runs(
+    instance: Instance, k: int, rngs: Iterable[np.random.Generator]
+) -> list[JointSolution]:
+    """Randomized greedy for the joint policy/explanations problem, one run
+    per stream in rngs.
 
     Each of the k iterations ranks the remaining viable candidates by
     marginal difference of h, ties broken by lowest index, and draws one of
@@ -213,31 +215,51 @@ def randomized_joint(
     h is submodular (though not monotone), so stale gains stay upper bounds
     and the lazy pool is exactly the top k in (-gain, index) order: the draw
     picks what a full ranking would. Gains are scored k candidates per
-    kernel call. The k draws come from rng, so `seeded_rng(seed)` makes a
-    run reproducible.
+    kernel call. Each run takes exactly k draws from its stream, so
+    `seeded_rng(seed)` makes it reproducible.
+
+    The state at the empty set and the first full gain sweep depend only on
+    (instance, k), so the runs share them; each run starts from a copy of
+    the first heap. Runs that pick the same explanations in the same order
+    share one JointSolution, scored once.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    state = joint_marginal_state(instance, ExplanationSet())
+    start = joint_marginal_state(instance, ExplanationSet())
     viable = np.flatnonzero(instance.py >= instance.gamma).tolist()
-    heap = _first_heap(partial(_gains, instance, state), viable, k)
-    A: list[int] = []
-    for _ in range(k):
-        pool = _pop_best(heap, partial(_gains, instance, state), len(A), k, k)
-        slot = rng.integers(k)
-        # entries hold -gain: a slot past the nonnegative gains is a dummy
-        if slot < len(pool) and pool[slot][0] <= 0.0:
-            pick = pool.pop(slot)[1]
-            state = _advance(instance, state, pick)
-            A.append(pick)
-        for entry in pool:
-            heapq.heappush(heap, entry)
+    first_heap = _first_heap(partial(_gains, instance, start), viable, k)
+    solved: dict[tuple[int, ...], JointSolution] = {}
+    runs = []
+    for rng in rngs:
+        state, heap, A = start, list(first_heap), []
+        for _ in range(k):
+            pool = _pop_best(heap, partial(_gains, instance, state), len(A), k, k)
+            slot = rng.integers(k)
+            # entries hold -gain: a slot past the nonnegative gains is a dummy
+            if slot < len(pool) and pool[slot][0] <= 0.0:
+                pick = pool.pop(slot)[1]
+                state = _advance(instance, state, pick)
+                A.append(pick)
+            for entry in pool:
+                heapq.heappush(heap, entry)
+        picks = tuple(A)
+        if picks not in solved:
+            result = ExplanationSet(picks)
+            policy = optimal_policy_for(instance, result)
+            solved[picks] = JointSolution(
+                policy=policy,
+                explanations=result,
+                utility=utility(instance, policy, result),
+            )
+        runs.append(solved[picks])
+    return runs
 
-    result = ExplanationSet(tuple(A))
-    policy = optimal_policy_for(instance, result)
-    return JointSolution(
-        policy=policy, explanations=result, utility=utility(instance, policy, result)
-    )
+
+def randomized_joint(
+    instance: Instance, k: int, rng: np.random.Generator
+) -> JointSolution:
+    """One run of the randomized joint greedy (see randomized_joint_runs)."""
+    return randomized_joint_runs(instance, k, [rng])[0]
 
 
 def _best_subset(ground, k: int, score) -> tuple[ExplanationSet, float]:

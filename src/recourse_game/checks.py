@@ -25,6 +25,7 @@ from .algorithms import (
     marginal_gain_joint,
     optimal_policy_for,
     randomized_joint,
+    randomized_joint_runs,
 )
 from .behavior import (
     fixed_marginal_state,
@@ -318,13 +319,12 @@ def check_randomized_joint_guarantee(base_seed: int = 0) -> CheckResult:
         inst = _sample_instance(rng, 4, 10, min_viable=1)
         k = 1 + rng.integers(3)
         opt = brute_force_joint(inst, k).utility
-        runs = [
-            randomized_joint(
-                inst, k, seeded_rng(derive_seed(base_seed, "rj-run", t, r))
-            ).utility
-            for r in range(200)
-        ]
-        mean = float(np.mean(runs))
+        runs = randomized_joint_runs(
+            inst,
+            k,
+            [seeded_rng(derive_seed(base_seed, "rj-run", t, r)) for r in range(200)],
+        )
+        mean = float(np.mean([sol.utility for sol in runs]))
         if mean < E_INV * opt - 1e-12:
             violations += 1
         ratios.append(mean / opt if opt > 0 else 1.0)

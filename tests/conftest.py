@@ -151,7 +151,7 @@ def ref_leakage_utility(inst: rg.Instance, policy: rg.Policy, A, p_l: float) -> 
     if len(A) == 0:
         return rg.utility(inst, policy, A)
     pi, py, px, gamma = policy.pi, inst.py, inst.px, inst.gamma
-    assignment = rg.assign_explanations(inst, policy, A).explanation_of
+    assignment, _ = ref_assignment(inst, policy, A)
     a_idx = list(A.indices)
 
     def contribution(target: int) -> float:
@@ -180,7 +180,7 @@ def ref_leak_payoff(inst: rg.Instance, policy: rg.Policy, A) -> np.ndarray:
     """m x (1 + |A|) payoff table: column 0 for the assigned explanation
     only, column 1 + c for the assigned one plus leaked A[c]."""
     pi, py, gamma = policy.pi, inst.py, inst.gamma
-    assignment = rg.assign_explanations(inst, policy, A).explanation_of
+    assignment, _ = ref_assignment(inst, policy, A)
     a_idx = list(A.indices)
     payoff = np.empty((inst.m, 1 + len(a_idx)))
     for i in range(inst.m):

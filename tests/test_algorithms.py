@@ -444,12 +444,10 @@ def test_randomized_joint_mean_guarantee_sampled():
         inst = random_instance(rng, 4 + rng.integers(5))
         k = 1 + rng.integers(2)
         opt = rg.brute_force_joint(inst, k).utility
-        mean = np.mean(
-            [
-                rg.randomized_joint(inst, k, rg.seeded_rng(rg.derive_seed(7, t, r))).utility
-                for r in range(50)
-            ]
+        runs = rg.randomized_joint_runs(
+            inst, k, [rg.seeded_rng(rg.derive_seed(7, t, r)) for r in range(50)]
         )
+        mean = np.mean([sol.utility for sol in runs])
         assert mean >= E_INV * opt - 1e-12
 
 
@@ -474,6 +472,35 @@ def test_randomized_joint_degenerate_inputs(nonmono):
     sol = rg.randomized_joint(none_viable, 3, rg.seeded_rng(0))
     assert sol.explanations.indices == ()
     assert sol.policy.pi.tolist() == [0.0, 0.0]
+
+    # many streams: k < 1 raises before any stream is drawn, no streams give
+    # no runs, with no viable value every run gets the empty set under the
+    # all-reject policy, and with k above the viable set each run still takes
+    # exactly k draws
+    taken = []
+
+    def streams():
+        taken.append(True)
+        yield rg.seeded_rng(0)
+
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            rg.randomized_joint_runs(nonmono, k, streams())
+    assert taken == []
+    assert rg.randomized_joint_runs(nonmono, 2, []) == []
+    for sol in rg.randomized_joint_runs(
+        none_viable, 3, [rg.seeded_rng(s) for s in range(4)]
+    ):
+        assert sol.explanations.indices == ()
+        assert sol.policy.pi.tolist() == [0.0, 0.0]
+    k = 5
+    rngs = [rg.seeded_rng(s) for s in range(6)]
+    rg.randomized_joint_runs(nonmono, k, rngs)
+    for s, rng in enumerate(rngs):
+        ref = rg.seeded_rng(s)
+        for _ in range(k):
+            ref.integers(k)
+        assert rng.integers(2**31) == ref.integers(2**31)
 
 
 def test_randomized_joint_peaks_below_the_cost_matrix():

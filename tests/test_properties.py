@@ -51,8 +51,43 @@ def test_randomized_joint_returns_k_viable_members_at_their_objective(inst, k, s
 @hypothesis.given(instances, st.integers(1, 3))
 def test_randomized_joint_mean_reaches_one_over_e(inst, k):
     opt = rg.brute_force_joint(inst, k).utility
-    runs = [rg.randomized_joint(inst, k, rg.seeded_rng(r)).utility for r in range(100)]
-    assert np.mean(runs) >= E_INV * opt - 1e-12
+    runs = rg.randomized_joint_runs(inst, k, [rg.seeded_rng(r) for r in range(100)])
+    assert np.mean([sol.utility for sol in runs]) >= E_INV * opt - 1e-12
+
+
+def assert_runs_match_one_stream_calls(inst, k, seeds):
+    """randomized_joint_runs equals one randomized_joint call per fresh copy
+    of each stream (picks, utility, policy, and the draws consumed), and
+    reversing the streams reverses the runs."""
+    rngs = [rg.seeded_rng(s) for s in seeds]
+    runs = rg.randomized_joint_runs(inst, k, rngs)
+    assert len(runs) == len(seeds)
+    for sol, rng, s in zip(runs, rngs, seeds):
+        ref_rng = rg.seeded_rng(s)
+        ref = rg.randomized_joint(inst, k, ref_rng)
+        assert sol.explanations.indices == ref.explanations.indices
+        assert repr(sol.utility) == repr(ref.utility)
+        assert sol.policy.pi.tolist() == ref.policy.pi.tolist()
+        assert rng.integers(2**31) == ref_rng.integers(2**31)
+    backward = rg.randomized_joint_runs(
+        inst, k, [rg.seeded_rng(s) for s in seeds[::-1]]
+    )
+    assert [(sol.explanations.indices, repr(sol.utility)) for sol in backward] == [
+        (sol.explanations.indices, repr(sol.utility)) for sol in runs[::-1]
+    ]
+
+
+@hypothesis.given(
+    instances, st.integers(1, 4), st.lists(st.integers(0, 40), min_size=1, max_size=8)
+)
+def test_many_runs_equal_one_stream_calls(inst, k, seeds):
+    assert_runs_match_one_stream_calls(inst, k, seeds)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_many_runs_equal_one_stream_calls_at_m200(seed):
+    inst = rg.generate_synthetic(rg.SynthConfig(m=200, gamma=0.3, seed=seed))
+    assert_runs_match_one_stream_calls(inst, 10, [seed, 7, seed + 100, 7])
 
 
 @hypothesis.given(instances, st.integers(0, 4))

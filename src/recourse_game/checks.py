@@ -491,14 +491,8 @@ def check_determinism(base_seed: int = 0) -> CheckResult:
             bins=5,
             matroid=matroid,
         )
-        commands = {
-            "generate": harness.run_generate,
-            "compare": harness.run_compare,
-            "leakage": harness.run_leakage,
-            "transport": harness.run_transport,
-            "matroid": harness.run_matroid,
-        }
-        for name, fn in commands.items():
+        for name in harness.COMMANDS:
+            fn = getattr(harness, f"run_{name}")
             paths = fn(config)
             paths = paths if isinstance(paths, list) else [paths]
             first = {p: Path(p).read_bytes() for p in paths}

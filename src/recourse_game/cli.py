@@ -1,9 +1,11 @@
-"""Command-line entry point.
+"""Command-line entry point: one subcommand per entry of `harness.COMMANDS`,
+each running `harness.run_<name>` on one ExperimentConfig, plus `check`.
 
-Subcommands: generate, compare, leakage, transport, matroid, check. Options
-come from a JSON config file (--config) with individual fields overridable by
-flags; the RECOURSE_GAME_OUTDIR environment variable overrides the config's
-output directory and is itself overridden by --outdir.
+A run reads one JSON config (--config, in the README's format). Precedence:
+flags > RECOURSE_GAME_OUTDIR (output directory only) > JSON > defaults
+(synthetic instance, m=50, outdir `results`). --m/--gamma/--values/--costs
+write the `instance` block, and --values/--costs make it file-based. Unknown
+keys and flags that conflict with the instance (--m with files) are errors.
 
 Exit codes: 0 ok, 1 check failure, 2 usage/config error.
 """
@@ -14,50 +16,49 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
+from . import harness
+from .core import PartitionMatroid
 from .datagen import SynthConfig
-from .harness import (
-    ExperimentConfig,
-    run_compare,
-    run_check,
-    run_generate,
-    run_leakage,
-    run_matroid,
-    run_transport,
-)
 
 OUTDIR_ENV = "RECOURSE_GAME_OUTDIR"
 
-_RUNNERS = {
-    "generate": run_generate,
-    "compare": run_compare,
-    "leakage": run_leakage,
-    "transport": run_transport,
-    "matroid": run_matroid,
-}
+_TOP_KEYS = (
+    "k", "k_sweep", "alpha_sweep", "pl_sweep", "repetitions", "base_seed", "bins",
+    "outdir", "instance", "matroid",
+)
+_SYNTH_KEYS = tuple(f.name for f in fields(SynthConfig))
+_FILE_KEYS = ("values", "costs", "gamma")
 
 
 def _comma_list(cast):
     def parse(text):
-        return tuple(cast(tok) for tok in text.split(",") if tok != "")
+        items = tuple(cast(tok) for tok in text.split(",") if tok != "")
+        if not items:
+            raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+        return items
 
     return parse
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
+    """Each flag's dest is the config key it sets."""
     sub.add_argument("--config", help="JSON config file")
     sub.add_argument("--outdir", help="output directory")
     sub.add_argument("--m", type=int, help="number of feature values (synthetic)")
     sub.add_argument("--gamma", type=float, help="decision cost constant")
-    sub.add_argument("--seed", type=int, help="base seed")
+    sub.add_argument("--seed", dest="base_seed", type=int, help="base seed")
     sub.add_argument(
         "--k", type=_comma_list(int), help="explanation budget(s), comma separated"
     )
     sub.add_argument(
-        "--alpha", type=_comma_list(float), help="cost scale(s), comma separated"
+        "--alpha", dest="alpha_sweep", type=_comma_list(float),
+        help="cost scale(s), comma separated",
     )
     sub.add_argument(
-        "--pl", type=_comma_list(float), help="leakage probabilities, comma separated"
+        "--pl", dest="pl_sweep", type=_comma_list(float),
+        help="leakage probabilities, comma separated",
     )
     sub.add_argument("--repetitions", type=int, help="repetitions per sweep point")
     sub.add_argument("--bins", type=int, help="outcome bins for transport matrices")
@@ -65,54 +66,56 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--costs", help="instance cost CSV (file-based runs)")
 
 
-def _build_config(args, experiment: str) -> ExperimentConfig:
+def _reject_unknown(block: dict, known, where: str) -> None:
+    unknown = sorted(set(block) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+
+
+def _config_from_dict(d: dict, experiment: str) -> harness.ExperimentConfig:
+    """Read the README's JSON config format into an ExperimentConfig."""
+    _reject_unknown(d, _TOP_KEYS, "config")
+    inst = d.pop("instance")
+    if "values" in inst or "costs" in inst:
+        _reject_unknown(inst, _FILE_KEYS, "file-based instance")
+        d.update(
+            values_path=inst.get("values"),
+            cost_path=inst.get("costs"),
+            gamma=inst.get("gamma"),
+        )
+    else:
+        _reject_unknown(inst, _SYNTH_KEYS, "synthetic instance")
+        d["synthetic"] = SynthConfig(**inst)
+    if "matroid" in d:
+        d["matroid"] = PartitionMatroid(**d["matroid"])
+    for seq in ("k_sweep", "alpha_sweep", "pl_sweep"):
+        if seq in d:
+            d[seq] = tuple(d[seq])
+    d.setdefault("outdir", "results")
+    return harness.ExperimentConfig(experiment=experiment, **d)
+
+
+def _build_config(flags: dict, experiment: str) -> harness.ExperimentConfig:
+    """Merge the given flags and the environment into the JSON config."""
     raw = {}
-    if args.config:
-        with open(args.config) as f:
+    if "config" in flags:
+        with open(flags.pop("config")) as f:
             raw = json.load(f)
-
-    if args.values or args.costs:
-        raw["instance"] = {
-            "values": args.values,
-            "costs": args.costs,
-            "gamma": args.gamma
-            if args.gamma is not None
-            else raw.get("instance", {}).get("gamma"),
-        }
-    elif args.m is not None or "instance" not in raw:
-        inst = dict(raw.get("instance", {}))
-        if "values" not in inst:
-            if args.m is not None:
-                inst["m"] = args.m
-            if args.gamma is not None:
-                inst["gamma"] = args.gamma
-            inst.setdefault("m", 50)
-            raw["instance"] = inst
-    elif args.gamma is not None and "values" not in raw.get("instance", {}):
-        raw["instance"] = {**raw["instance"], "gamma": args.gamma}
-
-    if args.k is not None:
-        raw["k"] = args.k[0]
-        raw["k_sweep"] = list(args.k)
-    if args.alpha is not None:
-        raw["alpha_sweep"] = list(args.alpha)
-    if args.pl is not None:
-        raw["pl_sweep"] = list(args.pl)
-    if args.repetitions is not None:
-        raw["repetitions"] = args.repetitions
-    if args.seed is not None:
-        raw["base_seed"] = args.seed
-    if args.bins is not None:
-        raw["bins"] = args.bins
-
-    env_outdir = os.environ.get(OUTDIR_ENV)
-    if env_outdir:
-        raw["outdir"] = env_outdir
-    if args.outdir:
-        raw["outdir"] = args.outdir
-    raw.setdefault("outdir", "results")
-
-    return ExperimentConfig.from_dict(raw, experiment=experiment)
+        if not isinstance(raw, dict):
+            raise ValueError("the config must be a JSON object")
+    inst = raw["instance"] = dict(raw.get("instance", {"m": 50}))
+    if os.environ.get(OUTDIR_ENV):
+        raw["outdir"] = os.environ[OUTDIR_ENV]
+    if "values" in flags or "costs" in flags:
+        for key in set(_SYNTH_KEYS) - set(_FILE_KEYS):
+            inst.pop(key, None)
+    if "k" in flags:
+        flags["k_sweep"] = flags["k"]
+        flags["k"] = flags["k"][0]
+    for key, value in flags.items():
+        # --m, --gamma, --values and --costs are instance keys
+        (inst if key in _SYNTH_KEYS + _FILE_KEYS else raw)[key] = value
+    return _config_from_dict(raw, experiment)
 
 
 def main(argv=None) -> int:
@@ -124,29 +127,27 @@ def main(argv=None) -> int:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc in (
-        ("generate", "write a synthetic instance to CSV files"),
-        ("compare", "utility of all regimes across sweeps"),
-        ("leakage", "jointly optimized utility under explanation leakage"),
-        ("transport", "moved-mass matrices between outcome bins"),
-        ("matroid", "group balance under a partition-matroid constraint"),
-    ):
-        _add_common(sub.add_parser(name, help=desc))
+    for name, desc in harness.COMMANDS.items():
+        # flags the user did not give stay out of the namespace
+        _add_common(
+            sub.add_parser(name, help=desc, argument_default=argparse.SUPPRESS)
+        )
     check = sub.add_parser("check", help="run the acceptance criteria battery")
     check.add_argument("--seed", type=int, default=0, help="base seed")
 
-    args = parser.parse_args(argv)
+    flags = vars(parser.parse_args(argv))
+    command = flags.pop("command")
 
-    if args.command == "check":
-        return 0 if run_check(base_seed=args.seed) else 1
+    if command == "check":
+        return 0 if harness.run_check(base_seed=flags["seed"]) else 1
 
     try:
-        config = _build_config(args, args.command)
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+        config = _build_config(flags, command)
+    except (ValueError, TypeError, OSError) as exc:
         parser.error(str(exc))
 
     try:
-        paths = _RUNNERS[args.command](config)
+        paths = getattr(harness, f"run_{command}")(config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

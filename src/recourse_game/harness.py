@@ -34,6 +34,7 @@ from .behavior import group_improvement, leakage_utility, transport_matrix, util
 from .core import Instance, PartitionMatroid, make_instance
 from .datagen import (
     SynthConfig,
+    _fmt,
     derive_seed,
     generate_synthetic,
     load_instance,
@@ -44,6 +45,15 @@ from .datagen import (
 TOOL_VERSION = "0.1.0"
 
 REGIMES = ("black_box", "min_cost", "diverse", "alg1", "alg2")
+
+# The commands that run one ExperimentConfig, each through `run_<name>`.
+COMMANDS = {
+    "generate": "write a synthetic instance to CSV files",
+    "compare": "utility of all regimes across sweeps",
+    "leakage": "jointly optimized utility under explanation leakage",
+    "transport": "moved-mass matrices between outcome bins",
+    "matroid": "group balance under a partition-matroid constraint",
+}
 
 
 @dataclass(frozen=True)
@@ -78,69 +88,22 @@ class ExperimentConfig:
             raise ValueError("alpha_sweep must be nonempty")
         if not self.pl_sweep:
             raise ValueError("pl_sweep must be nonempty")
+        if min((self.k, *self.k_sweep)) < 0:
+            raise ValueError("k and every k_sweep entry must be >= 0")
+        if min(self.alpha_sweep) < 0:
+            raise ValueError("every alpha must be >= 0")
+        if not all(0.0 <= p <= 1.0 for p in self.pl_sweep):
+            raise ValueError("every p_l must lie in [0, 1]")
+        if self.bins < 1:
+            raise ValueError("bins must be >= 1")
 
     @property
     def effective_k_sweep(self) -> tuple[int, ...]:
         return self.k_sweep if self.k_sweep else (self.k,)
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        if self.matroid is not None:
-            d["matroid"] = {
-                "groups": [list(g) for g in self.matroid.groups],
-                "capacities": list(self.matroid.capacities),
-            }
-        return d
-
-    @staticmethod
-    def from_dict(d: dict, experiment: str) -> "ExperimentConfig":
-        d = dict(d)
-        synthetic = d.pop("instance", None) or d.pop("synthetic", None)
-        synth_cfg, values_path, cost_path, gamma = None, None, None, None
-        if isinstance(synthetic, dict):
-            if "values" in synthetic or "values_path" in synthetic:
-                values_path = synthetic.get("values") or synthetic.get("values_path")
-                cost_path = synthetic.get("costs") or synthetic.get("cost_path")
-                gamma = synthetic.get("gamma")
-            else:
-                synth_cfg = SynthConfig(**synthetic)
-        matroid = d.pop("matroid", None)
-        if isinstance(matroid, dict):
-            matroid = PartitionMatroid(
-                groups=tuple(tuple(g) for g in matroid["groups"]),
-                capacities=tuple(matroid["capacities"]),
-            )
-        known = {
-            "k",
-            "k_sweep",
-            "alpha_sweep",
-            "pl_sweep",
-            "repetitions",
-            "base_seed",
-            "bins",
-            "outdir",
-        }
-        kwargs = {key: d[key] for key in known if key in d}
-        for seq in ("k_sweep", "alpha_sweep", "pl_sweep"):
-            if seq in kwargs:
-                kwargs[seq] = tuple(kwargs[seq])
-        return ExperimentConfig(
-            experiment=experiment,
-            synthetic=synth_cfg,
-            values_path=values_path,
-            cost_path=cost_path,
-            gamma=gamma,
-            matroid=matroid,
-            **{"outdir": kwargs.pop("outdir", "results"), **kwargs},
-        )
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
 
 def _provenance(config: ExperimentConfig) -> str:
-    echo = json.dumps(config.to_dict(), sort_keys=True)
+    echo = json.dumps(asdict(config), sort_keys=True)
     return (
         f"# recourse-game {TOOL_VERSION} | base_seed={config.base_seed} "
         f"| config={echo}"

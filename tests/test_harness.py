@@ -2,12 +2,13 @@
 
 import csv
 import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 import recourse_game as rg
-from recourse_game import cli
+from recourse_game import cli, harness
 from recourse_game.harness import (
     ExperimentConfig,
     run_compare,
@@ -270,6 +271,22 @@ def test_config_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(k=-1, k_sweep=()), "k and every k_sweep"),
+        (dict(k_sweep=(2, -1)), "k and every k_sweep"),
+        (dict(pl_sweep=(0.0, 1.5)), "p_l"),
+        (dict(pl_sweep=(-0.1,)), "p_l"),
+        (dict(bins=0), "bins"),
+        (dict(alpha_sweep=(1.0, -0.5)), "alpha"),
+    ],
+)
+def test_config_rejects_bad_sweep_values(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        small_config("x", **overrides)
+
+
 def test_config_dict_round_trip(tmp_path):
     matroid = rg.PartitionMatroid(groups=((0, 1), (2,)), capacities=(1, 1))
     config = ExperimentConfig(
@@ -278,7 +295,7 @@ def test_config_dict_round_trip(tmp_path):
         synthetic=rg.SynthConfig(m=3, gamma=0.4, seed=1),
         matroid=matroid,
     )
-    echoed = json.loads(json.dumps(config.to_dict(), sort_keys=True))
+    echoed = json.loads(json.dumps(asdict(config), sort_keys=True))
     assert echoed["matroid"]["groups"] == [[0, 1], [2]]
     assert echoed["synthetic"]["m"] == 3
 
@@ -371,3 +388,181 @@ def test_cli_matroid_missing_block_fails(tmp_path, capsys):
     rc = cli.main(["matroid", "--m", "6", "--outdir", str(tmp_path)])
     assert rc == 1
     assert "matroid" in capsys.readouterr().err
+
+
+# -- CLI config merge --------------------------------------------------------------
+
+README_CONFIG = {
+    "instance": {"m": 200, "gamma": 0.3, "seed": 7},
+    "k": 20,
+    "k_sweep": [5, 10, 20],
+    "alpha_sweep": [1.0],
+    "pl_sweep": [0.0, 0.5],
+    "repetitions": 20,
+    "base_seed": 7,
+    "bins": 10,
+    "matroid": {"groups": [[0, 1, 2], [3, 4]], "capacities": [2, 1]},
+    "outdir": "results",
+}
+README_EXPECTED = dict(
+    outdir="results",
+    synthetic=rg.SynthConfig(m=200, gamma=0.3, seed=7),
+    k=20,
+    k_sweep=(5, 10, 20),
+    alpha_sweep=(1.0,),
+    pl_sweep=(0.0, 0.5),
+    repetitions=20,
+    base_seed=7,
+    bins=10,
+    matroid=rg.PartitionMatroid(groups=((0, 1, 2), (3, 4)), capacities=(2, 1)),
+)
+FILE_CONFIG = {
+    "instance": {"values": "v.csv", "costs": "c.csv", "gamma": 0.4},
+    "k": 3,
+}
+FILE_EXPECTED = dict(
+    outdir="results", values_path="v.csv", cost_path="c.csv", gamma=0.4, k=3
+)
+
+
+@pytest.fixture
+def cli_config(tmp_path, monkeypatch):
+    """Run the CLI in tmp_path with every runner replaced by a recorder, and
+    return the ExperimentConfig the runner received (or the exit code)."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+    (tmp_path / "cfg.json").write_text(json.dumps(README_CONFIG))
+    (tmp_path / "file.json").write_text(json.dumps(FILE_CONFIG))
+    seen = []
+    for name in harness.COMMANDS:
+        monkeypatch.setattr(harness, f"run_{name}", lambda c: seen.append(c) or [])
+
+    def run(argv, config=None):
+        if config is not None:
+            (tmp_path / "own.json").write_text(json.dumps(config))
+            argv = [*argv, "--config", "own.json"]
+        try:
+            assert cli.main(argv) == 0
+        except SystemExit as exc:
+            assert not seen, "a runner ran before the input was rejected"
+            return exc.code
+        return seen.pop()
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "argv, env, expected",
+    [
+        pytest.param(
+            "compare --m 200 --gamma 0.3 --k 10,20 --repetitions 20 --seed 7 "
+            "--outdir results",
+            None,
+            dict(outdir="results", synthetic=rg.SynthConfig(m=200, gamma=0.3),
+                 k=10, k_sweep=(10, 20), repetitions=20, base_seed=7),
+            id="readme-compare",
+        ),
+        pytest.param(
+            "leakage --m 200 --k 20 --pl 0.0,0.25,0.5,1.0 --seed 7 --outdir results",
+            None,
+            dict(outdir="results", synthetic=rg.SynthConfig(m=200), k=20,
+                 k_sweep=(20,), pl_sweep=(0.0, 0.25, 0.5, 1.0), base_seed=7),
+            id="readme-leakage",
+        ),
+        pytest.param(
+            "generate --m 50 --seed 3 --outdir instance",
+            None,
+            dict(outdir="instance", synthetic=rg.SynthConfig(m=50), base_seed=3),
+            id="readme-generate",
+        ),
+        pytest.param(
+            "compare --values instance/instance_values.csv "
+            "--costs instance/instance_cost.csv --gamma 0.3 --k 5 --outdir results",
+            None,
+            dict(outdir="results", values_path="instance/instance_values.csv",
+                 cost_path="instance/instance_cost.csv", gamma=0.3, k=5,
+                 k_sweep=(5,)),
+            id="readme-file-instance",
+        ),
+        pytest.param("compare --config cfg.json", None, README_EXPECTED,
+                     id="json-config"),
+        pytest.param(
+            "compare --config cfg.json --m 20 --gamma 0.2 --k 3,4 --alpha 0.5,2 "
+            "--pl 0.1 --seed 1 --repetitions 2 --bins 3 --outdir o",
+            None,
+            {**README_EXPECTED, **dict(
+                outdir="o", synthetic=rg.SynthConfig(m=20, gamma=0.2, seed=7),
+                k=3, k_sweep=(3, 4), alpha_sweep=(0.5, 2.0), pl_sweep=(0.1,),
+                base_seed=1, repetitions=2, bins=3)},
+            id="json-config-with-overrides",
+        ),
+        pytest.param("compare --config file.json", None, FILE_EXPECTED,
+                     id="file-config"),
+        pytest.param("compare --config file.json --gamma 0.6", None,
+                     {**FILE_EXPECTED, "gamma": 0.6}, id="file-config-gamma"),
+        pytest.param(
+            "compare --config cfg.json --values a.csv --costs b.csv",
+            None,
+            {**README_EXPECTED, **dict(synthetic=None, values_path="a.csv",
+                                       cost_path="b.csv", gamma=0.3)},
+            id="files-replace-json-synthetic",
+        ),
+        pytest.param("compare", None,
+                     dict(outdir="results", synthetic=rg.SynthConfig(m=50)),
+                     id="defaults"),
+        pytest.param("compare", "env_out",
+                     dict(outdir="env_out", synthetic=rg.SynthConfig(m=50)),
+                     id="env-outdir"),
+        pytest.param("compare --config cfg.json", "env_out",
+                     {**README_EXPECTED, "outdir": "env_out"},
+                     id="env-outdir-over-json"),
+        pytest.param("compare --outdir flag_out", "env_out",
+                     dict(outdir="flag_out", synthetic=rg.SynthConfig(m=50)),
+                     id="flag-outdir-over-env"),
+    ],
+)
+def test_cli_builds_config(cli_config, monkeypatch, argv, env, expected):
+    if env is not None:
+        monkeypatch.setenv(cli.OUTDIR_ENV, env)
+    command, *flags = argv.split()
+    built = cli_config([command, *flags])
+    assert built == ExperimentConfig(experiment=command, **expected)
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["compare", "--m", "10"], FILE_CONFIG, "file-based instance key(s): m"),
+        (["compare", "--values", "v.csv", "--costs", "c.csv", "--m", "10"], None,
+         "file-based instance key(s): m"),
+        (["compare"], {"repetition": 20}, "unknown config key(s): repetition"),
+        (["compare"], {"synthetic": {"m": 10}}, "unknown config key(s): synthetic"),
+        (["compare"], {"instance": {"values_path": "v", "cost_path": "c"}},
+         "synthetic instance key(s): cost_path, values_path"),
+        (["compare"], {"instance": {"values": "v", "cost_path": "c", "gamma": 0.3}},
+         "file-based instance key(s): cost_path"),
+        (["compare"], {"instance": {"m": 10, "n": 3}},
+         "synthetic instance key(s): n"),
+    ],
+)
+def test_cli_rejects_unknown_keys(cli_config, capsys, argv, config, message):
+    assert cli_config(argv, config) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--k", ","], "argument --k: empty list"),
+        (["--alpha", ","], "argument --alpha: empty list"),
+        (["--pl", ","], "argument --pl: empty list"),
+        (["--k", "-1"], "k and every k_sweep entry must be >= 0"),
+        (["--k", "2,-1"], "k and every k_sweep entry must be >= 0"),
+        (["--pl", "0,1.5"], "every p_l must lie in [0, 1]"),
+        (["--alpha", "-1"], "every alpha must be >= 0"),
+        (["--bins", "0"], "bins must be >= 1"),
+    ],
+)
+def test_cli_rejects_bad_values_before_any_run(cli_config, capsys, flags, message):
+    assert cli_config(["compare", *flags]) == 2
+    assert message in capsys.readouterr().err

@@ -14,7 +14,7 @@ import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, combinations, product, repeat
+from itertools import chain, combinations, repeat
 
 import numpy as np
 
@@ -226,7 +226,7 @@ def randomized_joint_runs(
     if k < 1:
         raise ValueError("k must be >= 1")
     start = joint_marginal_state(instance, ExplanationSet())
-    viable = np.flatnonzero(instance.py >= instance.gamma).tolist()
+    viable = list(ground_set_viable(instance).indices)
     first_heap = _first_heap(partial(_gains, instance, start), viable, k)
     solved: dict[tuple[int, ...], JointSolution] = {}
     runs = []
@@ -309,19 +309,17 @@ def exhaustive_best_policy(
     """Best deterministic policy accepting all of A, by full enumeration.
 
     2^(m - |A|) evaluations; oracle for validating optimal_policy_for.
+    Refuses more than BRUTE_FORCE_CAP free values; ties resolve to the
+    lexicographically smallest tuple of extra accepted values.
     """
-    free = np.array([i for i in range(instance.m) if i not in A], dtype=int)
-    if free.size > BRUTE_FORCE_CAP:
-        raise ValueError("too many free positions for exhaustive enumeration")
-    base = np.zeros(instance.m)
-    for a in A:
-        base[a] = 1.0
-    best_policy, best_u = None, -np.inf
-    for bits in product((0.0, 1.0), repeat=free.size):
-        pi = base.copy()
-        pi[free] = bits
-        cand = Policy(pi)
-        u = utility(instance, cand, A)
-        if u > best_u:
-            best_policy, best_u = cand, u
-    return best_policy, float(best_u)
+
+    def accepting(extra: ExplanationSet) -> Policy:
+        pi = np.zeros(instance.m)
+        pi[list(A.indices + extra.indices)] = 1.0
+        return Policy(pi)
+
+    free = [i for i in range(instance.m) if i not in A]
+    extra, best_u = _best_subset(
+        free, len(free), lambda E: utility(instance, accepting(E), A)
+    )
+    return accepting(extra), best_u

@@ -304,6 +304,8 @@ def leakage_utility_mc(
     """
     if not 0.0 <= p_l <= 1.0:
         raise ValueError("p_l must lie in [0, 1]")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     m = instance.m
     base, leaked = _leak_targets(instance, policy, A)
     contribution = policy.pi * (instance.py - instance.gamma)

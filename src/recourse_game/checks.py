@@ -1,8 +1,13 @@
 """Verification suite behind the `check` command.
 
-Each criterion is a standalone function returning a CheckResult; `run_all`
-executes the full battery. Detail strings are deterministic (timings are
-reported separately) so the report itself is reproducible byte for byte.
+Each criterion `check_<name>(base_seed)` returns a CheckResult. Its body
+returns only `(ok, detail)`; the `_criterion` wrapper times it, names the
+result `<name>` and, for a criterion with a wall-clock bound, fails it once
+the body takes that many seconds. `run_all` executes the full battery. The
+regime comparison and the group balance are the harness's own
+(`harness.regime_solution`, `harness.group_balance`), not copies. Detail
+strings are deterministic (timings are reported separately) so the report
+itself is reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -10,37 +15,31 @@ from __future__ import annotations
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import partial, wraps
 from pathlib import Path
 
 import numpy as np
 
+from . import harness
 from .algorithms import (
     brute_force_fixed,
     brute_force_joint,
     exhaustive_best_policy,
     greedy_fixed_policy,
-    greedy_matroid,
     joint_marginal_state,
     joint_objective,
     marginal_gain_joint,
     optimal_policy_for,
-    randomized_joint,
     randomized_joint_runs,
 )
 from .behavior import (
     fixed_marginal_state,
-    group_improvement,
     leakage_utility,
     leakage_utility_mc,
     marginal_gain_fixed,
     utility,
 )
-from .baselines import (
-    black_box_utility,
-    diverse_explanations,
-    min_cost_explanations,
-    threshold_policy,
-)
+from .baselines import diverse_explanations, threshold_policy
 from .core import (
     ExplanationSet,
     Instance,
@@ -62,6 +61,27 @@ class CheckResult:
     passed: bool
     detail: str
     seconds: float
+
+
+def _criterion(bound: float | None = None):
+    """Wrap a criterion body `check_<name>(base_seed) -> (ok, detail)` into
+    one returning CheckResult `<name>`, timed, and failed at a runtime of
+    `bound` seconds or more."""
+
+    def wrap(body):
+        name = body.__name__.removeprefix("check_")
+
+        @wraps(body)
+        def run(base_seed: int = 0) -> CheckResult:
+            t0 = time.perf_counter()
+            ok, detail = body(base_seed)
+            elapsed = time.perf_counter() - t0
+            passed = ok and (bound is None or elapsed < bound)
+            return CheckResult(name, passed, detail, elapsed)
+
+        return run
+
+    return wrap
 
 
 # ---------------------------------------------------------------------------
@@ -123,16 +143,11 @@ def two_group_witness() -> tuple[Instance, PartitionMatroid]:
 # ---------------------------------------------------------------------------
 
 def _sample_instance(
-    rng: np.random.Generator,
-    m_lo: int,
-    m_hi: int,
-    min_viable: int = 0,
-    gamma_lo: float = 0.15,
-    gamma_hi: float = 0.85,
+    rng: np.random.Generator, m_lo: int, m_hi: int, min_viable: int = 0
 ) -> Instance:
     while True:
         m = m_lo + rng.integers(m_hi - m_lo + 1)
-        gamma = float(rng.uniform(gamma_lo, gamma_hi))
+        gamma = float(rng.uniform(0.15, 0.85))
         inst = generate_synthetic(
             SynthConfig(m=m, gamma=gamma, seed=rng.integers(2**62))
         )
@@ -156,17 +171,34 @@ def _random_monotone_policy(rng: np.random.Generator, instance: Instance) -> Pol
     return Policy(pi)
 
 
-def _subset(rng: np.random.Generator, items, p: float = 0.5) -> tuple[int, ...]:
-    return tuple(i for i in items if rng.random() < p)
+def _subset(rng: np.random.Generator, items) -> tuple[int, ...]:
+    return tuple(i for i in items if rng.random() < 0.5)
+
+
+def _draw_candidate(rng: np.random.Generator, ground) -> tuple[int, tuple[int, ...]]:
+    """x uniform from ground, then a uniform subset of ground - {x}."""
+    x = ground[rng.integers(len(ground))]
+    return x, _subset(rng, [i for i in ground if i != x])
+
+
+def _draw_violations(rng: np.random.Generator, ground, f) -> tuple[bool, bool, bool]:
+    """Draw x and A ⊆ B ⊆ ground - {x}; report whether f is negative at
+    A, B, A+x or B+x, whether f(A) > f(B), and whether the gain of x at A
+    falls short of its gain at B."""
+    x, B = _draw_candidate(rng, ground)
+    A = _subset(rng, B)
+    fa, fb, fax, fbx = (f(ExplanationSet(S)) for S in (A, B, A + (x,), B + (x,)))
+    negative = fa < 0.0 or fb < 0.0 or fax < 0.0 or fbx < 0.0
+    return negative, fa > fb, (fax - fa) < (fbx - fb) - 1e-12
 
 
 # ---------------------------------------------------------------------------
 # Criteria.
 # ---------------------------------------------------------------------------
 
-def check_nonmonotone_fixture(base_seed: int = 0) -> CheckResult:
+@_criterion()
+def check_nonmonotone_fixture(base_seed: int) -> tuple[bool, str]:
     """Joint objective and optimal policy on the non-monotonicity witness."""
-    t0 = time.perf_counter()
     inst = nonmonotone_witness()
     a1, a2 = ExplanationSet((0,)), ExplanationSet((0, 1))
     h1, h2 = joint_objective(inst, a1), joint_objective(inst, a2)
@@ -182,12 +214,12 @@ def check_nonmonotone_fixture(base_seed: int = 0) -> CheckResult:
         f"h(x0)={h1!r}, h(x0,x1)={h2!r}, "
         f"policies {p1.astype(int).tolist()} / {p2.astype(int).tolist()}"
     )
-    return CheckResult("nonmonotone_fixture", ok, detail, time.perf_counter() - t0)
+    return ok, detail
 
 
-def check_set_cover_fixture(base_seed: int = 0) -> CheckResult:
+@_criterion()
+def check_set_cover_fixture(base_seed: int) -> tuple[bool, str]:
     """Greedy and diverse both pick the covering set and earn 1 - gamma."""
-    t0 = time.perf_counter()
     inst, policy = set_cover_witness(gamma=0.3)
     expected = 1.0 - inst.gamma
     a_greedy = greedy_fixed_policy(inst, policy, 1)
@@ -204,12 +236,12 @@ def check_set_cover_fixture(base_seed: int = 0) -> CheckResult:
         f"greedy={a_greedy.indices}, diverse={a_div.indices}, "
         f"utilities {u_greedy!r} / {u_div!r}, expected {expected!r}"
     )
-    return CheckResult("set_cover_fixture", ok, detail, time.perf_counter() - t0)
+    return ok, detail
 
 
-def check_policy_oracle_equivalence(base_seed: int = 0) -> CheckResult:
+@_criterion(bound=60.0)
+def check_policy_oracle_equivalence(base_seed: int) -> tuple[bool, str]:
     """Closed-form policy beats every deterministic policy containing A."""
-    t0 = time.perf_counter()
     rng = seeded_rng(derive_seed(base_seed, "policy-oracle"))
     violations, worst = 0, 0.0
     for _ in range(200):
@@ -221,16 +253,14 @@ def check_policy_oracle_equivalence(base_seed: int = 0) -> CheckResult:
         worst = max(worst, gap)
         if gap > 1e-12:
             violations += 1
-    elapsed = time.perf_counter() - t0
-    ok = violations == 0 and elapsed < 60.0
     detail = f"200 instances, violations={violations}, worst gap={worst:.3e}"
-    return CheckResult("policy_oracle_equivalence", ok, detail, elapsed)
+    return violations == 0, detail
 
 
-def check_fixed_objective_properties(base_seed: int = 0) -> CheckResult:
+@_criterion()
+def check_fixed_objective_properties(base_seed: int) -> tuple[bool, str]:
     """Non-negativity, monotonicity, submodularity of the fixed-policy
     objective over 1000 random draws."""
-    t0 = time.perf_counter()
     rng = seeded_rng(derive_seed(base_seed, "fixed-properties"))
     neg = mono = sub = 0
     for _ in range(1000):
@@ -238,59 +268,34 @@ def check_fixed_objective_properties(base_seed: int = 0) -> CheckResult:
         inst = _sample_instance(rng, 4, 10, min_viable=1)
         policy = _random_monotone_policy(rng, inst)
         accepted = ground_set_accepted(inst, policy).indices
-        x = accepted[rng.integers(len(accepted))]
-        B = _subset(rng, [i for i in accepted if i != x])
-        A = _subset(rng, B)
-        fa = utility(inst, policy, ExplanationSet(A))
-        fb = utility(inst, policy, ExplanationSet(B))
-        fax = utility(inst, policy, ExplanationSet(A + (x,)))
-        fbx = utility(inst, policy, ExplanationSet(B + (x,)))
-        if fa < 0.0 or fb < 0.0 or fax < 0.0 or fbx < 0.0:
-            neg += 1
-        if fa > fb:
-            mono += 1
-        if (fax - fa) < (fbx - fb) - 1e-12:
-            sub += 1
+        n, mo, su = _draw_violations(rng, accepted, partial(utility, inst, policy))
+        neg, mono, sub = neg + n, mono + mo, sub + su
     ok = neg == 0 and mono == 0 and sub == 0
     detail = f"1000 draws, negativity={neg}, monotonicity={mono}, submodularity={sub}"
-    return CheckResult(
-        "fixed_objective_properties", ok, detail, time.perf_counter() - t0
-    )
+    return ok, detail
 
 
-def check_joint_objective_submodularity(base_seed: int = 0) -> CheckResult:
+@_criterion()
+def check_joint_objective_submodularity(base_seed: int) -> tuple[bool, str]:
     """Non-negativity and submodularity of the joint objective; its
     non-monotonicity is witnessed by the fixture criterion."""
-    t0 = time.perf_counter()
     rng = seeded_rng(derive_seed(base_seed, "joint-properties"))
     neg = sub = 0
     for _ in range(1000):
         inst = _sample_instance(rng, 4, 10, min_viable=2)
         viable = ground_set_viable(inst).indices
-        x = viable[rng.integers(len(viable))]
-        B = _subset(rng, [i for i in viable if i != x])
-        A = _subset(rng, B)
-        ha = joint_objective(inst, ExplanationSet(A))
-        hb = joint_objective(inst, ExplanationSet(B))
-        hax = joint_objective(inst, ExplanationSet(A + (x,)))
-        hbx = joint_objective(inst, ExplanationSet(B + (x,)))
-        if ha < 0.0 or hb < 0.0 or hax < 0.0 or hbx < 0.0:
-            neg += 1
-        if (hax - ha) < (hbx - hb) - 1e-12:
-            sub += 1
-    ok = neg == 0 and sub == 0
+        n, _, su = _draw_violations(rng, viable, partial(joint_objective, inst))
+        neg, sub = neg + n, sub + su
     detail = (
         f"1000 draws, negativity={neg}, submodularity={sub}; "
         "non-monotonicity witnessed by nonmonotone_fixture"
     )
-    return CheckResult(
-        "joint_objective_submodularity", ok, detail, time.perf_counter() - t0
-    )
+    return neg == 0 and sub == 0, detail
 
 
-def check_greedy_guarantee(base_seed: int = 0) -> CheckResult:
+@_criterion()
+def check_greedy_guarantee(base_seed: int) -> tuple[bool, str]:
     """Greedy reaches at least (1 - 1/e) of the exhaustive optimum."""
-    t0 = time.perf_counter()
     rng = seeded_rng(derive_seed(base_seed, "greedy-guarantee"))
     violations, ratios = 0, []
     for _ in range(100):
@@ -302,17 +307,16 @@ def check_greedy_guarantee(base_seed: int = 0) -> CheckResult:
         if f_greedy < ONE_MINUS_E_INV * f_opt - 1e-12:
             violations += 1
         ratios.append(f_greedy / f_opt if f_opt > 0 else 1.0)
-    ok = violations == 0
     detail = (
         f"100 instances, violations={violations}, "
         f"mean ratio={float(np.mean(ratios)):.6f}"
     )
-    return CheckResult("greedy_guarantee", ok, detail, time.perf_counter() - t0)
+    return violations == 0, detail
 
 
-def check_randomized_joint_guarantee(base_seed: int = 0) -> CheckResult:
+@_criterion(bound=300.0)
+def check_randomized_joint_guarantee(base_seed: int) -> tuple[bool, str]:
     """Mean randomized-greedy utility reaches 1/e of the joint optimum."""
-    t0 = time.perf_counter()
     rng = seeded_rng(derive_seed(base_seed, "randomized-guarantee"))
     violations, ratios = 0, []
     for t in range(20):
@@ -328,35 +332,31 @@ def check_randomized_joint_guarantee(base_seed: int = 0) -> CheckResult:
         if mean < E_INV * opt - 1e-12:
             violations += 1
         ratios.append(mean / opt if opt > 0 else 1.0)
-    elapsed = time.perf_counter() - t0
-    ok = violations == 0 and elapsed < 300.0
     detail = (
         f"20 instances x 200 runs, violations={violations}, "
         f"mean ratio={float(np.mean(ratios)):.6f}"
     )
-    return CheckResult("randomized_joint_guarantee", ok, detail, elapsed)
+    return violations == 0, detail
 
 
-def check_marginal_consistency(base_seed: int = 0) -> CheckResult:
+@_criterion()
+def check_marginal_consistency(base_seed: int) -> tuple[bool, str]:
     """O(m) marginal gains equal full recomputation to 1e-12."""
-    t0 = time.perf_counter()
     rng = seeded_rng(derive_seed(base_seed, "marginals"))
     worst_fixed = worst_joint = 0.0
     for _ in range(1000):
         inst = _sample_instance(rng, 4, 10, min_viable=1)
         policy = threshold_policy(inst)
 
-        accepted = ground_set_accepted(inst, policy).indices
-        x = accepted[rng.integers(len(accepted))]
-        A = ExplanationSet(_subset(rng, [i for i in accepted if i != x]))
+        x, rest = _draw_candidate(rng, ground_set_accepted(inst, policy).indices)
+        A = ExplanationSet(rest)
         state = fixed_marginal_state(inst, policy, A)
         gain, _ = marginal_gain_fixed(inst, policy, A, state, x)
         exact = utility(inst, policy, A.add(x)) - utility(inst, policy, A)
         worst_fixed = max(worst_fixed, abs(gain - exact))
 
-        viable = ground_set_viable(inst).indices
-        xj = viable[rng.integers(len(viable))]
-        Aj = ExplanationSet(_subset(rng, [i for i in viable if i != xj]))
+        xj, rest = _draw_candidate(rng, ground_set_viable(inst).indices)
+        Aj = ExplanationSet(rest)
         jstate = joint_marginal_state(inst, Aj)
         jgain, _ = marginal_gain_joint(inst, Aj, jstate, xj)
         jexact = joint_objective(inst, Aj.add(xj)) - joint_objective(inst, Aj)
@@ -366,13 +366,13 @@ def check_marginal_consistency(base_seed: int = 0) -> CheckResult:
         f"1000 draws, worst |fixed|={worst_fixed:.3e}, "
         f"worst |joint|={worst_joint:.3e}"
     )
-    return CheckResult("marginal_consistency", ok, detail, time.perf_counter() - t0)
+    return ok, detail
 
 
-def check_leakage_analytics(base_seed: int = 0) -> CheckResult:
+@_criterion()
+def check_leakage_analytics(base_seed: int) -> tuple[bool, str]:
     """Analytic leakage matches Monte Carlo within 3 standard errors and
     reduces exactly to plain utility at zero leakage probability."""
-    t0 = time.perf_counter()
     rng = seeded_rng(derive_seed(base_seed, "leakage"))
     mc_fail = zero_fail = 0
     for _ in range(20):
@@ -393,67 +393,47 @@ def check_leakage_analytics(base_seed: int = 0) -> CheckResult:
             mc_fail += 1
         if leakage_utility(inst, policy, A, 0.0) != utility(inst, policy, A):
             zero_fail += 1
-    ok = mc_fail == 0 and zero_fail == 0
     detail = f"20 instances, mc mismatches={mc_fail}, p_l=0 mismatches={zero_fail}"
-    return CheckResult("leakage_analytics", ok, detail, time.perf_counter() - t0)
+    return mc_fail == 0 and zero_fail == 0, detail
 
 
-def check_synthetic_trend(base_seed: int = 0) -> CheckResult:
+@_criterion(bound=120.0)
+def check_synthetic_trend(base_seed: int) -> tuple[bool, str]:
     """At the synthetic preset (m=200, k=20, gamma=0.3, 20 repetitions) the
     mean utilities order as alg2 >= alg1 >= every baseline, with alg1
     strictly above black box."""
-    t0 = time.perf_counter()
-    sums = {r: 0.0 for r in ("black_box", "min_cost", "diverse", "alg1", "alg2")}
+    sums = dict.fromkeys(harness.REGIMES, 0.0)
     reps = 20
     for rep in range(reps):
         inst = generate_synthetic(
             SynthConfig(m=200, gamma=0.3, seed=derive_seed(base_seed, "preset", rep))
         )
-        policy = threshold_policy(inst)
-        k = 20
-        sums["black_box"] += black_box_utility(inst)
-        sums["min_cost"] += utility(
-            inst, policy, min_cost_explanations(inst, policy, k)
-        )
-        sums["diverse"] += utility(
-            inst, policy, diverse_explanations(inst, policy, k)
-        )
-        sums["alg1"] += utility(inst, policy, greedy_fixed_policy(inst, policy, k))
-        sums["alg2"] += randomized_joint(
-            inst, k, seeded_rng(derive_seed(base_seed, "preset-alg2", rep))
-        ).utility
+        rng = seeded_rng(derive_seed(base_seed, "preset-alg2", rep))
+        for regime in sums:
+            solution = harness.regime_solution(regime, inst, 20, rng)
+            sums[regime] += utility(inst, *solution)
     means = {r: s / reps for r, s in sums.items()}
     baseline_best = max(means["black_box"], means["min_cost"], means["diverse"])
-    elapsed = time.perf_counter() - t0
     ok = (
         means["alg2"] >= means["alg1"]
         and means["alg1"] >= baseline_best
         and means["alg1"] > means["black_box"]
-        and elapsed < 120.0
     )
-    detail = ", ".join(f"{r}={means[r]:.6f}" for r in sums)
-    return CheckResult("synthetic_trend", ok, detail, elapsed)
+    return ok, ", ".join(f"{r}={means[r]:.6f}" for r in sums)
 
 
-def check_matroid_balance(base_seed: int = 0) -> CheckResult:
+@_criterion()
+def check_matroid_balance(base_seed: int) -> tuple[bool, str]:
     """On the two-group witness the matroid greedy serves both groups and
     strictly improves the starved group."""
-    t0 = time.perf_counter()
     inst, matroid = two_group_witness()
-    policy = threshold_policy(inst)
-    k = matroid.k
-    a_card = greedy_fixed_policy(inst, policy, k)
-    a_mat = greedy_matroid(inst, policy, matroid)
-    rejected = policy.pi < 1.0
-    rej_mass = [float(inst.px[[i for i in g if rejected[i]]].sum()) for g in matroid.groups]
-    counts_card = [len(a_card.as_set() & set(g)) for g in matroid.groups]
-    counts_mat = [len(a_mat.as_set() & set(g)) for g in matroid.groups]
-    impr_card = group_improvement(inst, policy, a_card, matroid.groups)
-    impr_mat = group_improvement(inst, policy, a_mat, matroid.groups)
+    rej_mass, counts_card, counts_mat, impr_card, impr_mat = (
+        list(column) for column in zip(*harness.group_balance(inst, matroid))
+    )
     share1 = rej_mass[0] / sum(rej_mass)
     ok = (
         share1 > 0.9
-        and counts_card[0] == k
+        and counts_card[0] == matroid.k
         and counts_card[1] == 0
         and counts_mat == list(matroid.capacities)
         and impr_mat[1] > impr_card[1]
@@ -463,14 +443,12 @@ def check_matroid_balance(base_seed: int = 0) -> CheckResult:
         f"matroid={counts_mat}, group-2 improvement "
         f"{impr_card[1]:.4f} -> {impr_mat[1]:.4f}"
     )
-    return CheckResult("matroid_balance", ok, detail, time.perf_counter() - t0)
+    return ok, detail
 
 
-def check_determinism(base_seed: int = 0) -> CheckResult:
+@_criterion()
+def check_determinism(base_seed: int) -> tuple[bool, str]:
     """Every seeded command writes byte-identical files on a rerun."""
-    from . import harness
-
-    t0 = time.perf_counter()
     mismatches = []
     with tempfile.TemporaryDirectory() as tmp:
         outdir = Path(tmp) / "out"
@@ -508,7 +486,7 @@ def check_determinism(base_seed: int = 0) -> CheckResult:
     detail = "all command outputs byte-identical" if ok else (
         "mismatched outputs: " + ", ".join(mismatches)
     )
-    return CheckResult("determinism", ok, detail, time.perf_counter() - t0)
+    return ok, detail
 
 
 ALL_CHECKS = (

@@ -18,20 +18,15 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .algorithms import greedy_fixed_policy, greedy_matroid, randomized_joint
-from .baselines import (
-    black_box_utility,
-    diverse_explanations,
-    min_cost_explanations,
-    threshold_policy,
-)
+from .baselines import diverse_explanations, min_cost_explanations, threshold_policy
 from .behavior import group_improvement, leakage_utility, transport_matrix, utility
-from .core import Instance, PartitionMatroid, make_instance
+from .core import ExplanationSet, Instance, PartitionMatroid, Policy, make_instance
 from .datagen import (
     SynthConfig,
     _fmt,
@@ -102,18 +97,16 @@ class ExperimentConfig:
         return self.k_sweep if self.k_sweep else (self.k,)
 
 
-def _provenance(config: ExperimentConfig) -> str:
-    echo = json.dumps(asdict(config), sort_keys=True)
-    return (
-        f"# recourse-game {TOOL_VERSION} | base_seed={config.base_seed} "
-        f"| config={echo}"
-    )
-
-
-def _write_csv(path: Path, provenance: str, header: list[str], rows) -> Path:
+def _write_csv(config: ExperimentConfig, name: str, header: list[str], rows) -> Path:
+    """Write outdir/name: the provenance line, then the header and rows."""
+    path = Path(config.outdir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
+    echo = json.dumps(asdict(config), sort_keys=True)
     with open(path, "w", newline="") as f:
-        f.write(provenance + "\n")
+        f.write(
+            f"# recourse-game {TOOL_VERSION} | base_seed={config.base_seed} "
+            f"| config={echo}\n"
+        )
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -147,24 +140,27 @@ def _alg2_stream(
     return seeded_rng(derive_seed(config.base_seed, "alg2", alpha, k, rep))
 
 
-def _regime_solutions(config, inst, k, alpha, rep):
-    """Explanation set and evaluation policy per regime, with timings."""
+def regime_solution(
+    regime: str, inst: Instance, k: int, rng: np.random.Generator
+) -> tuple[Policy, ExplanationSet]:
+    """The policy and explanation set a regime publishes at budget k.
+
+    black_box, and every regime at k=0, publishes the threshold policy with
+    no explanations; alg2 publishes its joint solution, drawn from rng,
+    which no other regime reads.
+    """
     policy = threshold_policy(inst)
-    out = {}
-    for regime in REGIMES:
-        t0 = time.perf_counter()
-        if k == 0 or regime == "black_box":
-            u = black_box_utility(inst)
-        elif regime == "min_cost":
-            u = utility(inst, policy, min_cost_explanations(inst, policy, k))
-        elif regime == "diverse":
-            u = utility(inst, policy, diverse_explanations(inst, policy, k))
-        elif regime == "alg1":
-            u = utility(inst, policy, greedy_fixed_policy(inst, policy, k))
-        else:
-            u = randomized_joint(inst, k, _alg2_stream(config, alpha, k, rep)).utility
-        out[regime] = (u, (time.perf_counter() - t0) * 1000.0)
-    return out
+    if k == 0 or regime == "black_box":
+        return policy, ExplanationSet()
+    if regime == "alg2":
+        sol = randomized_joint(inst, k, rng)
+        return sol.policy, sol.explanations
+    solver = {
+        "min_cost": min_cost_explanations,
+        "diverse": diverse_explanations,
+        "alg1": greedy_fixed_policy,
+    }[regime]
+    return policy, solver(inst, policy, k)
 
 
 def run_generate(config: ExperimentConfig) -> list[Path]:
@@ -185,23 +181,21 @@ def run_compare(config: ExperimentConfig) -> Path:
         for k in config.effective_k_sweep:
             for rep in range(config.repetitions):
                 inst = _instance_for(config, alpha, k, rep)
-                for regime, (u, ms) in _regime_solutions(
-                    config, inst, k, alpha, rep
-                ).items():
+                rng = _alg2_stream(config, alpha, k, rep)
+                for regime in REGIMES:
+                    t0 = time.perf_counter()
+                    u = utility(inst, *regime_solution(regime, inst, k, rng))
+                    ms = (time.perf_counter() - t0) * 1000.0
                     rows.append([_fmt(alpha), k, rep, regime, _fmt(u)])
                     timing_rows.append([_fmt(alpha), k, rep, regime, f"{ms:.3f}"])
-    prov = _provenance(config)
     _write_csv(
-        Path(config.outdir) / "compare_timings.csv",
-        prov,
+        config,
+        "compare_timings.csv",
         ["alpha", "k", "repetition", "regime", "runtime_ms"],
         timing_rows,
     )
     return _write_csv(
-        Path(config.outdir) / "compare.csv",
-        prov,
-        ["alpha", "k", "repetition", "regime", "utility"],
-        rows,
+        config, "compare.csv", ["alpha", "k", "repetition", "regime", "utility"], rows
     )
 
 
@@ -216,15 +210,14 @@ def run_leakage(config: ExperimentConfig) -> Path:
             continue
         for rep in range(config.repetitions):
             inst = _instance_for(config, alpha, k, rep)
-            sol = randomized_joint(inst, k, _alg2_stream(config, alpha, k, rep))
+            policy, A = regime_solution(
+                "alg2", inst, k, _alg2_stream(config, alpha, k, rep)
+            )
             for p_l in config.pl_sweep:
-                u = leakage_utility(inst, sol.policy, sol.explanations, p_l)
+                u = leakage_utility(inst, policy, A, p_l)
                 rows.append([k, _fmt(p_l), rep, _fmt(u)])
     return _write_csv(
-        Path(config.outdir) / "leakage.csv",
-        _provenance(config),
-        ["k", "p_l", "repetition", "utility"],
-        rows,
+        config, "leakage.csv", ["k", "p_l", "repetition", "utility"], rows
     )
 
 
@@ -241,27 +234,21 @@ def run_transport(config: ExperimentConfig) -> list[Path]:
     """Moved-mass matrices between outcome bins for alg1 and alg2."""
     alpha = config.alpha_sweep[0]
     k = config.effective_k_sweep[0]
-    rep = 0
-    inst = _instance_for(config, alpha, k, rep)
-    policy = threshold_policy(inst)
-
-    solutions = {
-        "alg1": (policy, greedy_fixed_policy(inst, policy, k)),
-    }
-    sol = randomized_joint(inst, k, _alg2_stream(config, alpha, k, rep))
-    solutions["alg2"] = (sol.policy, sol.explanations)
-
+    inst = _instance_for(config, alpha, k, 0)
+    rng = _alg2_stream(config, alpha, k, 0)
     labels = _bin_labels(config.bins)
     paths = []
-    for regime, (pol, A) in solutions.items():
-        matrix = transport_matrix(inst, pol, A, config.bins)
+    for regime in ("alg1", "alg2"):
+        matrix = transport_matrix(
+            inst, *regime_solution(regime, inst, k, rng), config.bins
+        )
         rows = [
             [labels[r]] + [_fmt(v) for v in matrix[r]] for r in range(config.bins)
         ]
         paths.append(
             _write_csv(
-                Path(config.outdir) / f"transport_{regime}.csv",
-                _provenance(config),
+                config,
+                f"transport_{regime}.csv",
                 ["initial_outcome\\final_outcome"] + labels,
                 rows,
             )
@@ -269,41 +256,47 @@ def run_transport(config: ExperimentConfig) -> list[Path]:
     return paths
 
 
-def run_matroid(config: ExperimentConfig) -> Path:
-    """Group balance of cardinality- vs matroid-constrained explanations."""
-    if config.matroid is None:
-        raise ValueError("matroid experiment needs a matroid block in the config")
-    matroid = config.matroid
-    alpha = config.alpha_sweep[0]
-    k = matroid.k
-    inst = _instance_for(config, alpha, k, 0)
+def group_balance(
+    inst: Instance, matroid: PartitionMatroid
+) -> list[tuple[float, int, int, float, float]]:
+    """One row per group of matroid: (rejected mass, explanation count under
+    the cardinality constraint k = matroid.k, count under the matroid,
+    group improvement under each), all at the threshold policy."""
     if matroid.m != inst.m:
         raise ValueError(
             f"matroid covers {matroid.m} values but the instance has {inst.m}"
         )
     policy = threshold_policy(inst)
-    a_card = greedy_fixed_policy(inst, policy, k)
-    a_mat = greedy_matroid(inst, policy, matroid)
-    impr_card = group_improvement(inst, policy, a_card, matroid.groups)
-    impr_mat = group_improvement(inst, policy, a_mat, matroid.groups)
+    chosen = [
+        greedy_fixed_policy(inst, policy, matroid.k),
+        greedy_matroid(inst, policy, matroid),
+    ]
+    impr = [group_improvement(inst, policy, A, matroid.groups) for A in chosen]
     rejected = policy.pi < 1.0
-
-    rows = []
-    for g, members in enumerate(matroid.groups):
-        idx = [i for i in members if rejected[i]]
-        rows.append(
-            [
-                g,
-                _fmt(float(inst.px[idx].sum())),
-                len(a_card.as_set() & set(members)),
-                len(a_mat.as_set() & set(members)),
-                _fmt(impr_card[g]),
-                _fmt(impr_mat[g]),
-            ]
+    return [
+        (
+            float(inst.px[[i for i in members if rejected[i]]].sum()),
+            *(len(A.as_set() & set(members)) for A in chosen),
+            *(gains[g] for gains in impr),
         )
+        for g, members in enumerate(matroid.groups)
+    ]
+
+
+def run_matroid(config: ExperimentConfig) -> Path:
+    """Group balance of cardinality- vs matroid-constrained explanations."""
+    if config.matroid is None:
+        raise ValueError("matroid experiment needs a matroid block in the config")
+    inst = _instance_for(config, config.alpha_sweep[0], config.matroid.k, 0)
+    rows = [
+        [g, _fmt(mass), n_card, n_mat, _fmt(impr_card), _fmt(impr_mat)]
+        for g, (mass, n_card, n_mat, impr_card, impr_mat) in enumerate(
+            group_balance(inst, config.matroid)
+        )
+    ]
     return _write_csv(
-        Path(config.outdir) / "matroid.csv",
-        _provenance(config),
+        config,
+        "matroid.csv",
         [
             "group",
             "rejected_mass",

@@ -605,6 +605,40 @@ def test_brute_force_caps_ground_set():
         rg.brute_force_joint(inst, 2)
 
 
+def test_exhaustive_best_policy_tie_takes_smallest_extra_set():
+    # A = {0, 3} and free = {1, 2}. Value 0 alone contributes the float just
+    # below 0.25; accepting 1 or 2 adds half its ulp, which rounds up to 0.25,
+    # and the other adds too little to move 0.25. So {1}, {2} and {1, 2} tie
+    # above {}: the bit-product order met {2} first, the subset order keeps
+    # the smallest tuple, (1,).
+    tiny = 2.0**-54
+    cost = np.full((4, 4), 2.0)
+    np.fill_diagonal(cost, 0.0)
+    inst = rg.make_instance(
+        [0.5 - tiny, tiny, tiny, 0.5 - tiny], [1.0, 0.75, 0.75, 0.5], cost, 0.5
+    )
+    A = rg.ExplanationSet((0, 3))
+
+    def u(*extra):
+        pi = np.zeros(4)
+        pi[[0, 3, *extra]] = 1.0
+        return rg.utility(inst, rg.Policy(pi), A)
+
+    assert u() < u(1) == u(2) == u(1, 2)
+    policy, best = rg.exhaustive_best_policy(inst, A)
+    assert policy.pi.tolist() == [1.0, 1.0, 0.0, 1.0]
+    assert best == u(1)
+
+
+def test_exhaustive_best_policy_caps_free_values():
+    m = rg.BRUTE_FORCE_CAP + 2
+    inst = rg.make_instance(
+        np.full(m, 1.0 / m), np.linspace(0.99, 0.5, m), np.zeros((m, m)), 0.3
+    )
+    with pytest.raises(ValueError, match="too large"):
+        rg.exhaustive_best_policy(inst, rg.ExplanationSet((0,)))
+
+
 def test_brute_force_joint_witness(nonmono):
     k1 = rg.brute_force_joint(nonmono, 1)
     k2 = rg.brute_force_joint(nonmono, 2)

@@ -345,6 +345,16 @@ def test_leakage_rejects_bad_probability():
         rg.leakage_utility(inst, rg.threshold_policy(inst), rg.ExplanationSet((0,)), 1.5)
 
 
+def test_leakage_mc_rejects_bad_sample_counts():
+    inst = leaky_instance()
+    policy, A = rg.threshold_policy(inst), rg.ExplanationSet((0, 1))
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            rg.leakage_utility_mc(inst, policy, A, 0.5, samples, rg.seeded_rng(0))
+    mean, stderr = rg.leakage_utility_mc(inst, policy, A, 0.5, 1, rg.seeded_rng(0))
+    assert np.isfinite(mean) and stderr == 0.0
+
+
 def test_leakage_ties_go_to_lower_cost_before_higher_outcome():
     # Value 1 can stay at net 0.75 or take 0, and value 2 can take 1 or 0 at
     # net 0; in both, 0 has the higher outcome and is assigned, the leaked 1

@@ -2,7 +2,9 @@
 
 import csv
 import json
+import re
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +150,57 @@ def test_transport_outputs(tmp_path):
         assert len(rows) == config.bins
         total = sum(float(v) for row in rows for v in row[1:])
         assert 0.0 <= total <= 1.0 + 1e-9
+
+
+def test_transport_k_zero_writes_zero_matrices(tmp_path):
+    # nobody receives an explanation at k=0, so nobody moves
+    rc = cli.main(["transport", "--m", "20", "--k", "0", "--outdir", str(tmp_path)])
+    assert rc == 0
+    for regime in ("alg1", "alg2"):
+        with open(tmp_path / f"transport_{regime}.csv") as f:
+            f.readline()
+            rows = list(csv.reader(f))[1:]
+        assert len(rows) == 10
+        assert all(float(v) == 0.0 for row in rows for v in row[1:])
+
+
+def test_regime_solution_is_what_compare_scores(tmp_path):
+    config = small_config(tmp_path, k_sweep=(0, 2))
+    _, rows = read_rows(run_compare(config))
+    assert len(rows) == 2 * 2 * len(harness.REGIMES)
+    for row in rows:
+        k, rep, regime = int(row["k"]), int(row["repetition"]), row["regime"]
+        inst = harness._instance_for(config, 1.0, k, rep)
+        rng = harness._alg2_stream(config, 1.0, k, rep)
+        before = rng.bit_generator.state
+        policy, A = harness.regime_solution(regime, inst, k, rng)
+        assert row["utility"] == rg.datagen._fmt(rg.utility(inst, policy, A))
+        # only alg2 draws, so the regimes of one instance can share a stream
+        assert (rng.bit_generator.state == before) == (regime != "alg2" or k == 0)
+        if regime == "black_box" or k == 0:
+            assert A.indices == ()
+        if regime != "alg2" or k == 0:
+            assert np.array_equal(policy.pi, rg.threshold_policy(inst).pi)
+        else:
+            assert len(A) <= k
+
+
+def test_group_balance_is_what_matroid_writes(tmp_path):
+    matroid = rg.PartitionMatroid(
+        groups=(tuple(range(9)), tuple(range(9, 18))), capacities=(2, 1)
+    )
+    config = small_config(tmp_path, matroid=matroid)
+    _, rows = read_rows(run_matroid(config))
+    inst = harness._instance_for(config, 1.0, matroid.k, 0)
+    table = harness.group_balance(inst, matroid)
+    fmt = rg.datagen._fmt
+    assert [list(r.values()) for r in rows] == [
+        [str(g), fmt(mass), str(n_card), str(n_mat), fmt(i_card), fmt(i_mat)]
+        for g, (mass, n_card, n_mat, i_card, i_mat) in enumerate(table)
+    ]
+    small = rg.PartitionMatroid(groups=((0, 1), (2,)), capacities=(1, 1))
+    with pytest.raises(ValueError, match="matroid covers 3 values"):
+        harness.group_balance(inst, small)
 
 
 def test_matroid_uniform_reproduces_cardinality(tmp_path):
@@ -382,6 +435,25 @@ def test_cli_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["compare", "--repetitions", "0"])
     assert exc.value.code == 2
+
+
+def test_readme_json_configs_run_every_command(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```json\n(.*?)```", readme.read_text(), re.S)
+    assert len(blocks) >= 2
+    ran_matroid = False
+    for b, block in enumerate(blocks):
+        path = tmp_path / f"readme{b}.json"
+        path.write_text(block)
+        has_matroid = "matroid" in json.loads(block)
+        for name in harness.COMMANDS:
+            if name == "matroid" and not has_matroid:
+                continue
+            ran_matroid |= name == "matroid"
+            outdir = tmp_path / f"out{b}-{name}"
+            argv = [name, "--config", str(path), "--repetitions", "1"]
+            assert cli.main([*argv, "--outdir", str(outdir)]) == 0, (b, name)
+    assert ran_matroid
 
 
 def test_cli_matroid_missing_block_fails(tmp_path, capsys):

@@ -141,7 +141,9 @@ def greedy_matroid(
     """
     _check_greedy_policy(instance, policy)
     if matroid.m != instance.m:
-        raise ValueError("matroid must cover exactly the instance's values")
+        raise ValueError(
+            f"matroid covers {matroid.m} values but the instance has {instance.m}"
+        )
     for g, cap in zip(matroid.groups, matroid.capacities):
         if cap > len(g):
             warnings.warn(
@@ -216,18 +218,19 @@ def randomized_joint_runs(
     and the lazy pool is exactly the top k in (-gain, index) order: the draw
     picks what a full ranking would. Gains are scored k candidates per
     kernel call. Each run takes exactly k draws from its stream, so
-    `seeded_rng(seed)` makes it reproducible.
+    `seeded_rng(seed)` makes it reproducible; at k = 0 it publishes the
+    empty set under optimal_policy_for(∅), the threshold policy.
 
     The state at the empty set and the first full gain sweep depend only on
     (instance, k), so the runs share them; each run starts from a copy of
     the first heap. Runs that pick the same explanations in the same order
     share one JointSolution, scored once.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     start = joint_marginal_state(instance, ExplanationSet())
     viable = list(ground_set_viable(instance).indices)
-    first_heap = _first_heap(partial(_gains, instance, start), viable, k)
+    first_heap = _first_heap(partial(_gains, instance, start), viable, max(1, k))
     solved: dict[tuple[int, ...], JointSolution] = {}
     runs = []
     for rng in rngs:

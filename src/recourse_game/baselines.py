@@ -35,11 +35,11 @@ def min_cost_explanations(
 
     Ties go to the lowest index. Individuals with no finite-cost option under
     any candidate contribute a constant penalty and never sway the choice.
-    A policy that accepts nothing yields the empty set. Each rejected
+    A policy that accepts nothing, or k = 0, yields the empty set. Each rejected
     individual's cost to the nearest pick is kept, so the run is O(k m^2).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     ground = list(ground_set_accepted(instance, policy).indices)
     cost = instance.cost
     rejected = policy.pi < 1.0
@@ -64,8 +64,8 @@ def diverse_explanations(instance: Instance, policy: Policy, k: int) -> Explanat
     """Greedy weighted max coverage: each pick is the accepted value whose
     region-of-adaptation membership covers the most still-uncovered rejected
     mass (ties: lowest index); stops when nothing new gets covered."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     ground = list(ground_set_accepted(instance, policy).indices)
     # row x marks who can adapt to x; open_ marks rejected, uncovered values
     near = np.ascontiguousarray(adaptation_matrix(instance, policy).T)

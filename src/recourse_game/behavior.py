@@ -238,9 +238,9 @@ def transport_matrix(
 
 
 def _leak_targets(instance: Instance, policy: Policy, A: ExplanationSet):
-    """(base, leaked): base[i] is i's best-response target when she knows
-    only her assigned explanation e, leaked[i, c] her target when she also
-    knows A[c].
+    """The (m, 1+|A|) target table: column 0 holds i's best-response target
+    when she knows only her assigned explanation e, column 1+c her target
+    when she also knows A[c].
 
     A rejected individual follows, among e and A[c] inside her region of
     adaptation, the one with the larger net benefit pi(.) - cost[i, .]; ties
@@ -254,7 +254,7 @@ def _leak_targets(instance: Instance, policy: Policy, A: ExplanationSet):
     cost_e = instance.cost[np.arange(instance.m), base][:, None]
     net_e = policy.pi[base][:, None] - cost_e
     beats = (net > net_e) | (net == net_e) & (instance.cost[:, a_idx] < cost_e)
-    return base, np.where(reach & beats, a_idx, base[:, None])
+    return np.column_stack([base, np.where(reach & beats, a_idx, base[:, None])])
 
 
 def leakage_utility(
@@ -273,16 +273,16 @@ def leakage_utility(
     if len(A) == 0:
         return utility(instance, policy, A)
 
-    base, leaked = _leak_targets(instance, policy, A)
-    contribution = policy.pi * (instance.py - instance.gamma)
+    targets = _leak_targets(instance, policy, A)
+    payoff = (policy.pi * (instance.py - instance.gamma))[targets]
     # Individuals whose choice no draw can change keep the plain best-response
     # value, so p_l = 0 (and |A| = 1) reproduce utility() exactly rather than
     # within rounding.
-    value = contribution[base]
+    value = payoff[:, 0]
     if p_l > 0.0:
-        changed = (leaked != base[:, None]).any(axis=1)
+        changed = (targets[:, 1:] != targets[:, :1]).any(axis=1)
         mix = np.zeros(instance.m)
-        for column in contribution[leaked.T]:  # left to right, as sum() adds
+        for column in payoff[:, 1:].T:  # left to right, as sum() adds
             mix += column
         value = np.where(changed, (1.0 - p_l) * value + p_l * (mix / len(A)), value)
     return float(np.sum(instance.px * value))
@@ -307,11 +307,8 @@ def leakage_utility_mc(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     m = instance.m
-    base, leaked = _leak_targets(instance, policy, A)
-    contribution = policy.pi * (instance.py - instance.gamma)
-    # Per-individual payoff table: column 0 = assigned explanation only,
-    # column 1+c = assigned plus leaked A[c].
-    payoff = contribution[np.column_stack([base, leaked])]
+    targets = _leak_targets(instance, policy, A)
+    payoff = (policy.pi * (instance.py - instance.gamma))[targets]
 
     if len(A) == 0:
         draws = np.zeros((samples, m), dtype=int)

@@ -107,13 +107,12 @@ class FeatureTable:
     """Tabular description of the m feature values.
 
     Actionable columns are numeric; discrete columns are compared for
-    equality only. alpha scales the percentile-shift cost.
+    equality only.
     """
 
     names: Tuple[str, ...]
     kinds: Tuple[str, ...]
     columns: Tuple[np.ndarray, ...]
-    alpha: float = 1.0
 
     def __post_init__(self):
         if len(self.names) != len(self.kinds) or len(self.names) != len(self.columns):
@@ -124,8 +123,6 @@ class FeatureTable:
         lengths = {len(c) for c in self.columns}
         if len(lengths) > 1:
             raise ValueError("all columns must have the same number of rows")
-        if self.alpha < 1.0:
-            raise ValueError("alpha must be >= 1")
 
     @property
     def m(self) -> int:
@@ -153,11 +150,12 @@ def _weighted_ecdf(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def build_cost_matrix(table: FeatureTable, px: Sequence[float] | None = None) -> np.ndarray:
-    """Adaptation costs between rows: alpha times the largest percentile
+    """Unit-scale adaptation costs between rows: the largest percentile
     shift across actionable columns, infinite when any discrete column
     differs or a never-decreasing column would lose percentile.
 
-    px weights the empirical CDFs; omit it for plain row counting.
+    px weights the empirical CDFs (nonnegative, with a positive finite
+    total); omit it for plain row counting.
     """
     m = table.m
     if px is None:
@@ -166,6 +164,8 @@ def build_cost_matrix(table: FeatureTable, px: Sequence[float] | None = None) ->
         w = np.asarray(px, dtype=float)
         if w.shape != (m,):
             raise ValueError("px must have one weight per row")
+        if not (np.all(w >= 0.0) and 0.0 < w.sum() < np.inf):
+            raise ValueError("px weights must be >= 0 with a positive finite total")
         w = w / w.sum()
 
     shift = np.zeros((m, m))
@@ -188,7 +188,7 @@ def build_cost_matrix(table: FeatureTable, px: Sequence[float] | None = None) ->
             "no actionable columns: all unblocked pairs get zero cost",
             stacklevel=2,
         )
-    cost = np.where(blocked, np.inf, table.alpha * shift)
+    cost = np.where(blocked, np.inf, shift)
     np.fill_diagonal(cost, 0.0)
     return cost
 
@@ -264,7 +264,7 @@ def save_feature_table(table: FeatureTable, path) -> None:
             ])
 
 
-def load_feature_table(path, alpha: float = 1.0) -> FeatureTable:
+def load_feature_table(path) -> FeatureTable:
     path = Path(path)
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -299,5 +299,4 @@ def load_feature_table(path, alpha: float = 1.0) -> FeatureTable:
         names=tuple(n.strip() for n in names),
         kinds=tuple(kinds),
         columns=tuple(columns),
-        alpha=alpha,
     )

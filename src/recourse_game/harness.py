@@ -17,7 +17,6 @@ import csv
 import json
 import sys
 import time
-import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -145,12 +144,12 @@ def regime_solution(
 ) -> tuple[Policy, ExplanationSet]:
     """The policy and explanation set a regime publishes at budget k.
 
-    black_box, and every regime at k=0, publishes the threshold policy with
-    no explanations; alg2 publishes its joint solution, drawn from rng,
-    which no other regime reads.
+    black_box publishes the threshold policy with no explanations; alg2
+    publishes its joint solution, drawn from rng, which no other regime
+    reads. Every solver returns the empty set at k=0.
     """
     policy = threshold_policy(inst)
-    if k == 0 or regime == "black_box":
+    if regime == "black_box":
         return policy, ExplanationSet()
     if regime == "alg2":
         sol = randomized_joint(inst, k, rng)
@@ -202,12 +201,8 @@ def run_compare(config: ExperimentConfig) -> Path:
 def run_leakage(config: ExperimentConfig) -> Path:
     """Utility of the jointly optimized solution under explanation leakage."""
     alpha = config.alpha_sweep[0]
-    if 0 in config.effective_k_sweep:
-        warnings.warn("leakage skips k=0: the joint optimizer needs k >= 1")
     rows = []
     for k in config.effective_k_sweep:
-        if k == 0:
-            continue
         for rep in range(config.repetitions):
             inst = _instance_for(config, alpha, k, rep)
             policy, A = regime_solution(
@@ -262,10 +257,6 @@ def group_balance(
     """One row per group of matroid: (rejected mass, explanation count under
     the cardinality constraint k = matroid.k, count under the matroid,
     group improvement under each), all at the threshold policy."""
-    if matroid.m != inst.m:
-        raise ValueError(
-            f"matroid covers {matroid.m} values but the instance has {inst.m}"
-        )
     policy = threshold_policy(inst)
     chosen = [
         greedy_fixed_policy(inst, policy, matroid.k),
@@ -309,22 +300,19 @@ def run_matroid(config: ExperimentConfig) -> Path:
     )
 
 
-def run_check(base_seed: int = 0, stream=None) -> bool:
+def run_check(base_seed: int = 0) -> bool:
     """Run the acceptance battery; one PASS/FAIL line per criterion.
 
-    The report on `stream` (default stdout) is deterministic; per-criterion
-    runtimes go to stderr.
+    The report on stdout is deterministic; per-criterion runtimes go to
+    stderr.
     """
     from .checks import run_all
 
-    stream = stream if stream is not None else sys.stdout
     results = run_all(base_seed)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        stream.write(f"[{status}] {r.name}: {r.detail}\n")
+        print(f"[{status}] {r.name}: {r.detail}")
         print(f"    {r.name}: {r.seconds:.2f}s", file=sys.stderr)
     ok = all(r.passed for r in results)
-    stream.write(
-        f"{sum(r.passed for r in results)}/{len(results)} criteria passed\n"
-    )
+    print(f"{sum(r.passed for r in results)}/{len(results)} criteria passed")
     return ok

@@ -304,6 +304,38 @@ def test_greedy_k_zero(setcover):
     assert rg.greedy_fixed_policy(inst, policy, 0).indices == ()
 
 
+def _at_policy(solver):
+    return lambda inst, policy, k, rng: (policy, solver(inst, policy, k))
+
+
+def _joint_solution(inst, policy, k, rng):
+    sol = rg.randomized_joint(inst, k, rng)
+    return sol.policy, sol.explanations
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        _at_policy(rg.min_cost_explanations),
+        _at_policy(rg.diverse_explanations),
+        _at_policy(rg.greedy_fixed_policy),
+        _joint_solution,
+    ],
+    ids=["min_cost", "diverse", "greedy_fixed_policy", "randomized_joint"],
+)
+def test_regime_solvers_take_k_zero(solve):
+    # k=0 publishes nothing under the threshold policy and draws nothing
+    inst = rg.generate_synthetic(rg.SynthConfig(m=12, gamma=0.3, seed=4))
+    policy = rg.threshold_policy(inst)
+    rng, ref = rg.seeded_rng(9), rg.seeded_rng(9)
+    published, A = solve(inst, policy, 0, rng)
+    assert A.indices == ()
+    assert published.pi.tolist() == policy.pi.tolist()
+    assert rng.integers(2**31) == ref.integers(2**31)
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        solve(inst, policy, -1, rng)
+
+
 def test_greedy_rejects_bad_policies():
     inst = rg.make_instance([0.5, 0.5], [0.9, 0.2], np.zeros((2, 2)), 0.3)
     with pytest.raises(ValueError, match="reject"):
@@ -452,8 +484,8 @@ def test_randomized_joint_mean_guarantee_sampled():
 
 
 def test_randomized_joint_rejects_bad_k(nonmono):
-    with pytest.raises(ValueError):
-        rg.randomized_joint(nonmono, 0, rg.seeded_rng(0))
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        rg.randomized_joint(nonmono, -1, rg.seeded_rng(0))
 
 
 def test_randomized_joint_degenerate_inputs(nonmono):
@@ -473,7 +505,7 @@ def test_randomized_joint_degenerate_inputs(nonmono):
     assert sol.explanations.indices == ()
     assert sol.policy.pi.tolist() == [0.0, 0.0]
 
-    # many streams: k < 1 raises before any stream is drawn, no streams give
+    # many streams: k < 0 raises before any stream is drawn, no streams give
     # no runs, with no viable value every run gets the empty set under the
     # all-reject policy, and with k above the viable set each run still takes
     # exactly k draws
@@ -483,9 +515,8 @@ def test_randomized_joint_degenerate_inputs(nonmono):
         taken.append(True)
         yield rg.seeded_rng(0)
 
-    for k in (0, -1):
-        with pytest.raises(ValueError):
-            rg.randomized_joint_runs(nonmono, k, streams())
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        rg.randomized_joint_runs(nonmono, -1, streams())
     assert taken == []
     assert rg.randomized_joint_runs(nonmono, 2, []) == []
     for sol in rg.randomized_joint_runs(
@@ -570,7 +601,7 @@ def test_matroid_warns_on_oversized_capacity(two_group):
 
 def test_matroid_dimension_mismatch(nonmono):
     matroid = rg.PartitionMatroid(groups=((0, 1),), capacities=(1,))
-    with pytest.raises(ValueError, match="cover"):
+    with pytest.raises(ValueError, match="matroid covers 2 values .* has 3"):
         rg.greedy_matroid(nonmono, rg.Policy([1.0, 0.0, 0.0]), matroid)
 
 

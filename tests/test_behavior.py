@@ -111,8 +111,8 @@ def test_rejected_member_of_a_follows_itself():
     assert reach[1].tolist() == [True, True, False]
     assert rg.assign_explanations(inst, policy, A).explanation_of[1] == 1
     assert rg.best_respond(inst, policy, A).moved[1] == 1
-    base, leaked = _leak_targets(inst, policy, A)
-    assert base[1] == 1 and leaked[1].tolist() == [1, 1, 1]
+    targets = _leak_targets(inst, policy, A)
+    assert targets[1, 0] == 1 and targets[1, 1:].tolist() == [1, 1, 1]
 
 
 # -- best response and utility ----------------------------------------------

@@ -93,11 +93,10 @@ def test_cost_matrix_hand_value():
         names=("score",),
         kinds=(KIND_ACTIONABLE,),
         columns=(np.array([1.0, 2.0, 3.0]),),
-        alpha=2.0,
     )
     cost = rg.build_cost_matrix(table)
-    assert cost[0, 2] == pytest.approx(2.0 * (1.0 - 1.0 / 3.0), abs=1e-12)
-    assert cost[0, 2] == pytest.approx(4.0 / 3.0, abs=1e-12)
+    assert cost[0, 2] == pytest.approx(1.0 - 1.0 / 3.0, abs=1e-12)
+    assert cost[0, 2] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_cost_matrix_identical_rows_cost_zero():
@@ -105,7 +104,6 @@ def test_cost_matrix_identical_rows_cost_zero():
         names=("a", "b"),
         kinds=(KIND_ACTIONABLE, KIND_DISCRETE),
         columns=(np.array([1.0, 1.0, 2.0]), np.array(["x", "x", "x"], dtype=object)),
-        alpha=1.0,
     )
     cost = rg.build_cost_matrix(table)
     assert cost[0, 1] == 0.0 and cost[1, 0] == 0.0
@@ -116,7 +114,6 @@ def test_cost_matrix_discrete_mismatch_infinite():
         names=("a", "grp"),
         kinds=(KIND_ACTIONABLE, KIND_DISCRETE),
         columns=(np.array([1.0, 2.0]), np.array(["x", "y"], dtype=object)),
-        alpha=1.0,
     )
     cost = rg.build_cost_matrix(table)
     assert np.isinf(cost[0, 1]) and np.isinf(cost[1, 0])
@@ -128,7 +125,6 @@ def test_cost_matrix_monotone_up_blocks_decrease():
         names=("overdue",),
         kinds=(KIND_ACTIONABLE_UP,),
         columns=(np.array([0.0, 2.0]),),
-        alpha=1.0,
     )
     cost = rg.build_cost_matrix(table)
     assert np.isfinite(cost[0, 1])  # increasing the percentile is allowed
@@ -147,7 +143,6 @@ def test_cost_matrix_px_weighting_changes_percentiles():
         names=("v",),
         kinds=(KIND_ACTIONABLE,),
         columns=(np.array([1.0, 2.0, 3.0]),),
-        alpha=1.0,
     )
     uniform = rg.build_cost_matrix(table)
     skewed = rg.build_cost_matrix(table, px=[0.8, 0.1, 0.1])
@@ -155,12 +150,22 @@ def test_cost_matrix_px_weighting_changes_percentiles():
     assert skewed[0, 1] == pytest.approx(0.1, abs=1e-12)
 
 
+def test_cost_matrix_rejects_bad_weights():
+    table = rg.FeatureTable(
+        names=("v",),
+        kinds=(KIND_ACTIONABLE,),
+        columns=(np.array([1.0, 2.0, 3.0]),),
+    )
+    for px in ([0.0, 0.0, 0.0], [-1.0, 1.0, 1.0], [np.nan, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="px weights"):
+            rg.build_cost_matrix(table, px=px)
+
+
 def test_cost_matrix_warns_without_actionable_columns():
     table = rg.FeatureTable(
         names=("grp",),
         kinds=(KIND_DISCRETE,),
         columns=(np.array(["x", "x"], dtype=object),),
-        alpha=1.0,
     )
     with pytest.warns(UserWarning, match="actionable"):
         cost = rg.build_cost_matrix(table)
@@ -168,10 +173,8 @@ def test_cost_matrix_warns_without_actionable_columns():
 
 
 def test_feature_table_validation():
-    with pytest.raises(ValueError, match="alpha"):
-        rg.FeatureTable(("a",), (KIND_ACTIONABLE,), (np.array([1.0]),), alpha=0.5)
     with pytest.raises(ValueError, match="kind"):
-        rg.FeatureTable(("a",), ("weird",), (np.array([1.0]),), alpha=1.0)
+        rg.FeatureTable(("a",), ("weird",), (np.array([1.0]),))
 
 
 # -- instance files ------------------------------------------------------------
@@ -236,11 +239,10 @@ def test_feature_table_round_trip(tmp_path):
         names=("bill", "group"),
         kinds=(KIND_ACTIONABLE_UP, KIND_DISCRETE),
         columns=(np.array([10.0, 20.0]), np.array(["a", "b"], dtype=object)),
-        alpha=2.0,
     )
     path = tmp_path / "table.csv"
     rg.save_feature_table(table, path)
-    back = rg.load_feature_table(path, alpha=2.0)
+    back = rg.load_feature_table(path)
     assert back.names == table.names
     assert back.kinds == table.kinds
     assert np.array_equal(back.columns[0], table.columns[0])

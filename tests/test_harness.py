@@ -107,13 +107,19 @@ def test_compare_without_viable_values_gives_black_box_everywhere(tmp_path):
     assert set(utility.values()) == {utility["black_box"]}
 
 
-def test_leakage_k_zero_warns_and_writes_header_only(tmp_path):
-    config = small_config(tmp_path, k=0, k_sweep=(0,))
-    with pytest.warns(UserWarning, match="k=0"):
-        path = run_leakage(config)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# recourse-game")
-    assert lines[1:] == ["k,p_l,repetition,utility"]
+def test_leakage_k_zero_rows_equal_black_box(tmp_path):
+    # nothing is published at k=0, so no p_l moves anyone
+    config = small_config(tmp_path, k=0, k_sweep=(0, 2))
+    _, compare_rows = read_rows(run_compare(config))
+    _, leak_rows = read_rows(run_leakage(config))
+    black_box = {
+        r["repetition"]: r["utility"]
+        for r in compare_rows
+        if r["regime"] == "black_box" and r["k"] == "0"
+    }
+    zero = [(r["repetition"], r["utility"]) for r in leak_rows if r["k"] == "0"]
+    assert len(zero) == config.repetitions * len(config.pl_sweep)
+    assert all(u == black_box[rep] for rep, u in zero)
 
 
 def test_leakage_zero_probability_matches_compare_alg2(tmp_path):
@@ -464,7 +470,7 @@ def test_cli_matroid_missing_block_fails(tmp_path, capsys):
 
 # -- CLI config merge --------------------------------------------------------------
 
-README_CONFIG = {
+FULL_CONFIG = {
     "instance": {"m": 200, "gamma": 0.3, "seed": 7},
     "k": 20,
     "k_sweep": [5, 10, 20],
@@ -476,7 +482,7 @@ README_CONFIG = {
     "matroid": {"groups": [[0, 1, 2], [3, 4]], "capacities": [2, 1]},
     "outdir": "results",
 }
-README_EXPECTED = dict(
+FULL_EXPECTED = dict(
     outdir="results",
     synthetic=rg.SynthConfig(m=200, gamma=0.3, seed=7),
     k=20,
@@ -503,7 +509,7 @@ def cli_config(tmp_path, monkeypatch):
     return the ExperimentConfig the runner received (or the exit code)."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
-    (tmp_path / "cfg.json").write_text(json.dumps(README_CONFIG))
+    (tmp_path / "cfg.json").write_text(json.dumps(FULL_CONFIG))
     (tmp_path / "file.json").write_text(json.dumps(FILE_CONFIG))
     seen = []
     for name in harness.COMMANDS:
@@ -556,13 +562,13 @@ def cli_config(tmp_path, monkeypatch):
                  k_sweep=(5,)),
             id="readme-file-instance",
         ),
-        pytest.param("compare --config cfg.json", None, README_EXPECTED,
+        pytest.param("compare --config cfg.json", None, FULL_EXPECTED,
                      id="json-config"),
         pytest.param(
             "compare --config cfg.json --m 20 --gamma 0.2 --k 3,4 --alpha 0.5,2 "
             "--pl 0.1 --seed 1 --repetitions 2 --bins 3 --outdir o",
             None,
-            {**README_EXPECTED, **dict(
+            {**FULL_EXPECTED, **dict(
                 outdir="o", synthetic=rg.SynthConfig(m=20, gamma=0.2, seed=7),
                 k=3, k_sweep=(3, 4), alpha_sweep=(0.5, 2.0), pl_sweep=(0.1,),
                 base_seed=1, repetitions=2, bins=3)},
@@ -575,7 +581,7 @@ def cli_config(tmp_path, monkeypatch):
         pytest.param(
             "compare --config cfg.json --values a.csv --costs b.csv",
             None,
-            {**README_EXPECTED, **dict(synthetic=None, values_path="a.csv",
+            {**FULL_EXPECTED, **dict(synthetic=None, values_path="a.csv",
                                        cost_path="b.csv", gamma=0.3)},
             id="files-replace-json-synthetic",
         ),
@@ -586,7 +592,7 @@ def cli_config(tmp_path, monkeypatch):
                      dict(outdir="env_out", synthetic=rg.SynthConfig(m=50)),
                      id="env-outdir"),
         pytest.param("compare --config cfg.json", "env_out",
-                     {**README_EXPECTED, "outdir": "env_out"},
+                     {**FULL_EXPECTED, "outdir": "env_out"},
                      id="env-outdir-over-json"),
         pytest.param("compare --outdir flag_out", "env_out",
                      dict(outdir="flag_out", synthetic=rg.SynthConfig(m=50)),

@@ -171,6 +171,6 @@ def test_targets_match_per_individual_loop(inst, data):
     assert rg.best_respond(inst, policy, A).moved.tolist() == moved
     assigned = rg.assign_explanations(inst, policy, A).explanation_of
     assert assigned.tolist() == explanation_of
-    base, leaked = _leak_targets(inst, policy, A)
-    assert base.tolist() == moved
-    np.testing.assert_array_equal(leaked, ref_leak_targets(inst, policy, A))
+    targets = _leak_targets(inst, policy, A)
+    assert targets[:, 0].tolist() == moved
+    np.testing.assert_array_equal(targets[:, 1:], ref_leak_targets(inst, policy, A))

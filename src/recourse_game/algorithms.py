@@ -39,8 +39,8 @@ from .core import (
 
 BRUTE_FORCE_CAP = 20
 
-# Heap entries the fixed-policy greedy refreshes per kernel call; 16 to 64
-# were fastest at m=200 and m=1000 (1 was 5x slower).
+# Candidates per kernel call in first sweeps and fixed-policy refreshes;
+# 16 to 64 were fastest at m=200 and m=1000 (1 was 5x slower).
 _GREEDY_BLOCK = 32
 
 
@@ -60,11 +60,11 @@ def _check_greedy_policy(instance: Instance, policy: Policy) -> None:
         raise ValueError("stochastic policy must be outcome monotonic")
 
 
-def _first_heap(gains, ground: list[int], block: int) -> list:
-    """Heap of (-gain, index, 0) over ground, scored `block` rows per call."""
+def _first_heap(gains, ground: list[int]) -> list:
+    """Heap of (-gain, index, 0) over ground, scored in _GREEDY_BLOCK rows."""
     heap = []
-    for lo in range(0, len(ground), block):
-        xs = ground[lo : lo + block]
+    for lo in range(0, len(ground), _GREEDY_BLOCK):
+        xs = ground[lo : lo + _GREEDY_BLOCK]
         heap.extend(zip((-gains(xs)).tolist(), xs, repeat(0)))
     heapq.heapify(heap)
     return heap
@@ -93,17 +93,18 @@ def _pop_best(heap: list, gains, stamp: int, n: int, block: int) -> list:
 
 
 def _lazy_greedy(
-    instance: Instance, policy: Policy, group_of: dict[int, int], room: list[int]
+    instance: Instance, policy: Policy, kernel, group_of, room: list[int]
 ) -> ExplanationSet:
-    """Greedy over the accepted values whose group has room left (`room` is
-    consumed in place); stops when no such value has positive gain."""
+    """Greedy over accepted values x with room left in group group_of[x] (`room`
+    is consumed in place), scored by kernel(instance, fixed-policy state, xs),
+    which must not grow with A; stops when no such value has positive gain."""
     state = fixed_marginal_state(instance, policy)
     ground = ground_set_accepted(instance, policy).indices
     ground = [x for x in ground if room[group_of[x]] > 0]
-    heap = _first_heap(partial(_gains, instance, state), ground, max(1, sum(room)))
+    heap = _first_heap(partial(kernel, instance, state), ground)
     A: list[int] = []
     while heap:
-        gains = partial(_gains, instance, state)
+        gains = partial(kernel, instance, state)
         [(neg_gain, x, _)] = _pop_best(heap, gains, len(A), 1, _GREEDY_BLOCK)
         if neg_gain >= 0.0:
             break
@@ -127,7 +128,7 @@ def greedy_fixed_policy(instance: Instance, policy: Policy, k: int) -> Explanati
     if k < 0:
         raise ValueError("k must be nonnegative")
     _check_greedy_policy(instance, policy)
-    return _lazy_greedy(instance, policy, dict.fromkeys(range(instance.m), 0), [k])
+    return _lazy_greedy(instance, policy, _gains, [0] * instance.m, [k])
 
 
 def greedy_matroid(
@@ -151,7 +152,7 @@ def greedy_matroid(
                 stacklevel=2,
             )
     group_of = {i: g for g, members in enumerate(matroid.groups) for i in members}
-    return _lazy_greedy(instance, policy, group_of, list(matroid.capacities))
+    return _lazy_greedy(instance, policy, _gains, group_of, list(matroid.capacities))
 
 
 def optimal_policy_for(instance: Instance, A: ExplanationSet) -> Policy:
@@ -198,6 +199,13 @@ def marginal_gain_joint(
     return float(_gains(instance, state, [x])[0]), _advance(instance, state, x)
 
 
+def _joint_solution(instance: Instance, picks: tuple[int, ...]) -> JointSolution:
+    """The picks under their optimal policy, scored once."""
+    A = ExplanationSet(picks)
+    policy = optimal_policy_for(instance, A)
+    return JointSolution(policy, A, utility(instance, policy, A))
+
+
 def randomized_joint_runs(
     instance: Instance, k: int, rngs: Iterable[np.random.Generator]
 ) -> list[JointSolution]:
@@ -216,21 +224,23 @@ def randomized_joint_runs(
 
     h is submodular (though not monotone), so stale gains stay upper bounds
     and the lazy pool is exactly the top k in (-gain, index) order: the draw
-    picks what a full ranking would. Gains are scored k candidates per
+    picks what a full ranking would. A refresh scores k candidates per
     kernel call. Each run takes exactly k draws from its stream, so
-    `seeded_rng(seed)` makes it reproducible; at k = 0 it publishes the
-    empty set under optimal_policy_for(∅), the threshold policy.
+    `seeded_rng(seed)` makes it reproducible; at k = 0 it builds no state
+    and publishes ∅ under optimal_policy_for(∅), the threshold policy.
 
     The state at the empty set and the first full gain sweep depend only on
-    (instance, k), so the runs share them; each run starts from a copy of
+    the instance, so the runs share them; each run starts from a copy of
     the first heap. Runs that pick the same explanations in the same order
     share one JointSolution, scored once.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if k == 0:  # no state and no draws: every run publishes the empty set
+        return [_joint_solution(instance, ())] * len(list(rngs))
     start = joint_marginal_state(instance, ExplanationSet())
     viable = list(ground_set_viable(instance).indices)
-    first_heap = _first_heap(partial(_gains, instance, start), viable, max(1, k))
+    first_heap = _first_heap(partial(_gains, instance, start), viable)
     solved: dict[tuple[int, ...], JointSolution] = {}
     runs = []
     for rng in rngs:
@@ -247,13 +257,7 @@ def randomized_joint_runs(
                 heapq.heappush(heap, entry)
         picks = tuple(A)
         if picks not in solved:
-            result = ExplanationSet(picks)
-            policy = optimal_policy_for(instance, result)
-            solved[picks] = JointSolution(
-                policy=policy,
-                explanations=result,
-                utility=utility(instance, policy, result),
-            )
+            solved[picks] = _joint_solution(instance, picks)
         runs.append(solved[picks])
     return runs
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .behavior import adaptation_matrix, utility
+from .algorithms import _lazy_greedy
+from .behavior import _coverage, utility
 from .core import ExplanationSet, Instance, Policy, ground_set_accepted
 
 
@@ -50,6 +51,7 @@ def min_cost_explanations(
     # penalty exceeds every finite cost: unservable individuals cost exactly it
     nearest = np.full(px_r.shape, penalty)
 
+    # stays eager: a lazy heap flips float near-ties that this argmin pins
     A: list[int] = []
     while ground and len(A) < k:
         # a row sum of the block equals that row's 1-D sum, bit for bit
@@ -63,25 +65,9 @@ def min_cost_explanations(
 def diverse_explanations(instance: Instance, policy: Policy, k: int) -> ExplanationSet:
     """Greedy weighted max coverage: each pick is the accepted value whose
     region-of-adaptation membership covers the most still-uncovered rejected
-    mass (ties: lowest index); stops when nothing new gets covered."""
+    mass (ties: lowest index); stops when nothing new gets covered. Coverage
+    is monotone submodular, so the shared lazy greedy picks what re-scoring
+    every candidate would."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    ground = list(ground_set_accepted(instance, policy).indices)
-    # row x marks who can adapt to x; open_ marks rejected, uncovered values
-    near = np.ascontiguousarray(adaptation_matrix(instance, policy).T)
-    open_ = policy.pi < 1.0
-    px = instance.px
-
-    A: list[int] = []
-    while ground and len(A) < k:
-        best, best_gain = None, 0.0
-        for pos, x in enumerate(ground):
-            gain = float(px[open_ & near[x]].sum())
-            if gain > best_gain:
-                best, best_gain = pos, gain
-        if best is None:
-            break
-        x = ground.pop(best)
-        A.append(x)
-        open_ &= ~near[x]
-    return ExplanationSet(tuple(A))
+    return _lazy_greedy(instance, policy, _coverage, [0] * instance.m, [k])

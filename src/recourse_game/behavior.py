@@ -185,6 +185,14 @@ def _gains(instance: Instance, state: MarginalState, xs) -> np.ndarray:
     return gain + np.where(reach, term, 0.0).sum(axis=1)
 
 
+def _coverage(instance: Instance, state: MarginalState, xs) -> np.ndarray:
+    """Rejected mass that can adapt to each candidate in xs and follows no
+    explanation yet: the diverse baseline's coverage gain. A zero-filled
+    full-row sum, so bit-identical in any block and monotone as A grows."""
+    mask = state.near[np.asarray(xs, dtype=int)] & state.rejected & ~state.moving
+    return np.where(mask, instance.px, 0.0).sum(axis=1)
+
+
 def _advance(instance: Instance, state: MarginalState, x: int) -> MarginalState:
     """The state at A ∪ {x}: x is accepted and stays, the values it flips
     adapt to it, and the rejected values that reach it take it when they

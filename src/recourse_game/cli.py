@@ -28,7 +28,8 @@ _TOP_KEYS = (
     "k", "k_sweep", "alpha_sweep", "pl_sweep", "repetitions", "base_seed", "bins",
     "outdir", "instance", "matroid",
 )
-_SYNTH_KEYS = tuple(f.name for f in fields(SynthConfig))
+# every repetition derives its own instance seed from base_seed
+_SYNTH_KEYS = tuple(f.name for f in fields(SynthConfig) if f.name != "seed")
 _FILE_KEYS = ("values", "costs", "gamma")
 
 

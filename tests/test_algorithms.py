@@ -16,9 +16,14 @@ from conftest import (
     ref_joint_gain,
     subset,
 )
-from recourse_game import algorithms
+from recourse_game import algorithms, baselines
 from recourse_game.algorithms import joint_marginal_state, marginal_gain_joint
-from recourse_game.behavior import _gains, fixed_marginal_state, marginal_gain_fixed
+from recourse_game.behavior import (
+    _coverage,
+    _gains,
+    fixed_marginal_state,
+    marginal_gain_fixed,
+)
 
 E_INV = 1.0 / np.e
 ONE_MINUS_E_INV = 1.0 - 1.0 / np.e
@@ -179,23 +184,33 @@ def test_lazy_randomized_joint_evaluates_fewer_gains(monkeypatch):
 def test_solvers_never_score_an_empty_block(monkeypatch, two_group):
     calls = []
 
-    def checked(instance, state, xs):
-        assert len(xs) > 0
-        calls.append(len(xs))
-        return _gains(instance, state, xs)
+    def checked(kernel):
+        def run(instance, state, xs):
+            assert len(xs) > 0
+            calls.append(len(xs))
+            return kernel(instance, state, xs)
 
-    monkeypatch.setattr(algorithms, "_gains", checked)
+        return run
+
+    monkeypatch.setattr(algorithms, "_gains", checked(_gains))
+    monkeypatch.setattr(baselines, "_coverage", checked(_coverage))
     inst, matroid = two_group
     policy = rg.threshold_policy(inst)
+    nothing = rg.Policy(np.zeros(inst.m))
     # no budget, or nothing accepted: the empty set, without a kernel call
     assert rg.greedy_fixed_policy(inst, policy, 0).indices == ()
     closed = rg.PartitionMatroid(groups=matroid.groups, capacities=(0, 0))
     assert rg.greedy_matroid(inst, policy, closed).indices == ()
-    assert rg.greedy_fixed_policy(inst, rg.Policy(np.zeros(inst.m)), 3).indices == ()
+    assert rg.greedy_fixed_policy(inst, nothing, 3).indices == ()
+    assert rg.diverse_explanations(inst, policy, 0).indices == ()
+    assert rg.diverse_explanations(inst, nothing, 3).indices == ()
     assert calls == []
     for g, caps in ((1, (0, 1)), (0, (1, 0))):
         half = rg.PartitionMatroid(groups=matroid.groups, capacities=caps)
         assert set(rg.greedy_matroid(inst, policy, half)) <= set(matroid.groups[g])
+    assert calls
+    calls.clear()
+    rg.diverse_explanations(inst, policy, 2)
     assert calls
 
 
@@ -214,16 +229,17 @@ def test_kernel_gain_is_batch_invariant():
         xs = np.array([x for x in ground if x not in A], dtype=int)
         if xs.size == 0:
             continue
-        whole = _gains(inst, state, xs)
-        alone = np.array([_gains(inst, state, [x])[0] for x in xs])
-        order = rng.permutation(xs.size)
-        blocks = np.empty(xs.size)
-        lo = 0
-        while lo < xs.size:
-            hi = lo + 1 + rng.integers(xs.size - lo)
-            blocks[order[lo:hi]] = _gains(inst, state, xs[order[lo:hi]])
-            lo = hi
-        assert whole.tobytes() == alone.tobytes() == blocks.tobytes()
+        for kernel in (_gains, _coverage):
+            whole = kernel(inst, state, xs)
+            alone = np.array([kernel(inst, state, [x])[0] for x in xs])
+            order = rng.permutation(xs.size)
+            blocks = np.empty(xs.size)
+            lo = 0
+            while lo < xs.size:
+                hi = lo + 1 + rng.integers(xs.size - lo)
+                blocks[order[lo:hi]] = kernel(inst, state, xs[order[lo:hi]])
+                lo = hi
+            assert whole.tobytes() == alone.tobytes() == blocks.tobytes()
 
 
 def test_kernel_matches_reference_gains():
@@ -486,6 +502,24 @@ def test_randomized_joint_mean_guarantee_sampled():
 def test_randomized_joint_rejects_bad_k(nonmono):
     with pytest.raises(ValueError, match="k must be nonnegative"):
         rg.randomized_joint(nonmono, -1, rg.seeded_rng(0))
+
+
+def test_randomized_joint_k_zero_builds_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("k = 0 built a state or scored a gain")
+
+    monkeypatch.setattr(algorithms, "joint_marginal_state", refuse)
+    monkeypatch.setattr(algorithms, "_gains", refuse)
+    inst = rg.generate_synthetic(rg.SynthConfig(m=40, gamma=0.3, seed=5))
+    threshold = rg.threshold_policy(inst)
+    rngs = [rg.seeded_rng(s) for s in range(3)]
+    runs = rg.randomized_joint_runs(inst, 0, rngs)
+    assert len(runs) == 3
+    for s, (sol, rng) in enumerate(zip(runs, rngs)):
+        assert sol.explanations.indices == ()
+        assert sol.policy.pi.tolist() == threshold.pi.tolist()
+        assert repr(sol.utility) == repr(rg.black_box_utility(inst))
+        assert rng.integers(2**31) == rg.seeded_rng(s).integers(2**31)
 
 
 def test_randomized_joint_degenerate_inputs(nonmono):

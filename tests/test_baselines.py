@@ -50,6 +50,26 @@ def eager_min_cost(inst, policy, k):
     return tuple(A)
 
 
+def eager_diverse(inst, policy, k):
+    """Re-scores every remaining candidate's uncovered rejected mass with the
+    zero-filled sum the coverage kernel uses; strict > keeps the lowest index."""
+    ground = list(rg.ground_set_accepted(inst, policy).indices)
+    near = adaptation_matrix(inst, policy).T
+    open_ = policy.pi < 1.0
+    A: list[int] = []
+    while len(A) < k:
+        best_x, best_gain = None, 0.0
+        for x in ground:
+            gain = float(np.where(open_ & near[x], inst.px, 0.0).sum())
+            if x not in A and gain > best_gain:
+                best_x, best_gain = x, gain
+        if best_x is None:
+            break
+        A.append(best_x)
+        open_ &= ~near[best_x]
+    return tuple(A)
+
+
 # -- threshold policy ---------------------------------------------------------
 
 def test_threshold_policy_examples(nonmono):
@@ -203,6 +223,14 @@ def test_diverse_early_stop_without_new_coverage():
     # both 0 and 1 are candidates, but 1 covers nobody new: stop after 0
     A = rg.diverse_explanations(inst, policy, 2)
     assert A.indices == (0,)
+
+
+def test_diverse_lazy_matches_eager():
+    for inst, k in equivalence_cases("base-diverse-lazy"):
+        policy = rg.threshold_policy(inst)
+        assert rg.diverse_explanations(inst, policy, k).indices == eager_diverse(
+            inst, policy, k
+        )
 
 
 def test_diverse_coverage_guarantee():

@@ -382,7 +382,7 @@ def test_cli_compare_smoke(tmp_path, capsys):
 
 def test_cli_config_file_with_overrides(tmp_path):
     cfg = {
-        "instance": {"m": 10, "gamma": 0.3, "seed": 1},
+        "instance": {"m": 10, "gamma": 0.3},
         "k": 1,
         "repetitions": 1,
         "base_seed": 2,
@@ -471,7 +471,7 @@ def test_cli_matroid_missing_block_fails(tmp_path, capsys):
 # -- CLI config merge --------------------------------------------------------------
 
 FULL_CONFIG = {
-    "instance": {"m": 200, "gamma": 0.3, "seed": 7},
+    "instance": {"m": 200, "gamma": 0.3},
     "k": 20,
     "k_sweep": [5, 10, 20],
     "alpha_sweep": [1.0],
@@ -484,7 +484,7 @@ FULL_CONFIG = {
 }
 FULL_EXPECTED = dict(
     outdir="results",
-    synthetic=rg.SynthConfig(m=200, gamma=0.3, seed=7),
+    synthetic=rg.SynthConfig(m=200, gamma=0.3),
     k=20,
     k_sweep=(5, 10, 20),
     alpha_sweep=(1.0,),
@@ -569,7 +569,7 @@ def cli_config(tmp_path, monkeypatch):
             "--pl 0.1 --seed 1 --repetitions 2 --bins 3 --outdir o",
             None,
             {**FULL_EXPECTED, **dict(
-                outdir="o", synthetic=rg.SynthConfig(m=20, gamma=0.2, seed=7),
+                outdir="o", synthetic=rg.SynthConfig(m=20, gamma=0.2),
                 k=3, k_sweep=(3, 4), alpha_sweep=(0.5, 2.0), pl_sweep=(0.1,),
                 base_seed=1, repetitions=2, bins=3)},
             id="json-config-with-overrides",
@@ -621,6 +621,9 @@ def test_cli_builds_config(cli_config, monkeypatch, argv, env, expected):
          "file-based instance key(s): cost_path"),
         (["compare"], {"instance": {"m": 10, "n": 3}},
          "synthetic instance key(s): n"),
+        # each repetition derives its instance seed from base_seed
+        (["compare"], {"instance": {"m": 10, "seed": 7}},
+         "synthetic instance key(s): seed"),
     ],
 )
 def test_cli_rejects_unknown_keys(cli_config, capsys, argv, config, message):

@@ -18,12 +18,12 @@ from itertools import chain, combinations, repeat
 
 import numpy as np
 
-from .behavior import (
-    MarginalState,
+from .behavior import (  # marginal_gain_joint is re-exported for algorithms.*
     _advance,
     _gains,
-    _responses,
     fixed_marginal_state,
+    joint_marginal_state,
+    marginal_gain_joint,
     utility,
 )
 from .core import (
@@ -39,8 +39,8 @@ from .core import (
 
 BRUTE_FORCE_CAP = 20
 
-# Candidates per kernel call in first sweeps and fixed-policy refreshes;
-# 16 to 64 were fastest at m=200 and m=1000 (1 was 5x slower).
+# Fewest candidates per kernel call in a refresh; 16 to 64 were fastest at
+# m=200 and m=1000 (1 was 5x slower).
 _GREEDY_BLOCK = 32
 
 
@@ -60,31 +60,23 @@ def _check_greedy_policy(instance: Instance, policy: Policy) -> None:
         raise ValueError("stochastic policy must be outcome monotonic")
 
 
-def _first_heap(gains, ground: list[int]) -> list:
-    """Heap of (-gain, index, 0) over ground, scored in _GREEDY_BLOCK rows."""
-    heap = []
-    for lo in range(0, len(ground), _GREEDY_BLOCK):
-        xs = ground[lo : lo + _GREEDY_BLOCK]
-        heap.extend(zip((-gains(xs)).tolist(), xs, repeat(0)))
-    heapq.heapify(heap)
-    return heap
-
-
-def _pop_best(heap: list, gains, stamp: int, n: int, block: int) -> list:
+def _pop_best(heap: list, gains, stamp: int, n: int) -> list:
     """Pop the n entries (-gain, index, |A| at evaluation) with the largest
     current gains, in (-gain, index) order, or every entry if fewer remain.
 
     Lazy evaluation (Minoux 1978): a stale gain of a submodular objective
     bounds the current one from above, so a current entry on top beats all
     below it. A stale top triggers one `gains` call on the stale entries
-    among the top `block`, which changes no gain and so not the result.
+    among the top max(n, _GREEDY_BLOCK), which changes no gain and so not
+    the result. This is the one place where the lazy solvers score gains.
     """
     pool = []
     while heap and len(pool) < n:
         if heap[0][2] == stamp:
             pool.append(heapq.heappop(heap))
             continue
-        top = [heapq.heappop(heap) for _ in range(min(block, len(heap)))]
+        width = min(max(n, _GREEDY_BLOCK), len(heap))
+        top = [heapq.heappop(heap) for _ in range(width)]
         stale = [x for _, x, s in top if s != stamp]
         fresh = zip((-gains(stale)).tolist(), stale, repeat(stamp))
         for entry in chain((e for e in top if e[2] == stamp), fresh):
@@ -101,11 +93,12 @@ def _lazy_greedy(
     state = fixed_marginal_state(instance, policy)
     ground = ground_set_accepted(instance, policy).indices
     ground = [x for x in ground if room[group_of[x]] > 0]
-    heap = _first_heap(partial(kernel, instance, state), ground)
+    # every candidate stale at an infinite bound; in index order, a heap
+    heap = [(-np.inf, x, -1) for x in ground]
     A: list[int] = []
     while heap:
         gains = partial(kernel, instance, state)
-        [(neg_gain, x, _)] = _pop_best(heap, gains, len(A), 1, _GREEDY_BLOCK)
+        [(neg_gain, x, _)] = _pop_best(heap, gains, len(A), 1)
         if neg_gain >= 0.0:
             break
         state = _advance(instance, state, x)
@@ -180,25 +173,6 @@ def joint_objective(instance: Instance, A: ExplanationSet) -> float:
     return utility(instance, optimal_policy_for(instance, A), A)
 
 
-def joint_marginal_state(instance: Instance, A: ExplanationSet) -> MarginalState:
-    """Build the incremental state for h at A, under A's optimal policy."""
-    policy = optimal_policy_for(instance, A)
-    value, moving = _responses(instance, policy, A)
-    flippable = policy.pi == 1.0
-    flippable[list(A.indices)] = False
-    near = np.less_equal(instance.cost.T, 1.0, order="C")
-    return MarginalState(near, policy.pi < 1.0, flippable, value, moving)
-
-
-def marginal_gain_joint(
-    instance: Instance, A: ExplanationSet, state: MarginalState, x: int
-) -> tuple[float, MarginalState]:
-    """h(A ∪ {x}) - h(A) in O(m), plus the state for A ∪ {x}."""
-    if x in A:
-        raise ValueError(f"candidate {x} already in A")
-    return float(_gains(instance, state, [x])[0]), _advance(instance, state, x)
-
-
 def _joint_solution(instance: Instance, picks: tuple[int, ...]) -> JointSolution:
     """The picks under their optimal policy, scored once."""
     A = ExplanationSet(picks)
@@ -224,29 +198,32 @@ def randomized_joint_runs(
 
     h is submodular (though not monotone), so stale gains stay upper bounds
     and the lazy pool is exactly the top k in (-gain, index) order: the draw
-    picks what a full ranking would. A refresh scores k candidates per
-    kernel call. Each run takes exactly k draws from its stream, so
-    `seeded_rng(seed)` makes it reproducible; at k = 0 it builds no state
-    and publishes ∅ under optimal_policy_for(∅), the threshold policy.
+    picks what a full ranking would. A refresh scores the stale entries
+    among the top max(k, _GREEDY_BLOCK) in one kernel call. Each run takes
+    exactly k draws from its stream, so `seeded_rng(seed)` makes it
+    reproducible; at k = 0 it builds no state and publishes ∅ under
+    optimal_policy_for(∅), the threshold policy.
 
     The state at the empty set and the first full gain sweep depend only on
-    the instance, so the runs share them; each run starts from a copy of
-    the first heap. Runs that pick the same explanations in the same order
-    share one JointSolution, scored once.
+    the instance, so the runs share them: each run starts from a copy of
+    the heap that one _pop_best call at ∅ has scored in full. Runs that
+    pick the same explanations in the same order share one JointSolution,
+    scored once.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:  # no state and no draws: every run publishes the empty set
         return [_joint_solution(instance, ())] * len(list(rngs))
     start = joint_marginal_state(instance, ExplanationSet())
-    viable = list(ground_set_viable(instance).indices)
-    first_heap = _first_heap(partial(_gains, instance, start), viable)
+    first_heap = [(-np.inf, x, -1) for x in ground_set_viable(instance).indices]
+    for entry in _pop_best(first_heap, partial(_gains, instance, start), 0, k):
+        heapq.heappush(first_heap, entry)
     solved: dict[tuple[int, ...], JointSolution] = {}
     runs = []
     for rng in rngs:
         state, heap, A = start, list(first_heap), []
         for _ in range(k):
-            pool = _pop_best(heap, partial(_gains, instance, state), len(A), k, k)
+            pool = _pop_best(heap, partial(_gains, instance, state), len(A), k)
             slot = rng.integers(k)
             # entries hold -gain: a slot past the nonnegative gains is a dummy
             if slot < len(pool) and pool[slot][0] <= 0.0:
@@ -304,10 +281,8 @@ def brute_force_joint(instance: Instance, k: int) -> JointSolution:
     the closed-form optimum, so this is a valid oracle for the joint problem.
     """
     ground = ground_set_viable(instance).indices
-    A, best_u = _best_subset(ground, k, partial(joint_objective, instance))
-    return JointSolution(
-        policy=optimal_policy_for(instance, A), explanations=A, utility=best_u
-    )
+    A, _ = _best_subset(ground, k, partial(joint_objective, instance))
+    return _joint_solution(instance, A.indices)
 
 
 def exhaustive_best_policy(

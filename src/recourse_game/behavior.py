@@ -144,21 +144,36 @@ class MarginalState:
     moving: np.ndarray
 
 
-def _responses(instance: Instance, policy: Policy, A: ExplanationSet):
-    """(value, moving) of every individual at A."""
-    moved = _followed(instance, policy, A)[3]
-    value = policy.pi[moved] * (instance.py[moved] - instance.gamma)
-    return value, moved != np.arange(instance.m)
+def _advanced(instance: Instance, pi, near, flippable, A) -> MarginalState:
+    """The state at ∅ under pi (nobody moves, value = pi * (py - gamma)),
+    advanced over A one member at a time."""
+    value = pi * (instance.py - instance.gamma)
+    moving = np.zeros(instance.m, dtype=bool)
+    state = MarginalState(near, pi < 1.0, flippable, value, moving)
+    for x in A.indices:
+        state = _advance(instance, state, x)
+    return state
 
 
 def fixed_marginal_state(
     instance: Instance, policy: Policy, A: ExplanationSet = ExplanationSet()
 ) -> MarginalState:
-    """Build the incremental state for utility(policy, ·) at A."""
-    value, moving = _responses(instance, policy, A)
+    """Build the incremental state for utility(policy, ·) at A, whose
+    members must be accepted (pi = 1)."""
+    if np.any(policy.pi[list(A.indices)] != 1.0):
+        raise ValueError("explanations must come from the accepted set")
     near = np.ascontiguousarray(adaptation_matrix(instance, policy).T)
-    nothing = np.zeros(instance.m, dtype=bool)
-    return MarginalState(near, policy.pi < 1.0, nothing, value, moving)
+    return _advanced(instance, policy.pi, near, np.zeros(instance.m, dtype=bool), A)
+
+
+def joint_marginal_state(instance: Instance, A: ExplanationSet) -> MarginalState:
+    """Build the incremental state for h at A, under A's optimal policy: the
+    threshold policy with every viable value flippable, advanced over A."""
+    viable = instance.py >= instance.gamma
+    if not np.all(viable[list(A.indices)]):
+        raise ValueError("explanations must come from the viable set")
+    near = np.less_equal(instance.cost.T, 1.0, order="C")
+    return _advanced(instance, viable.astype(float), near, viable, A)
 
 
 def _gains(instance: Instance, state: MarginalState, xs) -> np.ndarray:
@@ -219,6 +234,15 @@ def marginal_gain_fixed(
 ) -> tuple[float, MarginalState]:
     """Marginal utility of adding x to A at a fixed policy, plus the state
     for A ∪ {x}. Requires x not already in A; state must correspond to A."""
+    if x in A:
+        raise ValueError(f"candidate {x} already in A")
+    return float(_gains(instance, state, [x])[0]), _advance(instance, state, x)
+
+
+def marginal_gain_joint(
+    instance: Instance, A: ExplanationSet, state: MarginalState, x: int
+) -> tuple[float, MarginalState]:
+    """h(A ∪ {x}) - h(A) in O(m), plus the state for A ∪ {x}."""
     if x in A:
         raise ValueError(f"candidate {x} already in A")
     return float(_gains(instance, state, [x])[0]), _advance(instance, state, x)

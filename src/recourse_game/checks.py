@@ -3,15 +3,16 @@
 Each criterion `check_<name>(base_seed)` returns a CheckResult. Its body
 returns only `(ok, detail)`; the `_criterion` wrapper times it, names the
 result `<name>` and, for a criterion with a wall-clock bound, fails it once
-the body takes that many seconds. `run_all` executes the full battery. The
-regime comparison and the group balance are the harness's own
-(`harness.regime_solution`, `harness.group_balance`), not copies. Detail
-strings are deterministic (timings are reported separately) so the report
-itself is reproducible byte for byte.
+the body takes that many seconds. `run_all` executes the full battery and
+`run_check` prints its report. The regime comparison and the group balance
+are the harness's own (`harness.regime_solution`, `harness.group_balance`),
+not copies. Detail strings are deterministic (timings are reported
+separately) so the report itself is reproducible byte for byte.
 """
 
 from __future__ import annotations
 
+import sys
 import tempfile
 import time
 from dataclasses import dataclass
@@ -26,17 +27,17 @@ from .algorithms import (
     brute_force_joint,
     exhaustive_best_policy,
     greedy_fixed_policy,
-    joint_marginal_state,
     joint_objective,
-    marginal_gain_joint,
     optimal_policy_for,
     randomized_joint_runs,
 )
 from .behavior import (
     fixed_marginal_state,
+    joint_marginal_state,
     leakage_utility,
     leakage_utility_mc,
     marginal_gain_fixed,
+    marginal_gain_joint,
     utility,
 )
 from .baselines import diverse_explanations, threshold_policy
@@ -507,3 +508,19 @@ ALL_CHECKS = (
 
 def run_all(base_seed: int = 0) -> list[CheckResult]:
     return [fn(base_seed) for fn in ALL_CHECKS]
+
+
+def run_check(base_seed: int = 0) -> bool:
+    """Run the acceptance battery; one PASS/FAIL line per criterion.
+
+    The report on stdout is deterministic; per-criterion runtimes go to
+    stderr.
+    """
+    results = run_all(base_seed)
+    for r in results:
+        status = "PASS" if r.passed else "FAIL"
+        print(f"[{status}] {r.name}: {r.detail}")
+        print(f"    {r.name}: {r.seconds:.2f}s", file=sys.stderr)
+    ok = all(r.passed for r in results)
+    print(f"{sum(r.passed for r in results)}/{len(results)} criteria passed")
+    return ok

@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import fields
 
-from . import harness
+from . import checks, harness
 from .core import PartitionMatroid
 from .datagen import SynthConfig
 
@@ -140,7 +140,7 @@ def main(argv=None) -> int:
     command = flags.pop("command")
 
     if command == "check":
-        return 0 if harness.run_check(base_seed=flags["seed"]) else 1
+        return 0 if checks.run_check(base_seed=flags["seed"]) else 1
 
     try:
         config = _build_config(flags, command)

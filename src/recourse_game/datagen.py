@@ -89,10 +89,9 @@ def generate_synthetic(config: SynthConfig) -> Instance:
     py = rng.uniform(size=m)
 
     coins = rng.random((m, m))
-    values = rng.uniform(size=(m, m))
-    cost = np.where(
-        coins < config.finite_cost_fraction, values, config.unreachable_cost
-    )
+    cost = rng.uniform(size=(m, m))
+    cost[coins >= config.finite_cost_fraction] = config.unreachable_cost
+    del coins  # freed before sort_canonical makes its permuted copy
     if config.symmetric:
         upper = np.triu_indices(m, k=1)
         cost[(upper[1], upper[0])] = cost[upper]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -298,21 +297,3 @@ def run_matroid(config: ExperimentConfig) -> Path:
         ],
         rows,
     )
-
-
-def run_check(base_seed: int = 0) -> bool:
-    """Run the acceptance battery; one PASS/FAIL line per criterion.
-
-    The report on stdout is deterministic; per-criterion runtimes go to
-    stderr.
-    """
-    from .checks import run_all
-
-    results = run_all(base_seed)
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] {r.name}: {r.detail}")
-        print(f"    {r.name}: {r.seconds:.2f}s", file=sys.stderr)
-    ok = all(r.passed for r in results)
-    print(f"{sum(r.passed for r in results)}/{len(results)} criteria passed")
-    return ok

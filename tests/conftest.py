@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import recourse_game as rg
+from recourse_game.behavior import adaptation_matrix
 from recourse_game.checks import (
     nonmonotone_witness,
     set_cover_witness,
@@ -130,6 +131,26 @@ def ref_joint_gain(inst: rg.Instance, state, x: int) -> float:
     )
     gain += float(np.sum(px[reachable] * delta[reachable]))
     return float(gain)
+
+
+# The closed form that the marginal states were once built from: everyone's
+# best response at A, read off best_respond.
+
+def ref_state(inst: rg.Instance, policy, A) -> tuple:
+    """(near, rejected, flippable, value, moving) at A for utility(policy, ·),
+    or, with policy None, for h under optimal_policy_for(A)."""
+    joint = policy is None
+    if joint:
+        policy = rg.optimal_policy_for(inst, A)
+        near = np.less_equal(inst.cost.T, 1.0, order="C")
+        flippable = policy.pi == 1.0
+        flippable[list(A.indices)] = False
+    else:
+        near = np.ascontiguousarray(adaptation_matrix(inst, policy).T)
+        flippable = np.zeros(inst.m, dtype=bool)
+    moved = rg.best_respond(inst, policy, A).moved
+    value = policy.pi[moved] * (inst.py[moved] - inst.gamma)
+    return near, policy.pi < 1.0, flippable, value, moved != np.arange(inst.m)
 
 
 # The per-individual leakage loops that the vectorized target table

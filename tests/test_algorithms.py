@@ -1,6 +1,7 @@
 """Greedy, matroid greedy, closed-form joint policy, randomized joint
 optimizer, and the exhaustive oracles."""
 
+import sys
 import tracemalloc
 from itertools import combinations
 
@@ -17,12 +18,13 @@ from conftest import (
     subset,
 )
 from recourse_game import algorithms, baselines
-from recourse_game.algorithms import joint_marginal_state, marginal_gain_joint
 from recourse_game.behavior import (
     _coverage,
     _gains,
     fixed_marginal_state,
+    joint_marginal_state,
     marginal_gain_fixed,
+    marginal_gain_joint,
 )
 
 E_INV = 1.0 / np.e
@@ -212,6 +214,44 @@ def test_solvers_never_score_an_empty_block(monkeypatch, two_group):
     calls.clear()
     rg.diverse_explanations(inst, policy, 2)
     assert calls
+
+
+def test_lazy_solvers_score_gains_only_in_pop_best(monkeypatch):
+    callers = []
+
+    def recorded(kernel):
+        def run(instance, state, xs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return kernel(instance, state, xs)
+
+        return run
+
+    monkeypatch.setattr(algorithms, "_gains", recorded(_gains))
+    monkeypatch.setattr(baselines, "_coverage", recorded(_coverage))
+    inst = rg.generate_synthetic(rg.SynthConfig(m=120, gamma=0.3, seed=4))
+    policy = rg.threshold_policy(inst)
+    matroid = rg.PartitionMatroid(
+        groups=(tuple(range(0, 120, 2)), tuple(range(1, 120, 2))), capacities=(3, 2)
+    )
+    rg.greedy_fixed_policy(inst, policy, 10)
+    rg.greedy_matroid(inst, policy, matroid)
+    rg.diverse_explanations(inst, policy, 10)
+    rg.randomized_joint_runs(inst, 6, [rg.seeded_rng(s) for s in range(3)])
+    assert callers and set(callers) == {"_pop_best"}
+
+
+@pytest.mark.parametrize("k, most", [(2, 10), (4, 20)])
+def test_randomized_joint_refreshes_at_least_a_block(monkeypatch, k, most):
+    calls = []
+
+    def counted(instance, state, xs):
+        calls.append(len(xs))
+        return _gains(instance, state, xs)
+
+    monkeypatch.setattr(algorithms, "_gains", counted)
+    inst = rg.generate_synthetic(rg.SynthConfig(m=200, gamma=0.3, seed=7))
+    rg.randomized_joint(inst, k, rg.seeded_rng(1))
+    assert len(calls) <= most
 
 
 def test_kernel_gain_is_batch_invariant():

@@ -1,5 +1,7 @@
 """Synthetic generation, percentile-shift cost matrices, file round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,17 @@ def test_symmetric_mode():
     assert np.array_equal(inst.cost, inst.cost.T)
     plain = rg.generate_synthetic(rg.SynthConfig(m=10, seed=5))
     assert not np.array_equal(plain.cost, plain.cost.T)
+
+
+def test_generation_peaks_near_two_cost_matrices():
+    # the cost matrix and sort_canonical's permuted copy, not the coin draws too
+    tracemalloc.start()
+    try:
+        inst = rg.generate_synthetic(rg.SynthConfig(m=1000, gamma=0.3, seed=7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * inst.cost.nbytes
 
 
 def test_synth_config_validation():

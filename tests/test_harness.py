@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import recourse_game as rg
-from recourse_game import cli, harness
+from recourse_game import checks, cli, harness
 from recourse_game.harness import (
     ExperimentConfig,
     run_compare,
@@ -429,6 +429,32 @@ def test_cli_generate_and_file_reuse(tmp_path):
         ]
     )
     assert rc == 0
+
+
+def test_cli_check_prints_the_battery_report(monkeypatch, capsys):
+    verdict = [True]
+
+    @checks._criterion()
+    def check_first(base_seed):
+        return True, f"seed {base_seed}"
+
+    @checks._criterion()
+    def check_second(base_seed):
+        return verdict[0], "second detail"
+
+    monkeypatch.setattr(checks, "ALL_CHECKS", (check_first, check_second))
+    assert cli.main(["check", "--seed", "4"]) == 0
+    out, err = capsys.readouterr()
+    assert out == (
+        "[PASS] first: seed 4\n[PASS] second: second detail\n2/2 criteria passed\n"
+    )
+    # timings go to stderr only
+    assert re.fullmatch(r"    first: \d+\.\d\ds\n    second: \d+\.\d\ds\n", err)
+    verdict[0] = False
+    assert cli.main(["check"]) == 1
+    out = capsys.readouterr().out
+    assert "[PASS] first: seed 0\n[FAIL] second: second detail\n" in out
+    assert out.endswith("1/2 criteria passed\n")
 
 
 def test_cli_usage_errors_exit_2():

@@ -2,6 +2,7 @@
 boundary instances: outcomes on a grid that includes gamma, zero-mass
 values, costs of exactly 1.0 or inf, empty viable sets and k=0."""
 
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -16,16 +17,15 @@ from conftest import (  # noqa: E402
     is_feasible,
     ref_assignment,
     ref_leak_targets,
+    ref_state,
     tie_heavy_instances,
-)
-from recourse_game.algorithms import (  # noqa: E402
-    joint_marginal_state,
-    marginal_gain_joint,
 )
 from recourse_game.behavior import (  # noqa: E402
     _leak_targets,
     fixed_marginal_state,
+    joint_marginal_state,
     marginal_gain_fixed,
+    marginal_gain_joint,
 )
 
 E_INV = 1.0 / np.e
@@ -143,6 +143,50 @@ def test_marginal_gains_equal_full_recompute(inst, data):
     gain, _ = marginal_gain_joint(inst, A, joint_marginal_state(inst, A), x)
     exact = rg.joint_objective(inst, A.add(x)) - rg.joint_objective(inst, A)
     assert abs(gain - exact) <= 1e-12
+
+
+def draw_monotone_policy(data, inst) -> rg.Policy:
+    """A rational policy, stochastic below its top levels: one pi per py
+    level, from a grid, nonincreasing as py falls and 0 where py < gamma."""
+    levels = sorted(set(inst.py.tolist()), reverse=True)
+    grid = st.sampled_from([1.0, 0.75, 0.5, 0.25, 0.0])
+    pis = sorted(data.draw(st.lists(grid, min_size=len(levels), max_size=len(levels))))
+    pi_of = dict(zip(levels, pis[::-1]))
+    return rg.Policy([pi_of[y] if y >= inst.gamma else 0.0 for y in inst.py])
+
+
+def assert_state_is(state, ref) -> None:
+    arrays = (state.near, state.rejected, state.flippable, state.value, state.moving)
+    for got, want in zip(arrays, ref):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@hypothesis.given(instances, st.data())
+def test_advanced_states_equal_the_closed_form(inst, data):
+    policy = draw_monotone_policy(data, inst)
+    assert rg.is_outcome_monotonic(inst, policy) and rg.is_rational(inst, policy)
+    # members in any order, and for each state one outside its ground set
+    for ground, build, ref, message in (
+        (
+            rg.ground_set_accepted(inst, policy).indices,
+            partial(fixed_marginal_state, inst, policy),
+            partial(ref_state, inst, policy),
+            "the accepted set",
+        ),
+        (
+            rg.ground_set_viable(inst).indices,
+            partial(joint_marginal_state, inst),
+            partial(ref_state, inst, None),
+            "the viable set",
+        ),
+    ):
+        A = rg.ExplanationSet(data.draw(st.permutations(draw_subset(data, ground))))
+        assert_state_is(build(A), ref(A))
+        outside = [i for i in range(inst.m) if i not in ground]
+        if outside:
+            with pytest.raises(ValueError, match=message):
+                build(A.add(data.draw(st.sampled_from(outside))))
 
 
 @hypothesis.given(instances, st.data())

@@ -7,6 +7,7 @@ from pathlib import Path
 import recourse_game as rg
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "recourse_game"
 
 
 def _literal(path: Path, name: str):
@@ -37,9 +38,37 @@ def test_every_traced_function_is_callable():
 
 
 def test_datagen_imports_only_core_from_the_package():
-    tree = ast.parse((ROOT / "src" / "recourse_game" / "datagen.py").read_text())
+    tree = ast.parse((PACKAGE / "datagen.py").read_text())
     local = {
         n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level
     }
     assert local == {"core"}
 
+
+
+def test_marginal_states_are_built_only_in_behavior():
+    # One home for the incremental states: every other module reaches them
+    # through fixed_marginal_state, joint_marginal_state and _advance.
+    builders = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "MarginalState"
+            ):
+                builders.add(path.name)
+    assert builders == {"behavior.py"}
+
+
+def test_no_module_imports_inside_a_function():
+    nested = []
+    for path in PACKAGE.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert not nested

@@ -345,11 +345,16 @@ def leakage_utility_mc(
     if len(A) == 0:
         draws = np.zeros((samples, m), dtype=int)
     else:
+        # in place, so at most two (samples, m) arrays are alive at once
         leak = rng.random((samples, m)) < p_l
-        which = rng.integers(0, len(A), size=(samples, m))
-        draws = np.where(leak, 1 + which, 0)
-    px = instance.px
-    per_sample = (payoff[np.arange(m)[None, :], draws] * px[None, :]).sum(axis=1)
+        draws = rng.integers(0, len(A), size=(samples, m))
+        draws += 1
+        draws *= leak
+        del leak
+    gathered = payoff[np.arange(m), draws]
+    del draws
+    gathered *= instance.px
+    per_sample = gathered.sum(axis=1)
     mean = float(per_sample.mean())
     stderr = float(per_sample.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     return mean, stderr

@@ -2,10 +2,10 @@
 each running `harness.run_<name>` on one ExperimentConfig, plus `check`.
 
 A run reads one JSON config (--config, in the README's format). Precedence:
-flags > RECOURSE_GAME_OUTDIR (output directory only) > JSON > defaults
-(synthetic instance, m=50, outdir `results`). --m/--gamma/--values/--costs
-write the `instance` block, and --values/--costs make it file-based. Unknown
-keys and flags that conflict with the instance (--m with files) are errors.
+flags > JSON > defaults (synthetic instance, m=50, outdir `results`).
+--m/--gamma/--values/--costs write the `instance` block, and --values/--costs
+make it file-based. Unknown keys, non-integer counts and flags that conflict
+with the instance (--m with files) are errors.
 
 Exit codes: 0 ok, 1 check failure, 2 usage/config error.
 """
@@ -14,15 +14,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import fields
 
 from . import checks, harness
 from .core import PartitionMatroid
 from .datagen import SynthConfig
-
-OUTDIR_ENV = "RECOURSE_GAME_OUTDIR"
 
 _TOP_KEYS = (
     "k", "k_sweep", "alpha_sweep", "pl_sweep", "repetitions", "base_seed", "bins",
@@ -97,7 +94,7 @@ def _config_from_dict(d: dict, experiment: str) -> harness.ExperimentConfig:
 
 
 def _build_config(flags: dict, experiment: str) -> harness.ExperimentConfig:
-    """Merge the given flags and the environment into the JSON config."""
+    """Merge the given flags into the JSON config."""
     raw = {}
     if "config" in flags:
         with open(flags.pop("config")) as f:
@@ -105,8 +102,6 @@ def _build_config(flags: dict, experiment: str) -> harness.ExperimentConfig:
         if not isinstance(raw, dict):
             raise ValueError("the config must be a JSON object")
     inst = raw["instance"] = dict(raw.get("instance", {"m": 50}))
-    if os.environ.get(OUTDIR_ENV):
-        raw["outdir"] = os.environ[OUTDIR_ENV]
     if "values" in flags or "costs" in flags:
         for key in set(_SYNTH_KEYS) - set(_FILE_KEYS):
             inst.pop(key, None)

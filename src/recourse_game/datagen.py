@@ -18,6 +18,7 @@ import csv
 import hashlib
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 from typing import Sequence, Tuple
 
@@ -49,52 +50,39 @@ def seeded_rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Knobs for the synthetic generator.
-
-    Population weights are truncated-normal draws (mean/std below, resampled
-    while negative), outcomes are uniform on [0, 1], and each ordered pair of
-    distinct values gets a uniform cost with probability
-    `finite_cost_fraction`, otherwise the flat unreachable cost.
+    """The paper's synthetic generator: population weights are draws from
+    N(0.5, 0.1) (redrawn while negative), outcomes are uniform on [0, 1],
+    and each ordered pair of distinct values gets a uniform cost on [0, 1]
+    with probability 0.5, otherwise the unreachable cost 2.0.
     """
 
     m: int
     gamma: float = 0.3
-    weight_mean: float = 0.5
-    weight_std: float = 0.1
-    finite_cost_fraction: float = 0.5
-    unreachable_cost: float = 2.0
     seed: int = 0
-    symmetric: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.m, Integral):
+            raise ValueError("m must be an integer")
         if self.m < 2:
             raise ValueError("m must be >= 2")
-        if not 0.0 <= self.finite_cost_fraction <= 1.0:
-            raise ValueError("finite_cost_fraction must lie in [0, 1]")
-        # A nonpositive mean with no spread never draws a positive weight.
-        if not (self.weight_mean > 0.0 and self.weight_std >= 0.0):
-            raise ValueError("weight_mean must be > 0 and weight_std >= 0")
 
 
 def generate_synthetic(config: SynthConfig) -> Instance:
     """Draw an instance from the synthetic model; fully determined by seed."""
     rng = seeded_rng(config.seed)
     m = config.m
-    weights = rng.normal(config.weight_mean, config.weight_std, m)
+    weights = rng.normal(0.5, 0.1, m)
     while np.any(weights < 0.0):
         bad = weights < 0.0
-        weights[bad] = rng.normal(config.weight_mean, config.weight_std, int(bad.sum()))
+        weights[bad] = rng.normal(0.5, 0.1, int(bad.sum()))
     px = weights / weights.sum()
 
     py = rng.uniform(size=m)
 
     coins = rng.random((m, m))
     cost = rng.uniform(size=(m, m))
-    cost[coins >= config.finite_cost_fraction] = config.unreachable_cost
+    cost[coins >= 0.5] = 2.0
     del coins  # freed before sort_canonical makes its permuted copy
-    if config.symmetric:
-        upper = np.triu_indices(m, k=1)
-        cost[(upper[1], upper[0])] = cost[upper]
     np.fill_diagonal(cost, 0.0)
 
     instance, _ = sort_canonical(px, py, cost, config.gamma)
@@ -126,12 +114,6 @@ class FeatureTable:
     @property
     def m(self) -> int:
         return len(self.columns[0]) if self.columns else 0
-
-    @property
-    def monotone_up_only(self) -> Tuple[str, ...]:
-        return tuple(
-            n for n, k in zip(self.names, self.kinds) if k == KIND_ACTIONABLE_UP
-        )
 
 
 def _weighted_ecdf(values: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ import csv
 import json
 import time
 from dataclasses import asdict, dataclass, replace
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,11 @@ class ExperimentConfig:
     matroid: PartitionMatroid | None = None
 
     def __post_init__(self):
+        counts = (self.k, *self.k_sweep, self.repetitions, self.base_seed, self.bins)
+        if not all(isinstance(n, Integral) for n in counts):
+            raise ValueError(
+                "k, k_sweep, repetitions, base_seed and bins must be integers"
+            )
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.synthetic is None and (
@@ -162,10 +168,10 @@ def regime_solution(
 
 
 def run_generate(config: ExperimentConfig) -> list[Path]:
-    """Write the configured instance to instance_values.csv / instance_cost.csv."""
+    """Write compare's instance at the first alpha and k, repetition 0, to CSV."""
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    inst = _instance_for(config, config.alpha_sweep[0], config.k, 0)
+    inst = _instance_for(config, config.alpha_sweep[0], config.effective_k_sweep[0], 0)
     values = outdir / "instance_values.csv"
     costs = outdir / "instance_cost.csv"
     save_instance(inst, values, costs)

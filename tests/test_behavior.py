@@ -1,6 +1,8 @@
 """Best-response mechanics: regions, assignments, induced mass, marginals,
 transport, leakage and group improvement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -353,6 +355,22 @@ def test_leakage_mc_rejects_bad_sample_counts():
             rg.leakage_utility_mc(inst, policy, A, 0.5, samples, rg.seeded_rng(0))
     mean, stderr = rg.leakage_utility_mc(inst, policy, A, 0.5, 1, rg.seeded_rng(0))
     assert np.isfinite(mean) and stderr == 0.0
+
+
+def test_leakage_mc_peaks_near_two_draw_arrays():
+    # the draws and the gathered payoffs, not leak, which and a product too
+    inst = rg.generate_synthetic(rg.SynthConfig(m=10, seed=1))
+    policy = rg.threshold_policy(inst)
+    A = rg.greedy_fixed_policy(inst, policy, 3)
+    assert len(A) > 0
+    samples = 100_000
+    tracemalloc.start()
+    try:
+        rg.leakage_utility_mc(inst, policy, A, 0.5, samples, rg.seeded_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * samples * inst.m * np.dtype(np.int64).itemsize
 
 
 def test_leakage_ties_go_to_lower_cost_before_higher_outcome():

@@ -1,5 +1,6 @@
 """Synthetic generation, percentile-shift cost matrices, file round trips."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -44,17 +45,20 @@ def test_finite_cost_fraction_concentrates():
 
 
 def test_unreachable_entries_use_configured_constant():
-    inst = rg.generate_synthetic(rg.SynthConfig(m=12, seed=3, unreachable_cost=5.0))
+    # every off-diagonal cost is the unreachable 2.0 or uniform on [0, 1]
+    inst = rg.generate_synthetic(rg.SynthConfig(m=12, seed=3))
     off = ~np.eye(12, dtype=bool)
-    finite = inst.cost[off][inst.cost[off] != 5.0]
+    finite = inst.cost[off][inst.cost[off] != 2.0]
     assert np.all((finite >= 0.0) & (finite <= 1.0))
 
 
-def test_symmetric_mode():
-    inst = rg.generate_synthetic(rg.SynthConfig(m=10, seed=5, symmetric=True))
-    assert np.array_equal(inst.cost, inst.cost.T)
-    plain = rg.generate_synthetic(rg.SynthConfig(m=10, seed=5))
-    assert not np.array_equal(plain.cost, plain.cost.T)
+def test_generator_bytes_are_pinned():
+    # the generator's constants and its order of draws from the stream
+    inst = rg.generate_synthetic(rg.SynthConfig(m=50, gamma=0.3, seed=3))
+    blob = inst.px.tobytes() + inst.py.tobytes() + inst.cost.tobytes()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "e10d85cd79617ec9d3f820230996771d1acf031b847f9eeb1f275413dacb3ca9"
+    )
 
 
 def test_generation_peaks_near_two_cost_matrices():
@@ -69,20 +73,11 @@ def test_generation_peaks_near_two_cost_matrices():
 
 
 def test_synth_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="m must be >= 2"):
         rg.SynthConfig(m=1)
-    with pytest.raises(ValueError):
-        rg.SynthConfig(m=5, finite_cost_fraction=1.5)
-    # with no positive weight possible, generation would redraw forever
-    for mean, std in ((0.0, 0.0), (-0.5, 0.0), (0.5, -0.1)):
-        with pytest.raises(ValueError, match="weight"):
-            rg.SynthConfig(m=4, weight_mean=mean, weight_std=std)
-
-
-def test_zero_weight_std_gives_uniform_px():
-    inst = rg.generate_synthetic(rg.SynthConfig(m=6, weight_std=0.0, seed=3))
-    assert np.all(inst.px == inst.px[0])
-    assert inst.px.sum() == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="m must be an integer"):
+        rg.SynthConfig(m=12.5)
+    assert rg.SynthConfig(m=np.int64(4)).m == 4
 
 
 # -- weighted empirical CDF and cost matrices ----------------------------------
@@ -260,4 +255,3 @@ def test_feature_table_round_trip(tmp_path):
     assert back.kinds == table.kinds
     assert np.array_equal(back.columns[0], table.columns[0])
     assert list(back.columns[1]) == list(table.columns[1])
-    assert back.monotone_up_only == ("bill",)

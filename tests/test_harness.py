@@ -301,6 +301,19 @@ def test_generate_writes_loadable_instance(tmp_path):
     assert rg.validate(inst) is None
 
 
+def test_generate_writes_the_first_sweep_instance(tmp_path):
+    # compare's instance at (alpha, first k, rep 0), also with no k given
+    config = ExperimentConfig(
+        experiment="generate", outdir=str(tmp_path),
+        synthetic=rg.SynthConfig(m=12), k_sweep=(10, 20),
+    )
+    values, costs = run_generate(config)
+    want = tmp_path / "want_values.csv", tmp_path / "want_cost.csv"
+    rg.save_instance(harness._instance_for(config, 1.0, 10, 0), *want)
+    assert values.read_bytes() == want[0].read_bytes()
+    assert costs.read_bytes() == want[1].read_bytes()
+
+
 def test_file_based_config_round_trip(tmp_path):
     synth = small_config(tmp_path / "gen")
     values, costs = run_generate(synth)
@@ -399,21 +412,6 @@ def test_cli_config_file_with_overrides(tmp_path):
     assert not (tmp_path / "from_config").exists()
 
 
-def test_cli_env_var_overrides_config_not_flags(tmp_path, monkeypatch):
-    env_dir = tmp_path / "env_out"
-    monkeypatch.setenv(cli.OUTDIR_ENV, str(env_dir))
-    rc = cli.main(["compare", "--m", "10", "--k", "1", "--repetitions", "1"])
-    assert rc == 0
-    assert (env_dir / "compare.csv").exists()
-    flag_dir = tmp_path / "flag_out"
-    rc = cli.main(
-        ["compare", "--m", "10", "--k", "1", "--repetitions", "1",
-         "--outdir", str(flag_dir)]
-    )
-    assert rc == 0
-    assert (flag_dir / "compare.csv").exists()
-
-
 def test_cli_generate_and_file_reuse(tmp_path):
     gen_dir = tmp_path / "gen"
     assert cli.main(["generate", "--m", "10", "--seed", "4", "--outdir", str(gen_dir)]) == 0
@@ -488,6 +486,13 @@ def test_readme_json_configs_run_every_command(tmp_path):
     assert ran_matroid
 
 
+def test_readme_lists_the_synthetic_instance_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(r"The synthetic `instance` block takes [^.]*\.", readme, re.S)
+    listed = set(re.findall(r"`(\w+)`", sentence.group(0))) - {"instance"}
+    assert listed == set(cli._SYNTH_KEYS)
+
+
 def test_cli_matroid_missing_block_fails(tmp_path, capsys):
     rc = cli.main(["matroid", "--m", "6", "--outdir", str(tmp_path)])
     assert rc == 1
@@ -534,7 +539,6 @@ def cli_config(tmp_path, monkeypatch):
     """Run the CLI in tmp_path with every runner replaced by a recorder, and
     return the ExperimentConfig the runner received (or the exit code)."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
     (tmp_path / "cfg.json").write_text(json.dumps(FULL_CONFIG))
     (tmp_path / "file.json").write_text(json.dumps(FILE_CONFIG))
     seen = []
@@ -614,12 +618,12 @@ def cli_config(tmp_path, monkeypatch):
         pytest.param("compare", None,
                      dict(outdir="results", synthetic=rg.SynthConfig(m=50)),
                      id="defaults"),
+        # the CLI reads no environment, so an outdir variable is ignored
         pytest.param("compare", "env_out",
-                     dict(outdir="env_out", synthetic=rg.SynthConfig(m=50)),
+                     dict(outdir="results", synthetic=rg.SynthConfig(m=50)),
                      id="env-outdir"),
-        pytest.param("compare --config cfg.json", "env_out",
-                     {**FULL_EXPECTED, "outdir": "env_out"},
-                     id="env-outdir-over-json"),
+        pytest.param("compare --config cfg.json", "env_out", FULL_EXPECTED,
+                     id="json-outdir-over-env"),
         pytest.param("compare --outdir flag_out", "env_out",
                      dict(outdir="flag_out", synthetic=rg.SynthConfig(m=50)),
                      id="flag-outdir-over-env"),
@@ -627,7 +631,7 @@ def cli_config(tmp_path, monkeypatch):
 )
 def test_cli_builds_config(cli_config, monkeypatch, argv, env, expected):
     if env is not None:
-        monkeypatch.setenv(cli.OUTDIR_ENV, env)
+        monkeypatch.setenv("RECOURSE_GAME_OUTDIR", env)
     command, *flags = argv.split()
     built = cli_config([command, *flags])
     assert built == ExperimentConfig(experiment=command, **expected)
@@ -650,10 +654,30 @@ def test_cli_builds_config(cli_config, monkeypatch, argv, env, expected):
         # each repetition derives its instance seed from base_seed
         (["compare"], {"instance": {"m": 10, "seed": 7}},
          "synthetic instance key(s): seed"),
+        # the generator's constants are not settable
+        (["compare"], {"instance": {"m": 10, "symmetric": True, "weight_std": 0.2}},
+         "synthetic instance key(s): symmetric, weight_std"),
     ],
 )
 def test_cli_rejects_unknown_keys(cli_config, capsys, argv, config, message):
     assert cli_config(argv, config) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["compare", "transport"])
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        pytest.param({"instance": {"m": 12.5}}, "m must be an integer", id="m"),
+        pytest.param({"k": 2.5}, "must be integers", id="k"),
+        pytest.param({"repetitions": 1.5}, "must be integers", id="repetitions"),
+        pytest.param({"k_sweep": [2, 3.5]}, "must be integers", id="k_sweep"),
+        pytest.param({"bins": 2.5}, "must be integers", id="bins"),
+        pytest.param({"base_seed": 1.5}, "must be integers", id="base_seed"),
+    ],
+)
+def test_cli_rejects_non_integer_counts(cli_config, capsys, command, config, message):
+    assert cli_config([command], config) == 2
     assert message in capsys.readouterr().err
 
 

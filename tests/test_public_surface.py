@@ -72,3 +72,15 @@ def test_no_module_imports_inside_a_function():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
     assert not nested
+
+
+def test_no_module_reads_the_environment():
+    # every input arrives through flags or the JSON config
+    readers = []
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names]
+                if "os" in names or getattr(node, "module", None) == "os":
+                    readers.append(f"{path.name}:{node.lineno}")
+    assert not readers

@@ -36,30 +36,36 @@ def min_cost_explanations(
 
     Ties go to the lowest index. Individuals with no finite-cost option under
     any candidate contribute a constant penalty and never sway the choice.
-    A policy that accepts nothing, or k = 0, yields the empty set. Each rejected
-    individual's cost to the nearest pick is kept, so the run is O(k m^2).
+    A policy that accepts nothing, or k = 0, yields the empty set. The costs
+    from rejected individuals to accepted values are gathered once, and each
+    pick scores every candidate in one preallocated buffer, keeping each
+    rejected individual's cost to the nearest pick, so the run is O(k m^2).
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    ground = list(ground_set_accepted(instance, policy).indices)
+    ground = np.asarray(ground_set_accepted(instance, policy).indices, dtype=int)
+    rejected = np.flatnonzero(policy.pi < 1.0)
     cost = instance.cost
-    rejected = policy.pi < 1.0
     penalty = 1.0 + float(np.max(cost, where=np.isfinite(cost), initial=0.0))
     px_r = instance.px[rejected]
-    # row x holds the costs of every rejected individual to x
-    cost_r = np.ascontiguousarray(cost[rejected].T)
+    # row g holds the costs of every rejected individual to ground[g]
+    to_ground = cost.T[np.ix_(ground, rejected)]
+    scores = np.empty_like(to_ground)
     # penalty exceeds every finite cost: unservable individuals cost exactly it
     nearest = np.full(px_r.shape, penalty)
 
     # stays eager: a lazy heap flips float near-ties that this argmin pins
-    A: list[int] = []
-    while ground and len(A) < k:
-        # a row sum of the block equals that row's 1-D sum, bit for bit
-        objs = (px_r * np.minimum(nearest, cost_r[ground])).sum(axis=1)
-        best_x = ground.pop(int(np.argmin(objs)))  # first minimum: lowest index
-        A.append(best_x)
-        nearest = np.minimum(nearest, cost_r[best_x])
-    return ExplanationSet(tuple(A))
+    picks: list[int] = []
+    for _ in range(min(k, ground.size)):
+        np.minimum(nearest, to_ground, out=scores)
+        scores *= px_r
+        # a row sum of the C-contiguous block equals that row's 1-D sum
+        objs = scores.sum(axis=1)
+        objs[picks] = np.inf
+        best = int(np.argmin(objs))  # first minimum: lowest index
+        picks.append(best)
+        np.minimum(nearest, to_ground[best], out=nearest)
+    return ExplanationSet(tuple(ground[picks]))
 
 
 def diverse_explanations(instance: Instance, policy: Policy, k: int) -> ExplanationSet:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExplanationSet, Instance, Policy
+from .core import _ROW_BLOCK, ExplanationSet, Instance, Policy
 
 # Assignment entry for individuals who receive no explanation.
 NO_EXPLANATION = -1
@@ -29,8 +29,12 @@ def adaptation_matrix(instance: Instance, policy: Policy) -> np.ndarray:
     The inequality is exact (>=); infinite costs compare as -inf and can never
     satisfy it, and the diagonal is always True because cost[i, i] = 0.
     """
-    pi = policy.pi
-    return pi[None, :] - instance.cost >= pi[:, None]
+    pi, cost, m = policy.pi, instance.cost, instance.m
+    region = np.empty((m, m), dtype=bool)
+    for s in range(0, m, _ROW_BLOCK):
+        rows = slice(s, s + _ROW_BLOCK)
+        np.greater_equal(pi - cost[rows], pi[rows, None], out=region[rows])
+    return region
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .core import Instance, make_instance, sort_canonical
+from .core import _ROW_BLOCK, Instance, _canonical_order, make_instance
 
 KIND_ACTIONABLE = "actionable"
 KIND_ACTIONABLE_UP = "actionable_up"
@@ -79,14 +79,26 @@ def generate_synthetic(config: SynthConfig) -> Instance:
 
     py = rng.uniform(size=m)
 
-    coins = rng.random((m, m))
-    cost = rng.uniform(size=(m, m))
-    cost[coins >= 0.5] = 2.0
-    del coins  # freed before sort_canonical makes its permuted copy
+    # Coins, then costs, drawn in row blocks: the same doubles as one m x m
+    # `uniform` draw each. Each cost block goes straight to its canonical
+    # rows and columns, so the matrix is never copied; raw value r is
+    # canonical value rank[r].
+    perm = _canonical_order(py)
+    rank = np.empty(m, dtype=int)
+    rank[perm] = np.arange(m)
+    blocks = [slice(s, s + _ROW_BLOCK) for s in range(0, m, _ROW_BLOCK)]
+    unreachable = np.empty((m, m), dtype=bool)
+    for rows in blocks:
+        coins = rng.random(unreachable[rows].shape)
+        np.greater_equal(coins, 0.5, out=unreachable[rows])
+    del coins  # not alive beside the cost blocks
+    cost = np.empty((m, m))
+    for rows in blocks:
+        block = rng.random(unreachable[rows].shape)
+        block[unreachable[rows]] = 2.0
+        cost[rank[rows]] = block[:, perm]
     np.fill_diagonal(cost, 0.0)
-
-    instance, _ = sort_canonical(px, py, cost, config.gamma)
-    return instance
+    return make_instance(px[perm], py[perm], cost, config.gamma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +161,9 @@ def build_cost_matrix(table: FeatureTable, px: Sequence[float] | None = None) ->
             raise ValueError("px weights must be >= 0 with a positive finite total")
         w = w / w.sum()
 
+    # one difference buffer serves every column: about 2.25 m x m floats
     shift = np.zeros((m, m))
+    diff = np.empty((m, m))
     blocked = np.zeros((m, m), dtype=bool)
     n_actionable = 0
     for name, kind, col in zip(table.names, table.kinds, table.columns):
@@ -159,19 +173,20 @@ def build_cost_matrix(table: FeatureTable, px: Sequence[float] | None = None) ->
             continue
         n_actionable += 1
         q = _weighted_ecdf(np.asarray(col, dtype=float), w)
-        delta = q[None, :] - q[:, None]
-        np.maximum(shift, np.abs(delta), out=shift)
+        np.subtract(q[None, :], q[:, None], out=diff)
         if kind == KIND_ACTIONABLE_UP:
-            blocked |= delta < 0.0
+            blocked |= diff < 0.0
+        np.abs(diff, out=diff)
+        np.maximum(shift, diff, out=shift)
 
     if n_actionable == 0:
         warnings.warn(
             "no actionable columns: all unblocked pairs get zero cost",
             stacklevel=2,
         )
-    cost = np.where(blocked, np.inf, shift)
-    np.fill_diagonal(cost, 0.0)
-    return cost
+    shift[blocked] = np.inf
+    np.fill_diagonal(shift, 0.0)
+    return shift
 
 
 def _fmt(v: float) -> str:

@@ -89,7 +89,7 @@ class ExperimentConfig:
             raise ValueError("pl_sweep must be nonempty")
         if min((self.k, *self.k_sweep)) < 0:
             raise ValueError("k and every k_sweep entry must be >= 0")
-        if min(self.alpha_sweep) < 0:
+        if not all(a >= 0.0 for a in self.alpha_sweep):  # NaN fails too
             raise ValueError("every alpha must be >= 0")
         if not all(0.0 <= p <= 1.0 for p in self.pl_sweep):
             raise ValueError("every p_l must lie in [0, 1]")
@@ -121,9 +121,10 @@ def _scale_costs(instance: Instance, alpha: float) -> Instance:
     if alpha == 1.0:
         return instance
     cost = instance.cost.copy()
-    off = ~np.eye(instance.m, dtype=bool)
-    finite = np.isfinite(cost) & off
-    cost[finite] *= alpha
+    # the diagonal stays 0 at alpha = inf, where 0 * inf would be NaN
+    finite = np.isfinite(cost)
+    np.fill_diagonal(finite, False)
+    np.multiply(cost, alpha, out=cost, where=finite)
     return make_instance(instance.px, instance.py, cost, instance.gamma)
 
 

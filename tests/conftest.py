@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,16 @@ def random_instance(
 ) -> rg.Instance:
     g = gamma if gamma is not None else float(rng.uniform(0.15, 0.85))
     return rg.generate_synthetic(rg.SynthConfig(m=m, gamma=g, seed=rng.integers(2**62)))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def subset(rng: np.random.Generator, items, p: float = 0.5) -> tuple[int, ...]:

@@ -2,7 +2,7 @@
 optimizer, and the exhaustive oracles."""
 
 import sys
-import tracemalloc
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -16,6 +16,7 @@ from conftest import (
     ref_fixed_gain,
     ref_joint_gain,
     subset,
+    traced_peak,
 )
 from recourse_game import algorithms, baselines
 from recourse_game.behavior import (
@@ -610,13 +611,25 @@ def test_randomized_joint_degenerate_inputs(nonmono):
 
 def test_randomized_joint_peaks_below_the_cost_matrix():
     inst = rg.generate_synthetic(rg.SynthConfig(m=300, gamma=0.3, seed=11))
-    tracemalloc.start()
-    try:
-        rg.randomized_joint(inst, 15, rg.seeded_rng(3))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: rg.randomized_joint(inst, 15, rg.seeded_rng(3)))
     assert peak < inst.cost.nbytes
+
+
+@pytest.mark.parametrize(
+    "solve, bound",
+    [
+        pytest.param(fixed_marginal_state, 0.4, id="fixed_marginal_state"),
+        pytest.param(partial(rg.greedy_fixed_policy, k=50), 0.4, id="alg1"),
+        pytest.param(partial(rg.diverse_explanations, k=50), 0.4, id="diverse"),
+        pytest.param(partial(rg.min_cost_explanations, k=50), 0.5, id="min_cost"),
+    ],
+)
+def test_solvers_make_no_float_copy_of_the_cost_matrix(solve, bound):
+    # the boolean region matrix and its transpose, or min_cost's gathered
+    # block and score buffer; no m x m float temporary
+    inst = rg.generate_synthetic(rg.SynthConfig(m=1000, gamma=0.3, seed=7))
+    policy = rg.threshold_policy(inst)
+    assert traced_peak(lambda: solve(inst, policy)) <= bound * inst.cost.nbytes
 
 
 # -- matroid greedy -----------------------------------------------------------

@@ -1,7 +1,6 @@
 """Best-response mechanics: regions, assignments, induced mass, marginals,
 transport, leakage and group improvement."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from conftest import (
     ref_leakage_utility,
     subset,
     tie_heavy_instance,
+    traced_peak,
 )
 from recourse_game.behavior import (
     _followed,
@@ -364,12 +364,9 @@ def test_leakage_mc_peaks_near_two_draw_arrays():
     A = rg.greedy_fixed_policy(inst, policy, 3)
     assert len(A) > 0
     samples = 100_000
-    tracemalloc.start()
-    try:
-        rg.leakage_utility_mc(inst, policy, A, 0.5, samples, rg.seeded_rng(0))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(
+        lambda: rg.leakage_utility_mc(inst, policy, A, 0.5, samples, rg.seeded_rng(0))
+    )
     assert peak <= 2.5 * samples * inst.m * np.dtype(np.int64).itemsize
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import recourse_game as rg
-from conftest import is_feasible, random_instance
+from conftest import is_feasible, random_instance, traced_peak
 
 BASIC = dict(
     px=[0.5, 0.5],
@@ -34,6 +34,20 @@ def test_validate_reports_bad_gamma_and_diagonal():
     assert "gamma" in rg.validate(rg.Instance(**{**BASIC, "gamma": 0.0}))
     bad = rg.Instance(**{**BASIC, "cost": [[0.0, 1.0], [1.0, 0.5]]})
     assert rg.validate(bad) == "cost[1][1] must be 0"
+
+
+@pytest.mark.parametrize("first, second", [(-0.5, np.nan), (np.nan, -0.5)])
+def test_validate_reports_the_first_bad_cost_in_row_major_order(first, second):
+    cost = np.ones((3, 3))
+    np.fill_diagonal(cost, 0.0)
+    cost[1, 2], cost[2, 0] = first, second
+    inst = rg.Instance([0.5, 0.25, 0.25], [0.9, 0.5, 0.1], cost, 0.3)
+    assert rg.validate(inst) == "cost[1][2] is negative or NaN"
+
+
+def test_validate_makes_no_m_by_m_temporary():
+    inst = random_instance(rg.seeded_rng(0), 1000, gamma=0.3)
+    assert traced_peak(lambda: rg.validate(inst)) < inst.cost.nbytes / 100
 
 
 def test_validate_accepts_infinite_cost():

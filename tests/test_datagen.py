@@ -1,12 +1,12 @@
 """Synthetic generation, percentile-shift cost matrices, file round trips."""
 
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import recourse_game as rg
+from conftest import traced_peak
 from recourse_game.datagen import (
     KIND_ACTIONABLE,
     KIND_ACTIONABLE_UP,
@@ -52,24 +52,40 @@ def test_unreachable_entries_use_configured_constant():
     assert np.all((finite >= 0.0) & (finite <= 1.0))
 
 
-def test_generator_bytes_are_pinned():
-    # the generator's constants and its order of draws from the stream
-    inst = rg.generate_synthetic(rg.SynthConfig(m=50, gamma=0.3, seed=3))
+@pytest.mark.parametrize(
+    "m, seed, digest",
+    [
+        pytest.param(
+            50, 3,
+            "e10d85cd79617ec9d3f820230996771d1acf031b847f9eeb1f275413dacb3ca9",
+            id="m50",
+        ),
+        pytest.param(
+            129, 5,
+            "c0f6e3f23e8d8c959c13e03bd841dbb797cda951d57b1cf1106ddf1f26c765ac",
+            id="m129",
+        ),
+        pytest.param(
+            1000, 7,
+            "8e8f0f5d9604ea9d105608a7709a018c4fd49850b743fd1816d7d8f4b90b8c6f",
+            id="m1000",
+        ),
+    ],
+)
+def test_generator_bytes_are_pinned(m, seed, digest):
+    # the generator's constants and its order of draws from the stream; the
+    # larger sizes span several row blocks
+    inst = rg.generate_synthetic(rg.SynthConfig(m=m, gamma=0.3, seed=seed))
     blob = inst.px.tobytes() + inst.py.tobytes() + inst.cost.tobytes()
-    assert hashlib.sha256(blob).hexdigest() == (
-        "e10d85cd79617ec9d3f820230996771d1acf031b847f9eeb1f275413dacb3ca9"
-    )
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
-def test_generation_peaks_near_two_cost_matrices():
-    # the cost matrix and sort_canonical's permuted copy, not the coin draws too
-    tracemalloc.start()
-    try:
-        inst = rg.generate_synthetic(rg.SynthConfig(m=1000, gamma=0.3, seed=7))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * inst.cost.nbytes
+def test_generation_peaks_near_one_cost_matrix():
+    # the cost matrix, the boolean coins and two row blocks: no permuted copy
+    rg.generate_synthetic(rg.SynthConfig(m=2))  # numpy imports lazily on a first draw
+    cfg = rg.SynthConfig(m=1000, gamma=0.3, seed=7)
+    peak = traced_peak(lambda: rg.generate_synthetic(cfg))
+    assert peak <= 1.35 * 1000 * 1000 * np.dtype(float).itemsize
 
 
 def test_synth_config_validation():
@@ -178,6 +194,56 @@ def test_cost_matrix_warns_without_actionable_columns():
     with pytest.warns(UserWarning, match="actionable"):
         cost = rg.build_cost_matrix(table)
     assert cost[0, 1] == 0.0
+
+
+def _mixed_table(m: int, seed: int) -> rg.FeatureTable:
+    """Actionable, never-decreasing (with tied values) and discrete columns."""
+    rng = rg.seeded_rng(rg.derive_seed(seed, "datagen-mixed-table"))
+    return rg.FeatureTable(
+        names=("a", "up", "b", "tied_up", "grp"),
+        kinds=(
+            KIND_ACTIONABLE, KIND_ACTIONABLE_UP, KIND_ACTIONABLE,
+            KIND_ACTIONABLE_UP, KIND_DISCRETE,
+        ),
+        columns=(
+            rng.normal(size=m),
+            rng.normal(size=m),
+            rng.integers(0, 4, size=m).astype(float),
+            rng.integers(0, 4, size=m).astype(float),
+            np.array([f"g{v}" for v in rng.integers(0, 3, size=m)], dtype=object),
+        ),
+    )
+
+
+def test_cost_matrix_matches_the_broadcast_formula():
+    # the in-place build against one full m x m difference per column
+    for seed, m in enumerate((2, 7, 40, 130)):
+        table = _mixed_table(m, seed)
+        px = rg.seeded_rng(seed).uniform(size=m) if seed % 2 else None
+        w = np.full(m, 1.0 / m) if px is None else px / px.sum()
+        shift = np.zeros((m, m))
+        blocked = np.zeros((m, m), dtype=bool)
+        for kind, col in zip(table.kinds, table.columns):
+            if kind == KIND_DISCRETE:
+                blocked |= col[:, None] != col[None, :]
+                continue
+            q = _weighted_ecdf(col, w)
+            delta = q[None, :] - q[:, None]
+            np.maximum(shift, np.abs(delta), out=shift)
+            if kind == KIND_ACTIONABLE_UP:
+                blocked |= delta < 0.0
+        expected = np.where(blocked, np.inf, shift)
+        np.fill_diagonal(expected, 0.0)
+        cost = rg.build_cost_matrix(table, px)
+        assert np.isinf(cost).any() and cost.tobytes() == expected.tobytes()
+
+
+def test_cost_matrix_keeps_one_difference_buffer():
+    # the result, one difference buffer and the blocked mask with one
+    # comparison; not a difference, its abs and the np.where copy as well
+    table = _mixed_table(1000, 0)
+    peak = traced_peak(lambda: rg.build_cost_matrix(table))
+    assert peak <= 2.3 * 1000 * 1000 * np.dtype(float).itemsize
 
 
 def test_feature_table_validation():

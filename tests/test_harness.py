@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import recourse_game as rg
+from conftest import traced_peak
 from recourse_game import checks, cli, harness
 from recourse_game.harness import (
     ExperimentConfig,
@@ -293,6 +294,31 @@ def test_alpha_sweep_scales_costs(tmp_path):
     assert by_alpha["3.0"]["alg2"] == by_alpha["3.0"]["black_box"]
 
 
+def _with_unreachable_pairs(m: int, seed: int) -> rg.Instance:
+    inst = rg.generate_synthetic(rg.SynthConfig(m=m, gamma=0.3, seed=seed))
+    cost = inst.cost.copy()
+    cost[cost == 2.0] = np.inf
+    return rg.make_instance(inst.px, inst.py, cost, inst.gamma)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0, np.inf])
+def test_scale_costs_matches_the_masked_formula(alpha):
+    inst = _with_unreachable_pairs(40, 3)
+    expected = inst.cost.copy()
+    finite = np.isfinite(expected) & ~np.eye(inst.m, dtype=bool)
+    expected[finite] *= alpha
+    scaled = harness._scale_costs(inst, alpha)
+    assert np.isinf(inst.cost).any()
+    assert scaled.cost.tobytes() == expected.tobytes()
+
+
+def test_scale_costs_makes_one_copy():
+    # the scaled copy and a boolean mask; no eye, isfinite and masked gather
+    inst = _with_unreachable_pairs(1000, 7)
+    peak = traced_peak(lambda: harness._scale_costs(inst, 2.0))
+    assert peak <= 1.2 * inst.cost.nbytes
+
+
 def test_generate_writes_loadable_instance(tmp_path):
     config = small_config(tmp_path)
     values, costs = run_generate(config)
@@ -352,6 +378,7 @@ def test_config_validation():
         (dict(pl_sweep=(-0.1,)), "p_l"),
         (dict(bins=0), "bins"),
         (dict(alpha_sweep=(1.0, -0.5)), "alpha"),
+        (dict(alpha_sweep=(float("nan"), -1.0)), "alpha"),
     ],
 )
 def test_config_rejects_bad_sweep_values(overrides, message):
@@ -692,6 +719,8 @@ def test_cli_rejects_non_integer_counts(cli_config, capsys, command, config, mes
         (["--pl", "0,1.5"], "every p_l must lie in [0, 1]"),
         (["--alpha", "-1"], "every alpha must be >= 0"),
         (["--bins", "0"], "bins must be >= 1"),
+        (["--alpha", "1,nan"], "every alpha must be >= 0"),
+        (["--alpha", "nan,-1"], "every alpha must be >= 0"),
     ],
 )
 def test_cli_rejects_bad_values_before_any_run(cli_config, capsys, flags, message):

@@ -52,7 +52,6 @@ from .core import (
     is_rational,
     make_instance,
     sort_canonical,
-    validate,
 )
 from .datagen import (
     FeatureTable,
@@ -119,5 +118,4 @@ __all__ = [
     "threshold_policy",
     "transport_matrix",
     "utility",
-    "validate",
 ]

@@ -472,17 +472,13 @@ def check_determinism(base_seed: int) -> tuple[bool, str]:
         )
         for name in harness.COMMANDS:
             fn = getattr(harness, f"run_{name}")
-            paths = fn(config)
-            paths = paths if isinstance(paths, list) else [paths]
-            first = {p: Path(p).read_bytes() for p in paths}
+            first = {p: p.read_bytes() for p in fn(config)}
             # fresh files: rewritten ones stall each later unlink on ext4
             for p in first:
-                Path(p).unlink()
-            paths2 = fn(config)
-            paths2 = paths2 if isinstance(paths2, list) else [paths2]
-            for p in dict.fromkeys([*paths2, *first]):
-                if not Path(p).is_file() or Path(p).read_bytes() != first.get(p):
-                    mismatches.append(f"{name}:{Path(p).name}")
+                p.unlink()
+            for p in dict.fromkeys([*fn(config), *first]):
+                if not p.is_file() or p.read_bytes() != first.get(p):
+                    mismatches.append(f"{name}:{p.name}")
     ok = not mismatches
     detail = "all command outputs byte-identical" if ok else (
         "mismatched outputs: " + ", ".join(mismatches)

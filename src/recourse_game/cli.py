@@ -147,7 +147,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    paths = paths if isinstance(paths, list) else [paths]
     for p in paths:
         print(p)
     return 0

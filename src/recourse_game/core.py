@@ -16,8 +16,9 @@ import numpy as np
 
 # Tolerance on sum(px) == 1 for an already-constructed instance.
 PROB_SUM_TOL = 1e-9
-# Raw inputs whose mass is within this window of 1 are normalized; anything
-# further off is rejected as a real error rather than format rounding.
+# Raw inputs whose mass misses 1 by more than PROB_SUM_TOL but stays within
+# this window are rescaled; anything further off is rejected as a real error
+# rather than format rounding.
 NORMALIZE_WINDOW = 1e-6
 
 INFINITE_COST = np.inf
@@ -41,9 +42,9 @@ class Instance:
     px[i] is the population mass at feature value i, py[i] the probability of
     a positive outcome there, cost[i, j] the adaptation cost from i to j
     (np.inf = unreachable), and gamma the decision maker's per-acceptance
-    cost. The raw constructor performs no invariant checking so that
-    `validate` can be exercised on broken data; use `make_instance` to build
-    checked instances.
+    cost. Construction checks every invariant and raises ValueError naming
+    the first one broken; `make_instance` also absorbs px rounding in
+    outside data.
     """
 
     px: np.ndarray
@@ -56,10 +57,41 @@ class Instance:
         object.__setattr__(self, "py", _readonly(self.py))
         object.__setattr__(self, "cost", _readonly(self.cost))
         object.__setattr__(self, "gamma", float(self.gamma))
+        _check(self)
 
     @property
     def m(self) -> int:
         return self.px.shape[0]
+
+
+def _check(instance: Instance) -> None:
+    """Raise ValueError naming the first violated instance invariant."""
+    px, py, cost, gamma = instance.px, instance.py, instance.cost, instance.gamma
+    m = px.shape[0]
+    if px.ndim != 1 or py.ndim != 1 or py.shape[0] != m:
+        raise ValueError("px and py must be vectors of equal length")
+    if cost.shape != (m, m):
+        raise ValueError(f"cost must be {m}x{m}, got {cost.shape}")
+    bad = np.flatnonzero(~(px >= 0.0))
+    if bad.size:
+        raise ValueError(f"px[{int(bad[0])}] is negative or NaN")
+    total = float(px.sum())
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise ValueError(f"px sums to {total:g}")
+    bad = np.flatnonzero(~((py >= 0.0) & (py <= 1.0)))
+    if bad.size:
+        raise ValueError(f"py[{int(bad[0])}] outside [0, 1]")
+    drop = np.flatnonzero(py[:-1] < py[1:])
+    if drop.size:
+        raise ValueError(f"py not nonincreasing at index {int(drop[0])}")
+    if not np.min(cost, initial=0.0) >= 0.0:  # a reduction: NaN fails it too
+        i, j = np.argwhere(~(cost >= 0.0))[0]
+        raise ValueError(f"cost[{i}][{j}] is negative or NaN")
+    diag = np.flatnonzero(np.diagonal(cost) != 0.0)
+    if diag.size:
+        raise ValueError(f"cost[{int(diag[0])}][{int(diag[0])}] must be 0")
+    if not (0.0 < gamma < 1.0):
+        raise ValueError(f"gamma must lie strictly in (0, 1), got {gamma:g}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,53 +187,15 @@ class PartitionMatroid:
         return sum(self.capacities)
 
 
-def validate(instance: Instance) -> str | None:
-    """Return the first violated instance invariant, or None if all hold.
-
-    Reports rather than raises so callers can surface the message; checked
-    constructors raise on a non-None report.
-    """
-    px, py, cost, gamma = instance.px, instance.py, instance.cost, instance.gamma
-    m = px.shape[0]
-    if px.ndim != 1 or py.ndim != 1 or py.shape[0] != m:
-        return "px and py must be vectors of equal length"
-    if cost.shape != (m, m):
-        return f"cost must be {m}x{m}, got {cost.shape}"
-    bad = np.flatnonzero(~(px >= 0.0))
-    if bad.size:
-        return f"px[{int(bad[0])}] is negative or NaN"
-    total = float(px.sum())
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        return f"px sums to {total:g}"
-    bad = np.flatnonzero(~((py >= 0.0) & (py <= 1.0)))
-    if bad.size:
-        return f"py[{int(bad[0])}] outside [0, 1]"
-    drop = np.flatnonzero(py[:-1] < py[1:])
-    if drop.size:
-        return f"py not nonincreasing at index {int(drop[0])}"
-    if not np.min(cost, initial=0.0) >= 0.0:  # a reduction: NaN fails it too
-        bad = np.argwhere(~(cost >= 0.0))
-        return f"cost[{int(bad[0, 0])}][{int(bad[0, 1])}] is negative or NaN"
-    diag = np.flatnonzero(np.diagonal(cost) != 0.0)
-    if diag.size:
-        return f"cost[{int(diag[0])}][{int(diag[0])}] must be 0"
-    if not (0.0 < gamma < 1.0):
-        return f"gamma must lie strictly in (0, 1), got {gamma:g}"
-    return None
-
-
 def make_instance(px, py, cost, gamma: float) -> Instance:
-    """Checked constructor: normalizes px within the rounding window and
-    raises ValueError on any invariant violation."""
-    px = np.asarray(px, dtype=float).copy()
+    """Checked constructor for outside data: a px whose sum misses 1 by more
+    than PROB_SUM_TOL but by no more than NORMALIZE_WINDOW is rescaled; any
+    other px is stored bit for bit. Raises ValueError on a broken invariant."""
+    px = np.array(px, dtype=float)
     total = float(px.sum())
-    if abs(total - 1.0) <= NORMALIZE_WINDOW and total > 0.0:
-        px = px / total
-    instance = Instance(px=px, py=py, cost=cost, gamma=gamma)
-    report = validate(instance)
-    if report is not None:
-        raise ValueError(report)
-    return instance
+    if PROB_SUM_TOL < abs(total - 1.0) <= NORMALIZE_WINDOW:
+        px /= total
+    return Instance(px=px, py=py, cost=cost, gamma=gamma)
 
 
 def _canonical_order(py: np.ndarray) -> np.ndarray:

@@ -75,8 +75,6 @@ def generate_synthetic(config: SynthConfig) -> Instance:
     while np.any(weights < 0.0):
         bad = weights < 0.0
         weights[bad] = rng.normal(0.5, 0.1, int(bad.sum()))
-    px = weights / weights.sum()
-
     py = rng.uniform(size=m)
 
     # Coins, then costs, drawn in row blocks: the same doubles as one m x m
@@ -98,7 +96,9 @@ def generate_synthetic(config: SynthConfig) -> Instance:
         block[unreachable[rows]] = 2.0
         cost[rank[rows]] = block[:, perm]
     np.fill_diagonal(cost, 0.0)
-    return make_instance(px[perm], py[perm], cost, config.gamma)
+    # the pinned bytes: normalized, then normalized again in canonical order
+    px = weights[perm] / weights.sum()
+    return make_instance(px / px.sum(), py[perm], cost, config.gamma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,7 +233,8 @@ def load_instance(values_path, cost_path, gamma: float) -> Instance:
     if m == 0:
         raise ValueError(f"{values_path}: no data rows")
 
-    cost = []
+    cost = np.empty((m, m))
+    rows = 0
     with open(cost_path, newline="") as f:
         for line_no, row in enumerate(csv.reader(f), start=1):
             if not row:
@@ -242,9 +243,14 @@ def load_instance(values_path, cost_path, gamma: float) -> Instance:
                 raise ValueError(
                     f"{cost_path}: line {line_no}: expected {m} fields, got {len(row)}"
                 )
-            cost.append([_parse_float(t, cost_path, line_no) for t in row])
-    if len(cost) != m:
-        raise ValueError(f"{cost_path}: expected {m} rows, got {len(cost)}")
+            dest = cost[rows] if rows < m else np.empty(m)  # surplus rows parse too
+            try:
+                dest[:] = row
+            except ValueError:  # float() names the bad token
+                dest[:] = [_parse_float(t, cost_path, line_no) for t in row]
+            rows += 1
+    if rows != m:
+        raise ValueError(f"{cost_path}: expected {m} rows, got {rows}")
     return make_instance(px, py, cost, gamma)
 
 

@@ -19,13 +19,14 @@ import time
 from dataclasses import asdict, dataclass, replace
 from numbers import Integral
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .algorithms import greedy_fixed_policy, greedy_matroid, randomized_joint
 from .baselines import diverse_explanations, min_cost_explanations, threshold_policy
 from .behavior import group_improvement, leakage_utility, transport_matrix, utility
-from .core import ExplanationSet, Instance, PartitionMatroid, Policy, make_instance
+from .core import _ROW_BLOCK, ExplanationSet, Instance, PartitionMatroid, Policy
 from .datagen import (
     SynthConfig,
     _fmt,
@@ -118,25 +119,30 @@ def _write_csv(config: ExperimentConfig, name: str, header: list[str], rows) -> 
 
 
 def _scale_costs(instance: Instance, alpha: float) -> Instance:
+    """Multiply every positive finite cost by alpha; zero costs (the diagonal
+    among them) stay 0 and infinite ones stay infinite at every alpha."""
     if alpha == 1.0:
         return instance
     cost = instance.cost.copy()
-    # the diagonal stays 0 at alpha = inf, where 0 * inf would be NaN
-    finite = np.isfinite(cost)
-    np.fill_diagonal(finite, False)
-    np.multiply(cost, alpha, out=cost, where=finite)
-    return make_instance(instance.px, instance.py, cost, instance.gamma)
+    for s in range(0, instance.m, _ROW_BLOCK):  # a mask block, not an m x m mask
+        rows = cost[s : s + _ROW_BLOCK]
+        np.multiply(rows, alpha, out=rows, where=(rows > 0.0) & (rows < np.inf))
+    return replace(instance, cost=cost)
 
 
-def _instance_for(
-    config: ExperimentConfig, alpha: float, k: int, rep: int
-) -> Instance:
-    if config.synthetic is not None:
+def _instance_source(config: ExperimentConfig) -> Callable[[float, int, int], Instance]:
+    """The instance at a sweep point (alpha, k, rep). A file instance is read
+    once per command and rescaled per point; a synthetic one is drawn per point."""
+    if config.synthetic is None:
+        base = load_instance(config.values_path, config.cost_path, config.gamma)
+        return lambda alpha, k, rep: _scale_costs(base, alpha)
+
+    def draw(alpha: float, k: int, rep: int) -> Instance:
         seed = derive_seed(config.base_seed, "instance", alpha, k, rep)
         inst = generate_synthetic(replace(config.synthetic, seed=seed))
-    else:
-        inst = load_instance(config.values_path, config.cost_path, config.gamma)
-    return _scale_costs(inst, alpha)
+        return _scale_costs(inst, alpha)
+
+    return draw
 
 
 def _alg2_stream(
@@ -172,20 +178,22 @@ def run_generate(config: ExperimentConfig) -> list[Path]:
     """Write compare's instance at the first alpha and k, repetition 0, to CSV."""
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    inst = _instance_for(config, config.alpha_sweep[0], config.effective_k_sweep[0], 0)
+    alpha, k = config.alpha_sweep[0], config.effective_k_sweep[0]
+    inst = _instance_source(config)(alpha, k, 0)
     values = outdir / "instance_values.csv"
     costs = outdir / "instance_cost.csv"
     save_instance(inst, values, costs)
     return [values, costs]
 
 
-def run_compare(config: ExperimentConfig) -> Path:
+def run_compare(config: ExperimentConfig) -> list[Path]:
     """Utility of the five regimes per sweep point and repetition."""
+    instance_at = _instance_source(config)
     rows, timing_rows = [], []
     for alpha in config.alpha_sweep:
         for k in config.effective_k_sweep:
             for rep in range(config.repetitions):
-                inst = _instance_for(config, alpha, k, rep)
+                inst = instance_at(alpha, k, rep)
                 rng = _alg2_stream(config, alpha, k, rep)
                 for regime in REGIMES:
                     t0 = time.perf_counter()
@@ -199,27 +207,26 @@ def run_compare(config: ExperimentConfig) -> Path:
         ["alpha", "k", "repetition", "regime", "runtime_ms"],
         timing_rows,
     )
-    return _write_csv(
-        config, "compare.csv", ["alpha", "k", "repetition", "regime", "utility"], rows
-    )
+    header = ["alpha", "k", "repetition", "regime", "utility"]
+    return [_write_csv(config, "compare.csv", header, rows)]
 
 
-def run_leakage(config: ExperimentConfig) -> Path:
+def run_leakage(config: ExperimentConfig) -> list[Path]:
     """Utility of the jointly optimized solution under explanation leakage."""
+    instance_at = _instance_source(config)
     alpha = config.alpha_sweep[0]
     rows = []
     for k in config.effective_k_sweep:
         for rep in range(config.repetitions):
-            inst = _instance_for(config, alpha, k, rep)
+            inst = instance_at(alpha, k, rep)
             policy, A = regime_solution(
                 "alg2", inst, k, _alg2_stream(config, alpha, k, rep)
             )
             for p_l in config.pl_sweep:
                 u = leakage_utility(inst, policy, A, p_l)
                 rows.append([k, _fmt(p_l), rep, _fmt(u)])
-    return _write_csv(
-        config, "leakage.csv", ["k", "p_l", "repetition", "utility"], rows
-    )
+    header = ["k", "p_l", "repetition", "utility"]
+    return [_write_csv(config, "leakage.csv", header, rows)]
 
 
 def _bin_labels(bins: int) -> list[str]:
@@ -235,7 +242,7 @@ def run_transport(config: ExperimentConfig) -> list[Path]:
     """Moved-mass matrices between outcome bins for alg1 and alg2."""
     alpha = config.alpha_sweep[0]
     k = config.effective_k_sweep[0]
-    inst = _instance_for(config, alpha, k, 0)
+    inst = _instance_source(config)(alpha, k, 0)
     rng = _alg2_stream(config, alpha, k, 0)
     labels = _bin_labels(config.bins)
     paths = []
@@ -280,27 +287,23 @@ def group_balance(
     ]
 
 
-def run_matroid(config: ExperimentConfig) -> Path:
+def run_matroid(config: ExperimentConfig) -> list[Path]:
     """Group balance of cardinality- vs matroid-constrained explanations."""
     if config.matroid is None:
         raise ValueError("matroid experiment needs a matroid block in the config")
-    inst = _instance_for(config, config.alpha_sweep[0], config.matroid.k, 0)
+    inst = _instance_source(config)(config.alpha_sweep[0], config.matroid.k, 0)
     rows = [
         [g, _fmt(mass), n_card, n_mat, _fmt(impr_card), _fmt(impr_mat)]
         for g, (mass, n_card, n_mat, impr_card, impr_mat) in enumerate(
             group_balance(inst, config.matroid)
         )
     ]
-    return _write_csv(
-        config,
-        "matroid.csv",
-        [
-            "group",
-            "rejected_mass",
-            "count_cardinality",
-            "count_matroid",
-            "improvement_cardinality",
-            "improvement_matroid",
-        ],
-        rows,
-    )
+    header = [
+        "group",
+        "rejected_mass",
+        "count_cardinality",
+        "count_matroid",
+        "improvement_cardinality",
+        "improvement_matroid",
+    ]
+    return [_write_csv(config, "matroid.csv", header, rows)]

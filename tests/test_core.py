@@ -16,24 +16,27 @@ BASIC = dict(
 
 def test_validate_ok_on_consistent_instance():
     inst = rg.Instance(**BASIC)
-    assert rg.validate(inst) is None
+    assert inst.m == 2
+    assert inst.px.tolist() == BASIC["px"]
 
 
 def test_validate_reports_py_ordering():
-    inst = rg.Instance(**{**BASIC, "py": [0.1, 0.9]})
-    assert rg.validate(inst) == "py not nonincreasing at index 0"
+    with pytest.raises(ValueError, match=r"^py not nonincreasing at index 0$"):
+        rg.Instance(**{**BASIC, "py": [0.1, 0.9]})
 
 
 def test_validate_reports_px_sum():
-    inst = rg.Instance(**{**BASIC, "px": [0.5, 0.6]})
-    assert rg.validate(inst) == "px sums to 1.1"
+    with pytest.raises(ValueError, match=r"^px sums to 1\.1$"):
+        rg.Instance(**{**BASIC, "px": [0.5, 0.6]})
 
 
 def test_validate_reports_bad_gamma_and_diagonal():
-    assert "gamma" in rg.validate(rg.Instance(**{**BASIC, "gamma": 1.0}))
-    assert "gamma" in rg.validate(rg.Instance(**{**BASIC, "gamma": 0.0}))
-    bad = rg.Instance(**{**BASIC, "cost": [[0.0, 1.0], [1.0, 0.5]]})
-    assert rg.validate(bad) == "cost[1][1] must be 0"
+    with pytest.raises(ValueError, match="gamma"):
+        rg.Instance(**{**BASIC, "gamma": 1.0})
+    with pytest.raises(ValueError, match="gamma"):
+        rg.Instance(**{**BASIC, "gamma": 0.0})
+    with pytest.raises(ValueError, match=r"^cost\[1\]\[1\] must be 0$"):
+        rg.Instance(**{**BASIC, "cost": [[0.0, 1.0], [1.0, 0.5]]})
 
 
 @pytest.mark.parametrize("first, second", [(-0.5, np.nan), (np.nan, -0.5)])
@@ -41,19 +44,51 @@ def test_validate_reports_the_first_bad_cost_in_row_major_order(first, second):
     cost = np.ones((3, 3))
     np.fill_diagonal(cost, 0.0)
     cost[1, 2], cost[2, 0] = first, second
-    inst = rg.Instance([0.5, 0.25, 0.25], [0.9, 0.5, 0.1], cost, 0.3)
-    assert rg.validate(inst) == "cost[1][2] is negative or NaN"
+    with pytest.raises(ValueError, match=r"^cost\[1\]\[2\] is negative or NaN$"):
+        rg.Instance([0.5, 0.25, 0.25], [0.9, 0.5, 0.1], cost, 0.3)
 
 
 def test_validate_makes_no_m_by_m_temporary():
     inst = random_instance(rg.seeded_rng(0), 1000, gamma=0.3)
-    assert traced_peak(lambda: rg.validate(inst)) < inst.cost.nbytes / 100
+    peak = traced_peak(lambda: rg.Instance(inst.px, inst.py, inst.cost, inst.gamma))
+    assert peak < inst.cost.nbytes / 100
 
 
 def test_validate_accepts_infinite_cost():
     inst = rg.Instance(**{**BASIC, "cost": [[0.0, rg.INFINITE_COST], [1.0, 0.0]]})
-    assert rg.validate(inst) is None
+    assert inst.cost[0, 1] == rg.INFINITE_COST
     assert np.isinf(rg.INFINITE_COST)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"py": [0.9]}, "px and py must be vectors of equal length"),
+        ({"cost": [[0.0, 1.0]]}, "cost must be 2x2, got (1, 2)"),
+        ({"px": [1.5, -0.5]}, "px[1] is negative or NaN"),
+        ({"px": [np.nan, 0.5]}, "px[0] is negative or NaN"),
+        ({"py": [1.5, 0.1]}, "py[0] outside [0, 1]"),
+        ({"gamma": 1.0}, "gamma must lie strictly in (0, 1), got 1"),
+    ],
+    ids=["py-length", "cost-shape", "px-negative", "px-nan", "py-range", "gamma"],
+)
+def test_instance_raises_on_every_broken_invariant(change, message):
+    # the unchecked path is gone: construction itself rejects broken data,
+    # with or without make_instance in front
+    for build in (rg.Instance, rg.make_instance):
+        with pytest.raises(ValueError) as err:
+            build(**{**BASIC, **change})
+        assert str(err.value) == message
+
+
+def test_make_instance_keeps_a_passing_px_bit_for_bit():
+    # sums to 1 - 2**-53: within PROB_SUM_TOL, so nothing is rescaled
+    px = np.array([0.1, 0.2, 0.7 - 2**-53])
+    assert px.sum() != 1.0
+    inst = rg.make_instance(px, [0.9, 0.5, 0.1], np.zeros((3, 3)), 0.3)
+    assert inst.px.tobytes() == px.tobytes()
+    again = rg.make_instance(inst.px, inst.py, inst.cost, 0.3)
+    assert again.px.tobytes() == px.tobytes()
 
 
 def test_make_instance_normalizes_within_window():
@@ -115,8 +150,8 @@ def test_sort_canonical_of_random_inputs_validates():
         cost = rng.uniform(size=(m, m))
         cost[rng.random((m, m)) < 0.2] = rg.INFINITE_COST
         np.fill_diagonal(cost, 0.0)
+        # construction checks the invariants, so sorting alone must pass them
         inst, _ = rg.sort_canonical(px, py, cost, float(rng.uniform(0.05, 0.95)))
-        assert rg.validate(inst) is None
         twice, perm = rg.sort_canonical(inst.px, inst.py, inst.cost, inst.gamma)
         assert perm.tolist() == list(range(m))
         assert np.array_equal(twice.cost, inst.cost)

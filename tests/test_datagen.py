@@ -34,7 +34,9 @@ def test_different_seed_different_instance():
 def test_generated_instance_validates():
     for seed in range(10):
         inst = rg.generate_synthetic(rg.SynthConfig(m=15, gamma=0.3, seed=seed))
-        assert rg.validate(inst) is None
+        # a rebuild runs every invariant check again and changes no bit
+        again = rg.Instance(inst.px, inst.py, inst.cost.copy(), inst.gamma)
+        assert again.px.tobytes() == inst.px.tobytes()
 
 
 def test_finite_cost_fraction_concentrates():
@@ -264,6 +266,26 @@ def test_instance_round_trip(tmp_path):
     assert back.gamma == inst.gamma
 
 
+def test_px_round_trips_bit_for_bit(tmp_path):
+    # a px that already sums to 1 within PROB_SUM_TOL is never rescaled
+    values, costs = tmp_path / "v.csv", tmp_path / "c.csv"
+    for seed in range(300):
+        inst = rg.generate_synthetic(rg.SynthConfig(m=12, gamma=0.3, seed=seed))
+        rg.save_instance(inst, values, costs)
+        back = rg.load_instance(values, costs, gamma=inst.gamma)
+        assert back.px.tobytes() == inst.px.tobytes(), seed
+
+
+def test_load_instance_parses_costs_in_place(tmp_path):
+    # one float row at a time into the cost matrix, no list of m * m floats
+    inst = rg.generate_synthetic(rg.SynthConfig(m=300, gamma=0.3, seed=4))
+    values, costs = tmp_path / "v.csv", tmp_path / "c.csv"
+    rg.save_instance(inst, values, costs)
+    rg.load_instance(values, costs, gamma=inst.gamma)  # warm up lazy imports
+    peak = traced_peak(lambda: rg.load_instance(values, costs, gamma=inst.gamma))
+    assert peak <= 1.5 * inst.cost.nbytes
+
+
 def test_instance_files_use_inf_token(tmp_path):
     inst = rg.make_instance(
         [0.5, 0.5], [0.9, 0.4], [[0.0, rg.INFINITE_COST], [0.3, 0.0]], 0.5
@@ -287,6 +309,15 @@ def test_load_instance_errors_name_the_line(tmp_path):
     values.write_text("wrong,header\n0.5,0.9\n")
     with pytest.raises(ValueError, match="line 1"):
         rg.load_instance(values, costs, gamma=0.3)
+    values.write_text("px,py\n0.5,0.9\n0.5,0.4\n")
+    for text, line in [
+        ("0.0,1.0\n1.0,oops\n", 2),
+        ("0.0,\n1.0,0.0\n", 1),
+        ("0.0,1.0\n1.0,0.0\n1.0,oops\n", 3),  # a surplus row is still parsed
+    ]:
+        costs.write_text(text)
+        with pytest.raises(ValueError, match=f"c.csv: line {line}: bad float"):
+            rg.load_instance(values, costs, gamma=0.3)
 
 
 def test_load_instance_checks_cost_dimensions(tmp_path):
@@ -297,6 +328,9 @@ def test_load_instance_checks_cost_dimensions(tmp_path):
         rg.load_instance(values, costs, gamma=0.3)
     costs.write_text("0.0,1.0,2.0\n0.0,1.0,2.0\n")
     with pytest.raises(ValueError, match="expected 2 fields"):
+        rg.load_instance(values, costs, gamma=0.3)
+    costs.write_text("0.0,1.0\n1.0,0.0\n1.0,0.0\n")
+    with pytest.raises(ValueError, match="expected 2 rows, got 3"):
         rg.load_instance(values, costs, gamma=0.3)
 
 

@@ -49,8 +49,8 @@ def read_rows(path):
 
 def test_compare_rerun_is_byte_identical(tmp_path):
     config = small_config(tmp_path)
-    first = run_compare(config).read_bytes()
-    second = run_compare(config).read_bytes()
+    first = [p.read_bytes() for p in run_compare(config)]
+    second = [p.read_bytes() for p in run_compare(config)]
     assert first == second
 
 
@@ -72,7 +72,7 @@ def test_determinism_check_fails_when_a_rerun_writes_nothing(monkeypatch):
 
 
 def test_provenance_header(tmp_path):
-    path = run_compare(small_config(tmp_path))
+    (path,) = run_compare(small_config(tmp_path))
     provenance, rows = read_rows(path)
     assert provenance.startswith("# recourse-game 0.1.0 ")
     assert "base_seed=5" in provenance
@@ -81,14 +81,14 @@ def test_provenance_header(tmp_path):
 
 
 def test_compare_rows_cover_all_regimes(tmp_path):
-    _, rows = read_rows(run_compare(small_config(tmp_path)))
+    _, rows = read_rows(*run_compare(small_config(tmp_path)))
     regimes = {r["regime"] for r in rows}
     assert regimes == {"black_box", "min_cost", "diverse", "alg1", "alg2"}
     assert len(rows) == 5 * 2  # five regimes, two repetitions
 
 
 def test_compare_k_zero_collapses_to_black_box(tmp_path):
-    _, rows = read_rows(run_compare(small_config(tmp_path, k=0, k_sweep=(0,))))
+    _, rows = read_rows(*run_compare(small_config(tmp_path, k=0, k_sweep=(0,))))
     by_rep = {}
     for r in rows:
         by_rep.setdefault(r["repetition"], set()).add(r["utility"])
@@ -102,7 +102,7 @@ def test_compare_without_viable_values_gives_black_box_everywhere(tmp_path):
         tmp_path, synthetic=rg.SynthConfig(m=3, gamma=0.95), k=2, k_sweep=(2,),
         repetitions=1, base_seed=1,
     )
-    _, rows = read_rows(run_compare(config))
+    _, rows = read_rows(*run_compare(config))
     utility = {r["regime"]: r["utility"] for r in rows}
     assert set(utility) == {"black_box", "min_cost", "diverse", "alg1", "alg2"}
     assert set(utility.values()) == {utility["black_box"]}
@@ -111,8 +111,8 @@ def test_compare_without_viable_values_gives_black_box_everywhere(tmp_path):
 def test_leakage_k_zero_rows_equal_black_box(tmp_path):
     # nothing is published at k=0, so no p_l moves anyone
     config = small_config(tmp_path, k=0, k_sweep=(0, 2))
-    _, compare_rows = read_rows(run_compare(config))
-    _, leak_rows = read_rows(run_leakage(config))
+    _, compare_rows = read_rows(*run_compare(config))
+    _, leak_rows = read_rows(*run_leakage(config))
     black_box = {
         r["repetition"]: r["utility"]
         for r in compare_rows
@@ -125,8 +125,8 @@ def test_leakage_k_zero_rows_equal_black_box(tmp_path):
 
 def test_leakage_zero_probability_matches_compare_alg2(tmp_path):
     config = small_config(tmp_path)
-    _, compare_rows = read_rows(run_compare(config))
-    _, leak_rows = read_rows(run_leakage(config))
+    _, compare_rows = read_rows(*run_compare(config))
+    _, leak_rows = read_rows(*run_leakage(config))
     alg2 = {
         r["repetition"]: r["utility"] for r in compare_rows if r["regime"] == "alg2"
     }
@@ -136,7 +136,7 @@ def test_leakage_zero_probability_matches_compare_alg2(tmp_path):
 
 def test_leakage_singleton_budget_constant_in_pl(tmp_path):
     config = small_config(tmp_path, k=1, k_sweep=(1,), pl_sweep=(0.0, 0.3, 0.9))
-    _, rows = read_rows(run_leakage(config))
+    _, rows = read_rows(*run_leakage(config))
     by_rep = {}
     for r in rows:
         by_rep.setdefault(r["repetition"], set()).add(r["utility"])
@@ -173,11 +173,11 @@ def test_transport_k_zero_writes_zero_matrices(tmp_path):
 
 def test_regime_solution_is_what_compare_scores(tmp_path):
     config = small_config(tmp_path, k_sweep=(0, 2))
-    _, rows = read_rows(run_compare(config))
+    _, rows = read_rows(*run_compare(config))
     assert len(rows) == 2 * 2 * len(harness.REGIMES)
     for row in rows:
         k, rep, regime = int(row["k"]), int(row["repetition"]), row["regime"]
-        inst = harness._instance_for(config, 1.0, k, rep)
+        inst = harness._instance_source(config)(1.0, k, rep)
         rng = harness._alg2_stream(config, 1.0, k, rep)
         before = rng.bit_generator.state
         policy, A = harness.regime_solution(regime, inst, k, rng)
@@ -197,8 +197,8 @@ def test_group_balance_is_what_matroid_writes(tmp_path):
         groups=(tuple(range(9)), tuple(range(9, 18))), capacities=(2, 1)
     )
     config = small_config(tmp_path, matroid=matroid)
-    _, rows = read_rows(run_matroid(config))
-    inst = harness._instance_for(config, 1.0, matroid.k, 0)
+    _, rows = read_rows(*run_matroid(config))
+    inst = harness._instance_source(config)(1.0, matroid.k, 0)
     table = harness.group_balance(inst, matroid)
     fmt = rg.datagen._fmt
     assert [list(r.values()) for r in rows] == [
@@ -213,7 +213,7 @@ def test_group_balance_is_what_matroid_writes(tmp_path):
 def test_matroid_uniform_reproduces_cardinality(tmp_path):
     matroid = rg.PartitionMatroid(groups=(tuple(range(18)),), capacities=(2,))
     config = small_config(tmp_path, matroid=matroid)
-    _, rows = read_rows(run_matroid(config))
+    _, rows = read_rows(*run_matroid(config))
     assert len(rows) == 1
     assert rows[0]["count_cardinality"] == rows[0]["count_matroid"]
     assert rows[0]["improvement_cardinality"] == rows[0]["improvement_matroid"]
@@ -224,7 +224,7 @@ def test_matroid_counts_respect_capacities(tmp_path):
         groups=(tuple(range(9)), tuple(range(9, 18))), capacities=(1, 1)
     )
     config = small_config(tmp_path, matroid=matroid)
-    _, rows = read_rows(run_matroid(config))
+    _, rows = read_rows(*run_matroid(config))
     for row, cap in zip(rows, matroid.capacities):
         assert int(row["count_matroid"]) <= cap
 
@@ -249,7 +249,7 @@ def test_matroid_two_group_witness_through_csv(tmp_path):
         matroid=matroid,
         base_seed=1,
     )
-    _, rows = read_rows(run_matroid(config))
+    _, rows = read_rows(*run_matroid(config))
     counts_card = [int(r["count_cardinality"]) for r in rows]
     counts_mat = [int(r["count_matroid"]) for r in rows]
     assert counts_card == [2, 0]  # unconstrained greedy serves only group 1
@@ -281,7 +281,7 @@ def test_alpha_sweep_scales_costs(tmp_path):
         repetitions=1,
         base_seed=1,
     )
-    _, rows = read_rows(run_compare(config))
+    _, rows = read_rows(*run_compare(config))
     by_alpha = {}
     for r in rows:
         by_alpha.setdefault(r["alpha"], {})[r["regime"]] = float(r["utility"])
@@ -319,12 +319,86 @@ def test_scale_costs_makes_one_copy():
     assert peak <= 1.2 * inst.cost.nbytes
 
 
+def _tied_rows_instance() -> rg.Instance:
+    # rows 0 and 1 share every percentile, so their costs to each other are 0
+    table = rg.FeatureTable(
+        names=("score",), kinds=("actionable",),
+        columns=(np.array([3.0, 3.0, 2.0, 1.0]),),
+    )
+    return rg.make_instance(
+        [0.25] * 4, [0.9, 0.8, 0.4, 0.2], rg.build_cost_matrix(table), 0.5
+    )
+
+
+def test_scale_costs_keeps_zero_costs_at_infinite_alpha():
+    inst = _tied_rows_instance()
+    assert inst.cost[0, 1] == inst.cost[1, 0] == 0.0
+    scaled = harness._scale_costs(inst, np.inf)  # RuntimeWarnings are errors here
+    assert scaled.cost[0, 1] == scaled.cost[1, 0] == 0.0
+    assert np.array_equal(np.diagonal(scaled.cost), np.zeros(4))
+    assert np.isinf(scaled.cost[inst.cost > 0.0]).all()
+
+
+def test_cli_compare_at_infinite_alpha_on_tied_rows(tmp_path):
+    values, costs = tmp_path / "v.csv", tmp_path / "c.csv"
+    rg.save_instance(_tied_rows_instance(), values, costs)
+    rc = cli.main([
+        "compare", "--values", str(values), "--costs", str(costs),
+        "--gamma", "0.5", "--k", "1", "--alpha", "1,inf",
+        "--outdir", str(tmp_path / "out"),
+    ])
+    assert rc == 0
+    _, rows = read_rows(tmp_path / "out" / "compare.csv")
+    assert {r["alpha"] for r in rows} == {"1.0", "inf"}
+
+
+def _file_config(tmp_path, synth: ExperimentConfig) -> ExperimentConfig:
+    """synth's sweep, read from the files that `generate` writes for it."""
+    values, costs = run_generate(replace(synth, outdir=str(tmp_path / "gen")))
+    return replace(
+        synth, outdir=str(tmp_path / "file"), synthetic=None,
+        values_path=str(values), cost_path=str(costs), gamma=synth.synthetic.gamma,
+    )
+
+
+def test_file_compare_matches_the_synthetic_run(tmp_path):
+    # the loaded instance is the generated one bit for bit, so every row agrees
+    for seed in range(40):
+        synth = ExperimentConfig(
+            experiment="compare", outdir=str(tmp_path / "synth"),
+            synthetic=rg.SynthConfig(m=12), k=2, k_sweep=(2,), base_seed=seed,
+        )
+        _, want = read_rows(*run_compare(synth))
+        _, got = read_rows(*run_compare(_file_config(tmp_path, synth)))
+        assert got == want, seed
+
+
+def test_file_compare_loads_the_instance_once(tmp_path, monkeypatch):
+    synth = small_config(
+        tmp_path, k_sweep=(1, 2), alpha_sweep=(1.0, 2.0), repetitions=3
+    )
+    config = _file_config(tmp_path, synth)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return rg.load_instance(*args)
+
+    monkeypatch.setattr(harness, "load_instance", counting)
+    _, rows = read_rows(*run_compare(config))
+    assert len(rows) == 2 * 2 * 3 * len(harness.REGIMES)
+    assert len(calls) == 1
+
+
 def test_generate_writes_loadable_instance(tmp_path):
     config = small_config(tmp_path)
     values, costs = run_generate(config)
     inst = rg.load_instance(values, costs, gamma=0.3)
     assert inst.m == 18
-    assert rg.validate(inst) is None
+    # loading checked every invariant; the bytes are the generated instance's
+    want = harness._instance_source(config)(1.0, 2, 0)
+    for name in ("px", "py", "cost"):
+        assert getattr(inst, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_generate_writes_the_first_sweep_instance(tmp_path):
@@ -335,7 +409,7 @@ def test_generate_writes_the_first_sweep_instance(tmp_path):
     )
     values, costs = run_generate(config)
     want = tmp_path / "want_values.csv", tmp_path / "want_cost.csv"
-    rg.save_instance(harness._instance_for(config, 1.0, 10, 0), *want)
+    rg.save_instance(harness._instance_source(config)(1.0, 10, 0), *want)
     assert values.read_bytes() == want[0].read_bytes()
     assert costs.read_bytes() == want[1].read_bytes()
 
@@ -354,7 +428,7 @@ def test_file_based_config_round_trip(tmp_path):
         repetitions=1,
         base_seed=5,
     )
-    _, rows = read_rows(run_compare(config))
+    _, rows = read_rows(*run_compare(config))
     assert len(rows) == 5
 
 

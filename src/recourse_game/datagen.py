@@ -244,10 +244,7 @@ def load_instance(values_path, cost_path, gamma: float) -> Instance:
                     f"{cost_path}: line {line_no}: expected {m} fields, got {len(row)}"
                 )
             dest = cost[rows] if rows < m else np.empty(m)  # surplus rows parse too
-            try:
-                dest[:] = row
-            except ValueError:  # float() names the bad token
-                dest[:] = [_parse_float(t, cost_path, line_no) for t in row]
+            dest[:] = [_parse_float(t, cost_path, line_no) for t in row]
             rows += 1
     if rows != m:
         raise ValueError(f"{cost_path}: expected {m} rows, got {rows}")

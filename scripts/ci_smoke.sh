@@ -1,0 +1,69 @@
+#!/usr/bin/env bash
+# The CI smoke, agreement and golden-hash steps, runnable anywhere:
+#
+#     scripts/ci_smoke.sh recourse-game
+#     scripts/ci_smoke.sh "python -m recourse_game.cli"
+#
+# The first argument is the CLI command, split into words. Outputs go to a
+# temporary directory that is removed on exit; src/ is put on PYTHONPATH so
+# a checkout runs without an install.
+set -euo pipefail
+
+if [ "$#" -ne 1 ]; then
+  echo "usage: $0 CLI-COMMAND" >&2
+  exit 2
+fi
+read -r -a cli <<< "$1"
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+export PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}"
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+cd "$work"
+
+echo "== Console script smoke test"
+"${cli[@]}" generate --m 10 --seed 3 --outdir smoke/instance
+"${cli[@]}" compare --values smoke/instance/instance_values.csv \
+  --costs smoke/instance/instance_cost.csv --gamma 0.3 --k 2 \
+  --outdir smoke/results
+test -s smoke/results/compare.csv
+"${cli[@]}" leakage --m 20 --k 0,2 --pl 0,0.5 --outdir smoke/leakage
+grep -q '^0,' smoke/leakage/leakage.csv
+"${cli[@]}" transport --m 20 --k 0 --outdir smoke/transport
+test -s smoke/transport/transport_alg1.csv
+test -s smoke/transport/transport_alg2.csv
+echo '{"instance": {"m": 6, "gamma": 0.3},
+  "matroid": {"groups": [[0, 1, 2], [3, 4, 5]], "capacities": [2, 1]}}' \
+  > smoke/matroid.json
+"${cli[@]}" matroid --config smoke/matroid.json --outdir smoke/matroid
+test -s smoke/matroid/matroid.csv
+echo '{"repetition": 20}' > smoke/unknown-key.json
+echo '{"instance": {"m": 6, "symmetric": true}}' > smoke/removed-key.json
+echo '{"instance": {"m": 6}, "k": 2.5}' > smoke/non-integer.json
+for bad in "--config smoke/unknown-key.json" \
+  "--config smoke/removed-key.json" "--config smoke/non-integer.json" \
+  "--m 10 --k 2 --alpha nan"; do
+  rc=0
+  # shellcheck disable=SC2086  # $bad holds several flags
+  "${cli[@]}" compare $bad --outdir smoke/rejected || rc=$?
+  test "$rc" -eq 2 || { echo "$bad: exit $rc, expected 2"; exit 1; }
+done
+
+echo "== File and synthetic compare agree"
+"${cli[@]}" generate --m 12 --k 2 --seed 2 --outdir agree/instance
+"${cli[@]}" compare --values agree/instance/instance_values.csv \
+  --costs agree/instance/instance_cost.csv --gamma 0.3 --k 2 --seed 2 \
+  --outdir agree/file
+"${cli[@]}" compare --m 12 --k 2 --seed 2 --outdir agree/synthetic
+tail -n +2 agree/file/compare.csv > agree/file.body
+tail -n +2 agree/synthetic/compare.csv > agree/synthetic.body
+cmp agree/file.body agree/synthetic.body
+
+echo "== Full-size golden hashes"
+for w in paper scale battery; do
+  python3 "$root/benchmark/run.py" --workload "$w" --seed 0 --seconds 1 \
+    --trace 0 > "bench-$w.txt"
+  tail -n 1 "bench-$w.txt" | python3 -c \
+    'import json, sys; sys.exit(json.load(sys.stdin).get("correct") is not True)' \
+    || { echo "$w: outputs differ from the golden hashes"; exit 1; }
+done
+echo "ci_smoke: all steps passed"

@@ -196,11 +196,12 @@ def randomized_joint_runs(
     ahead of them by index, and at least k + 1 of them remain, so a
     candidate of negative gain is never drawn.
 
-    h is submodular (though not monotone), so stale gains stay upper bounds
-    and the lazy pool is exactly the top k in (-gain, index) order: the draw
-    picks what a full ranking would. A refresh scores the stale entries
-    among the top max(k, _GREEDY_BLOCK) in one kernel call. Each run takes
-    exactly k draws from its stream, so `seeded_rng(seed)` makes it
+    h is submodular (though not monotone), so stale gains stay upper bounds.
+    Each iteration draws its slot first and pops only slot + 1 entries: the
+    lazy pool is exactly the top slot + 1 in (-gain, index) order, so the
+    draw picks what a full ranking would. A refresh scores the stale entries
+    among the top max(slot + 1, _GREEDY_BLOCK) in one kernel call. Each run
+    takes exactly k draws from its stream, so `seeded_rng(seed)` makes it
     reproducible; at k = 0 it builds no state and publishes ∅ under
     optimal_policy_for(∅), the threshold policy.
 
@@ -223,8 +224,9 @@ def randomized_joint_runs(
     for rng in rngs:
         state, heap, A = start, list(first_heap), []
         for _ in range(k):
-            pool = _pop_best(heap, partial(_gains, instance, state), len(A), k)
+            # only the ranks up to the drawn slot matter
             slot = rng.integers(k)
+            pool = _pop_best(heap, partial(_gains, instance, state), len(A), slot + 1)
             # entries hold -gain: a slot past the nonnegative gains is a dummy
             if slot < len(pool) and pool[slot][0] <= 0.0:
                 pick = pool.pop(slot)[1]

@@ -187,21 +187,28 @@ def _gains(instance: Instance, state: MarginalState, xs) -> np.ndarray:
 
     Every term is a full-row masked sum, and a row sum of a C-contiguous
     block equals that row's 1-D sum, so a gain is bit-identical in any block.
+    A mask is a product, not a branch per entry: a masked entry is +0.0 or
+    -0.0, which changes no nonzero sum.
     """
     px, py = instance.px, instance.py
     xs = np.asarray(xs, dtype=int)
     base = py[xs] - instance.gamma
     # movers only switch to a better target; max(diff, -inf) is diff exactly
     floor = np.where(state.moving, 0.0, -np.inf)
-    term = px * np.maximum(base[:, None] - state.value, floor)
-    near = state.near[xs]
+    term = np.subtract.outer(base, state.value)
+    np.maximum(term, floor, out=term)
+    term *= px
+    near = state.near[xs]  # a fancy-index copy, masked in place below
     gain = px[xs] * (base - state.value[xs])
     if state.flippable.any():  # flippable values stay: term is px * diff
         flips = near & state.flippable & (py[xs, None] > py)
-        gain += np.where(flips, term, 0.0).sum(axis=1)
-    reach = near & state.rejected
-    reach[np.arange(xs.size), xs] = False
-    return gain + np.where(reach, term, 0.0).sum(axis=1)
+        gain += (term * flips).sum(axis=1)  # product mask
+    near &= state.rejected
+    near[np.arange(xs.size), xs] = False
+    term *= near  # product mask, in place
+    # a row of masked -0.0 entries sums to -0.0 where a sum starts from its
+    # first entry (numpy 2.4 starts from +0.0); `+ 0.0` makes it +0.0 anyway
+    return gain + term.sum(axis=1) + 0.0
 
 
 def _coverage(instance: Instance, state: MarginalState, xs) -> np.ndarray:

@@ -30,7 +30,7 @@ _ROW_BLOCK = 64
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+    a = np.asarray(a, dtype=float).view()
     a.setflags(write=False)
     return a
 
@@ -44,7 +44,9 @@ class Instance:
     (np.inf = unreachable), and gamma the decision maker's per-acceptance
     cost. Construction checks every invariant and raises ValueError naming
     the first one broken; `make_instance` also absorbs px rounding in
-    outside data.
+    outside data. The fields are read-only views that alias the caller's
+    float arrays, which stay writeable: writing to them afterwards changes
+    the instance without a check.
     """
 
     px: np.ndarray
@@ -96,7 +98,8 @@ def _check(instance: Instance) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Policy:
-    """Per-feature-value acceptance probabilities pi(x) in [0, 1]."""
+    """Per-feature-value acceptance probabilities pi(x) in [0, 1]; pi is a
+    read-only view that aliases the caller's float array."""
 
     pi: np.ndarray
 

@@ -93,7 +93,10 @@ def generate_synthetic(config: SynthConfig) -> Instance:
     cost = np.empty((m, m))
     for rows in blocks:
         block = rng.random(unreachable[rows].shape)
-        block[unreachable[rows]] = 2.0
+        # 2.0 where unreachable, branch-free: block lies in [0, 1), so
+        # max(b, 1) + 1 = 2 and max(b, 0) + 0 = b
+        np.maximum(block, unreachable[rows], out=block)
+        np.add(block, unreachable[rows], out=block)
         cost[rank[rows]] = block[:, perm]
     np.fill_diagonal(cost, 0.0)
     # the pinned bytes: normalized, then normalized again in canonical order

@@ -1,10 +1,13 @@
+import heapq
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
 import recourse_game as rg
-from recourse_game.behavior import adaptation_matrix
+from recourse_game import algorithms
+from recourse_game.behavior import _advance, adaptation_matrix, joint_marginal_state
 from recourse_game.checks import (
     nonmonotone_witness,
     set_cover_witness,
@@ -143,6 +146,52 @@ def ref_joint_gain(inst: rg.Instance, state, x: int) -> float:
     )
     gain += float(np.sum(px[reachable] * delta[reachable]))
     return float(gain)
+
+
+# The batched kernel before its masks became products: np.where fills the
+# masked entries with +0.0. _gains must return the same bytes.
+
+def ref_where_gains(inst: rg.Instance, state, xs) -> np.ndarray:
+    px, py = inst.px, inst.py
+    xs = np.asarray(xs, dtype=int)
+    base = py[xs] - inst.gamma
+    floor = np.where(state.moving, 0.0, -np.inf)
+    term = px * np.maximum(base[:, None] - state.value, floor)
+    near = state.near[xs]
+    gain = px[xs] * (base - state.value[xs])
+    if state.flippable.any():
+        flips = near & state.flippable & (py[xs, None] > py)
+        gain += np.where(flips, term, 0.0).sum(axis=1)
+    reach = near & state.rejected
+    reach[np.arange(xs.size), xs] = False
+    return gain + np.where(reach, term, 0.0).sum(axis=1)
+
+
+# The joint greedy's loop before the slot-first draw: each iteration pops
+# the top k, then draws its slot. It scores gains through algorithms._gains,
+# looked up per call, so a test can count its rows.
+
+def ref_pop_k_joint_runs(inst: rg.Instance, k: int, rngs) -> list:
+    start = joint_marginal_state(inst, rg.ExplanationSet())
+    first_heap = [(-np.inf, x, -1) for x in rg.ground_set_viable(inst).indices]
+    gains = partial(algorithms._gains, inst, start)
+    for entry in algorithms._pop_best(first_heap, gains, 0, k):
+        heapq.heappush(first_heap, entry)
+    runs = []
+    for rng in rngs:
+        state, heap, A = start, list(first_heap), []
+        for _ in range(k):
+            gains = partial(algorithms._gains, inst, state)
+            pool = algorithms._pop_best(heap, gains, len(A), k)
+            slot = rng.integers(k)
+            if slot < len(pool) and pool[slot][0] <= 0.0:
+                pick = pool.pop(slot)[1]
+                state = _advance(inst, state, pick)
+                A.append(pick)
+            for entry in pool:
+                heapq.heappush(heap, entry)
+        runs.append(algorithms._joint_solution(inst, tuple(A)))
+    return runs
 
 
 # The closed form that the marginal states were once built from: everyone's

@@ -15,6 +15,7 @@ from conftest import (
     random_instance,
     ref_fixed_gain,
     ref_joint_gain,
+    ref_pop_k_joint_runs,
     subset,
     traced_peak,
 )
@@ -27,6 +28,7 @@ from recourse_game.behavior import (
     marginal_gain_fixed,
     marginal_gain_joint,
 )
+from recourse_game.harness import _scale_costs
 
 E_INV = 1.0 / np.e
 ONE_MINUS_E_INV = 1.0 - 1.0 / np.e
@@ -182,6 +184,26 @@ def test_lazy_randomized_joint_evaluates_fewer_gains(monkeypatch):
     rg.randomized_joint(inst, k, rg.seeded_rng(3))
     ground = len(rg.ground_set_viable(inst)) + 2 * k
     assert rows[0] < 0.5 * k * ground
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_slot_first_draw_scores_fewer_rows_for_the_same_picks(monkeypatch, seed):
+    inst = _scale_costs(rg.generate_synthetic(rg.SynthConfig(m=300, seed=seed)), 8.0)
+    rows = [0]
+
+    def counted(instance, state, xs):
+        rows[0] += len(xs)
+        return _gains(instance, state, xs)
+
+    monkeypatch.setattr(algorithms, "_gains", counted)
+    rng, ref_rng = rg.seeded_rng(seed), rg.seeded_rng(seed)
+    [sol] = rg.randomized_joint_runs(inst, 30, [rng])
+    slot_first, rows[0] = rows[0], 0
+    [ref] = ref_pop_k_joint_runs(inst, 30, [ref_rng])
+    assert sol.explanations.indices == ref.explanations.indices
+    assert repr(sol.utility) == repr(ref.utility)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert slot_first < rows[0]
 
 
 def test_solvers_never_score_an_empty_block(monkeypatch, two_group):

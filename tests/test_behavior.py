@@ -12,6 +12,7 @@ from conftest import (
     ref_fixed_gain,
     ref_leak_payoff,
     ref_leakage_utility,
+    ref_where_gains,
     subset,
     tie_heavy_instance,
     traced_peak,
@@ -22,8 +23,10 @@ from recourse_game.behavior import (
     _leak_targets,
     adaptation_matrix,
     fixed_marginal_state,
+    joint_marginal_state,
     marginal_gain_fixed,
 )
+from recourse_game.harness import _scale_costs
 
 
 def rational_monotone_policy(rng, inst) -> rg.Policy:
@@ -227,6 +230,35 @@ def test_fixed_gains_batch_invariant_and_near_reference():
         for x, g in zip(xs, whole):
             assert g == marginal_gain_fixed(inst, policy, A, state, x)[0]
             assert abs(g - ref_fixed_gain(inst, state, x)) <= 1e-15
+
+
+def test_gains_match_the_where_kernel_at_scale():
+    # rows of m >= 128 sum in pairwise blocks; alpha = 8 leaves few reachable
+    rng = rg.seeded_rng(rg.derive_seed(0, "behavior-where-kernel"))
+    for m, alpha in ((150, 1.0), (300, 8.0)):
+        inst = _scale_costs(random_instance(rng, m, gamma=0.3), alpha)
+        policy = rational_monotone_policy(rng, inst)
+        accepted = rg.ground_set_accepted(inst, policy).indices
+        fixed_A = rg.ExplanationSet(subset(rng, accepted, 0.1))
+        joint_A = rg.ExplanationSet(subset(rng, rg.ground_set_viable(inst).indices, 0.1))
+        for A, state in (
+            (fixed_A, fixed_marginal_state(inst, policy, fixed_A)),
+            (joint_A, joint_marginal_state(inst, joint_A)),
+        ):
+            xs = [x for x in range(m) if x not in A]
+            got, want = _gains(inst, state, xs), ref_where_gains(inst, state, xs)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_gains_never_return_negative_zero():
+    # x = 1 is rejected with zero mass and nobody else can reach it: its
+    # own term and every masked product are -0.0, and the gain is still the
+    # +0.0 of the np.where kernel
+    inst = rg.make_instance([1.0, 0.0], [0.9, 0.1], [[0.0, 1.0], [1.0, 0.0]], 0.3)
+    state = fixed_marginal_state(inst, rg.threshold_policy(inst))
+    got = _gains(inst, state, [1])
+    assert got.tobytes() == ref_where_gains(inst, state, [1]).tobytes()
+    assert got[0] == 0.0 and not np.signbit(got[0])
 
 
 def test_monotone_and_submodular_sampled():

@@ -96,6 +96,24 @@ def test_instance_arrays_are_immutable():
         inst.px[0] = 0.2
 
 
+def test_construction_leaves_the_callers_arrays_writeable():
+    px, py = np.array([0.5, 0.5]), np.array([0.9, 0.1])
+    cost, pi = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0])
+    inst = rg.Instance(px, py, cost, 0.3)
+    made = rg.make_instance(px, py, cost, 0.3)
+    policy = rg.Policy(pi)
+    owned = (inst.px, inst.py, inst.cost, made.px, made.py, made.cost, policy.pi)
+    for a in owned:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+    assert px.flags.writeable and py.flags.writeable
+    assert cost.flags.writeable and pi.flags.writeable
+    cost[0, 1], py[1], pi[1] = 1.0, 0.1, 0.0
+    # the instance aliases the caller's float arrays: no copy is made
+    assert np.shares_memory(inst.cost, cost) and np.shares_memory(made.cost, cost)
+
+
 def test_sort_canonical_example():
     py = [0.4, 1.0, 0.5]
     cost = np.arange(9.0).reshape(3, 3)

@@ -17,10 +17,13 @@ from conftest import (  # noqa: E402
     is_feasible,
     ref_assignment,
     ref_leak_targets,
+    ref_pop_k_joint_runs,
     ref_state,
+    ref_where_gains,
     tie_heavy_instances,
 )
 from recourse_game.behavior import (  # noqa: E402
+    _gains,
     _leak_targets,
     fixed_marginal_state,
     joint_marginal_state,
@@ -82,6 +85,20 @@ def assert_runs_match_one_stream_calls(inst, k, seeds):
 )
 def test_many_runs_equal_one_stream_calls(inst, k, seeds):
     assert_runs_match_one_stream_calls(inst, k, seeds)
+
+
+@hypothesis.given(
+    instances, st.integers(1, 4), st.lists(st.integers(0, 40), min_size=1, max_size=4)
+)
+def test_slot_first_draw_equals_the_pop_k_loop(inst, k, seeds):
+    rngs = [rg.seeded_rng(s) for s in seeds]
+    ref_rngs = [rg.seeded_rng(s) for s in seeds]
+    runs = rg.randomized_joint_runs(inst, k, rngs)
+    refs = ref_pop_k_joint_runs(inst, k, ref_rngs)
+    for sol, ref, rng, ref_rng in zip(runs, refs, rngs, ref_rngs, strict=True):
+        assert sol.explanations.indices == ref.explanations.indices
+        assert repr(sol.utility) == repr(ref.utility)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -187,6 +204,24 @@ def test_advanced_states_equal_the_closed_form(inst, data):
         if outside:
             with pytest.raises(ValueError, match=message):
                 build(A.add(data.draw(st.sampled_from(outside))))
+
+
+@hypothesis.given(instances, st.data())
+def test_gains_are_byte_identical_to_the_where_kernel(inst, data):
+    # a stochastic policy leaves negative terms, which a product mask turns
+    # into -0.0; every value outside A is scored, in the ground set or not
+    policy = draw_monotone_policy(data, inst)
+    for ground, build in (
+        (rg.ground_set_accepted(inst, policy).indices,
+         partial(fixed_marginal_state, inst, policy)),
+        (rg.ground_set_viable(inst).indices, partial(joint_marginal_state, inst)),
+    ):
+        A = rg.ExplanationSet(data.draw(st.permutations(draw_subset(data, ground))))
+        state = build(A)
+        xs = [x for x in range(inst.m) if x not in A]
+        if xs:
+            got, want = _gains(inst, state, xs), ref_where_gains(inst, state, xs)
+            assert got.tobytes() == want.tobytes()
 
 
 @hypothesis.given(instances, st.data())

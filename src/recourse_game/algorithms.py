@@ -14,13 +14,19 @@ import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, islice, repeat
+from math import comb
 
 import numpy as np
 
 from .behavior import (  # marginal_gain_joint is re-exported for algorithms.*
     _advance,
+    _check_policy_length,
+    _cost_to,
     _gains,
+    _ix,
+    _members,
+    _responses,
     fixed_marginal_state,
     joint_marginal_state,
     marginal_gain_joint,
@@ -43,6 +49,11 @@ BRUTE_FORCE_CAP = 20
 # m=200 and m=1000 (1 was 5x slower).
 _GREEDY_BLOCK = 32
 
+# Most sets per chunk of the exhaustive oracles, so their batch temporaries
+# stay flat however many sets there are: a chunk's largest arrays hold this
+# many times m x |members| values (2.5 MB in all at the cap, m=22, |A|=2).
+_SUBSET_BLOCK = 1024
+
 
 @dataclass(frozen=True, eq=False)
 class JointSolution:
@@ -54,6 +65,7 @@ class JointSolution:
 
 
 def _check_greedy_policy(instance: Instance, policy: Policy) -> None:
+    _check_policy_length(instance, policy.pi)
     if not is_rational(instance, policy):
         raise ValueError("policy must reject every value with py < gamma")
     if not (policy.is_deterministic() or is_outcome_monotonic(instance, policy)):
@@ -157,15 +169,21 @@ def optimal_policy_for(instance: Instance, A: ExplanationSet) -> Policy:
     gained by moving from rejection to acceptance). Rejecting such an x is
     what pushes her to adapt upward.
     """
-    py, cost, gamma = instance.py, instance.cost, instance.gamma
+    return Policy(_optimal_pi(instance, _members(A)))
+
+
+def _optimal_pi(instance: Instance, a_idx: np.ndarray) -> np.ndarray:
+    """optimal_policy_for's pi for members a_idx, (c,) or (B, c): one row of
+    acceptance probabilities per set."""
+    py, gamma = instance.py, instance.gamma
     viable = py >= gamma
-    a_idx = np.fromiter(A.indices, dtype=int, count=len(A))
     if np.any(~viable[a_idx]):
         raise ValueError("explanations must come from the viable set")
-    blocked = ((py[a_idx] > py[:, None]) & (cost[:, a_idx] <= 1.0)).any(axis=1)
+    better = py[a_idx][..., None, :] > py[:, None]
+    blocked = (better & (_cost_to(instance, a_idx) <= 1.0)).any(axis=-1)
     pi = (viable & ~blocked).astype(float)
-    pi[a_idx] = 1.0
-    return Policy(pi)
+    pi[_ix(pi, a_idx)] = 1.0
+    return pi
 
 
 def joint_objective(instance: Instance, A: ExplanationSet) -> float:
@@ -248,19 +266,50 @@ def randomized_joint(
     return randomized_joint_runs(instance, k, [rng])[0]
 
 
+def _subset_chunks(ground, k: int):
+    """The subsets of ground with at most k members, by size, then in
+    lexicographic order, as lists of (n, size) int arrays: one array per
+    size, at most _SUBSET_BLOCK sets per list."""
+    chunk, room = [], _SUBSET_BLOCK
+    for size in range(0, min(k, len(ground)) + 1):
+        sets, count = combinations(ground, size), comb(len(ground), size)
+        while count:
+            n = min(room, count)
+            flat = chain.from_iterable(islice(sets, n))
+            chunk.append(np.fromiter(flat, dtype=int, count=n * size).reshape(n, size))
+            count, room = count - n, room - n
+            if room == 0:
+                yield chunk
+                chunk, room = [], _SUBSET_BLOCK
+    if chunk:
+        yield chunk
+
+
 def _best_subset(ground, k: int, score) -> tuple[ExplanationSet, float]:
     """Exhaustive maximizer of score over subsets of ground with at most k
     members, and its score. Refuses ground sets above BRUTE_FORCE_CAP; ties
-    resolve to the lexicographically smallest index tuple."""
+    resolve to the lexicographically smallest index tuple.
+
+    Evaluates every subset once, sum over sizes s <= k of C(|ground|, s),
+    in chunks (see _subset_chunks): score takes a chunk and returns one
+    score per set, in order. Each array of a chunk is in lexicographic
+    order, so its first argmax is its candidate, which meets the best so
+    far under the per-set rule: a larger score, or an equal one and a
+    smaller tuple, so (0, 5) beats (3,) at equal score.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
     ground = sorted(ground)
     if len(ground) > BRUTE_FORCE_CAP:
         raise ValueError(f"ground set too large for brute force (> {BRUTE_FORCE_CAP})")
     best_u, best = -np.inf, ()
-    for size in range(0, min(k, len(ground)) + 1):
-        for combo in combinations(ground, size):
-            u = score(ExplanationSet(combo))
+    for chunk in _subset_chunks(ground, k):
+        scores, start = score(chunk), 0
+        for sets in chunk:
+            part = scores[start : start + len(sets)]
+            start += len(sets)
+            i = int(np.argmax(part))
+            u, combo = float(part[i]), tuple(sets[i].tolist())
             if u > best_u or (u == best_u and combo < best):
                 best_u, best = u, combo
     return ExplanationSet(best), best_u
@@ -270,10 +319,15 @@ def brute_force_fixed(instance: Instance, policy: Policy, k: int) -> Explanation
     """Exhaustive maximizer of utility over A ⊆ P_pi, |A| <= k.
 
     Verification oracle only; refuses ground sets above BRUTE_FORCE_CAP.
-    Ties resolve to the lexicographically smallest index tuple.
+    Ties resolve to the lexicographically smallest index tuple. The sets of
+    one size in a chunk are scored in one batched best-response pass.
     """
     ground = ground_set_accepted(instance, policy).indices
-    return _best_subset(ground, k, partial(utility, instance, policy))[0]
+
+    def score(chunk):
+        return np.concatenate([_responses(instance, policy.pi, S)[1] for S in chunk])
+
+    return _best_subset(ground, k, score)[0]
 
 
 def brute_force_joint(instance: Instance, k: int) -> JointSolution:
@@ -281,9 +335,17 @@ def brute_force_joint(instance: Instance, k: int) -> JointSolution:
 
     Only explanation sets are enumerated; the policy for each candidate A is
     the closed-form optimum, so this is a valid oracle for the joint problem.
+    The sets of one size in a chunk get their policies and utilities in
+    one batched pass.
     """
     ground = ground_set_viable(instance).indices
-    A, _ = _best_subset(ground, k, partial(joint_objective, instance))
+
+    def score(chunk):
+        return np.concatenate(
+            [_responses(instance, _optimal_pi(instance, S), S)[1] for S in chunk]
+        )
+
+    A, _ = _best_subset(ground, k, score)
     return _joint_solution(instance, A.indices)
 
 
@@ -292,18 +354,24 @@ def exhaustive_best_policy(
 ) -> tuple[Policy, float]:
     """Best deterministic policy accepting all of A, by full enumeration.
 
-    2^(m - |A|) evaluations; oracle for validating optimal_policy_for.
-    Refuses more than BRUTE_FORCE_CAP free values; ties resolve to the
-    lexicographically smallest tuple of extra accepted values.
+    2^(m - |A|) evaluations: each chunk of policies, of every size at once,
+    is one (B, m) block scored against A in one batched best-response pass.
+    Oracle for validating optimal_policy_for. Refuses more than
+    BRUTE_FORCE_CAP free values; ties resolve to the lexicographically
+    smallest tuple of extra accepted values.
     """
+    a_idx = _members(A)
 
-    def accepting(extra: ExplanationSet) -> Policy:
-        pi = np.zeros(instance.m)
-        pi[list(A.indices + extra.indices)] = 1.0
-        return Policy(pi)
+    def accepting(extra: np.ndarray) -> np.ndarray:
+        pi = np.zeros((len(extra), instance.m))
+        pi[_ix(pi, a_idx)] = 1.0
+        pi[_ix(pi, extra)] = 1.0
+        return pi
+
+    def score(chunk):
+        pi = np.concatenate([accepting(extra) for extra in chunk])
+        return _responses(instance, pi, a_idx)[1]
 
     free = [i for i in range(instance.m) if i not in A]
-    extra, best_u = _best_subset(
-        free, len(free), lambda E: utility(instance, accepting(E), A)
-    )
-    return accepting(extra), best_u
+    extra, best_u = _best_subset(free, len(free), score)
+    return Policy(accepting(np.array([extra.indices], dtype=int))[0]), best_u

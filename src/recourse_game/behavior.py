@@ -45,29 +45,67 @@ class Assignment:
     explanation_of: np.ndarray
 
 
-def _followed(instance: Instance, policy: Policy, A: ExplanationSet):
-    """(a_idx, net, reach, moved): the members of A, the net benefit
-    net[i, c] = pi[A[c]] - cost[i, A[c]], reach = net >= pi[i] on rejected
-    rows (all False on accepted ones), and moved[i], the member of A that i
-    follows, or i itself when reach[i] is empty.
+def _members(A: ExplanationSet) -> np.ndarray:
+    """The members of A as an int array, in A's order."""
+    return np.fromiter(A.indices, dtype=int, count=len(A))
+
+
+def _check_policy_length(instance: Instance, pi: np.ndarray) -> None:
+    if pi.shape[-1] != instance.m:
+        raise ValueError(
+            f"policy has {pi.shape[-1]} values but the instance has {instance.m}"
+        )
+
+
+def _cost_to(instance: Instance, a_idx: np.ndarray) -> np.ndarray:
+    """cost[i, a_idx[..., c]] as a (..., m, c) array; for one set (1-D
+    a_idx) this is the plain column gather."""
+    cost_a = instance.cost[:, a_idx]
+    return cost_a if a_idx.ndim == 1 else cost_a.swapaxes(0, 1)
+
+
+def _ix(a: np.ndarray, idx: np.ndarray):
+    """The index that takes a[..., idx], row by row when both are batched
+    (2-D): plain fancy indexing, several times cheaper than a[..., idx] or
+    take_along_axis on a one-set call."""
+    if a.ndim == 1:
+        return idx
+    if idx.ndim == 1:
+        return slice(None), idx
+    return np.arange(len(a))[:, None], idx
+
+
+def _followed(instance: Instance, pi: np.ndarray, a_idx: np.ndarray):
+    """(net, reach, moved) for acceptance probabilities pi and members
+    a_idx: the net benefit net[..., i, c] = pi[a_idx[c]] - cost[i, a_idx[c]],
+    reach = net >= pi[i] on rejected rows (all False on accepted ones), and
+    moved[..., i], the member that i follows, or i itself when reach[..., i]
+    is empty.
 
     i follows the reachable member with the highest outcome (ties: lower
     cost from i, then lower index). This is the one place that decides it.
+    pi is (m,) or (B, m) and a_idx is (c,) or (B, c): a leading axis scores
+    B sets (or B policies) at once, every row as its own one-set call would.
     """
-    m, pi = instance.m, policy.pi
-    a_idx = np.fromiter(A.indices, dtype=int, count=len(A))
-    cost_a = instance.cost[:, a_idx]
-    net = pi[a_idx] - cost_a
-    reach = (net >= pi[:, None]) & (pi < 1.0)[:, None]
+    m, py = instance.m, instance.py
+    _check_policy_length(instance, pi)
+    try:
+        cost_a = _cost_to(instance, a_idx)
+    except IndexError:
+        bad = int(a_idx[a_idx >= m][0])
+        raise ValueError(f"explanation index {bad} outside 0..{m - 1}") from None
+    members = a_idx[..., None, :]
+    net = pi[_ix(pi, a_idx)][..., None, :] - cost_a
+    reach = (net >= pi[..., None]) & (pi < 1.0)[..., None]
 
-    py_masked = np.where(reach, instance.py[a_idx], -np.inf)
-    best_py = py_masked.max(axis=1, initial=-np.inf)
-    tie1 = reach & (py_masked == best_py[:, None])
+    py_masked = np.where(reach, py[members], -np.inf)
+    best_py = py_masked.max(axis=-1, initial=-np.inf)
+    tie1 = reach & (py_masked == best_py[..., None])
     cost_masked = np.where(tie1, cost_a, np.inf)
-    best_cost = cost_masked.min(axis=1, initial=np.inf)
-    tie2 = tie1 & (cost_masked == best_cost[:, None])
-    target = np.where(tie2, a_idx, m).min(axis=1, initial=m)
-    return a_idx, net, reach, np.where(target < m, target, np.arange(m))
+    best_cost = cost_masked.min(axis=-1, initial=np.inf)
+    tie2 = tie1 & (cost_masked == best_cost[..., None])
+    target = np.where(tie2, members, m).min(axis=-1, initial=m)
+    return net, reach, np.where(target < m, target, np.arange(m))
 
 
 def assign_explanations(
@@ -83,7 +121,8 @@ def assign_explanations(
     m = instance.m
     if len(A) == 0:
         return Assignment(np.full(m, NO_EXPLANATION, dtype=int))
-    a_idx, _, reach, moved = _followed(instance, policy, A)
+    a_idx = _members(A)
+    _, reach, moved = _followed(instance, policy.pi, a_idx)
     cost_a = instance.cost[:, a_idx]
     at_min = cost_a == cost_a.min(axis=1)[:, None]
     nearest = np.where(at_min, a_idx, m).min(axis=1)
@@ -104,28 +143,34 @@ class BestResponseResult:
     utility: float
 
 
+def _responses(instance: Instance, pi: np.ndarray, a_idx: np.ndarray):
+    """(moved, utility) of _followed's arguments, with a leading batch axis
+    when it has one: one utility per set (or policy).
+
+    Utility is accumulated per individual in index order; equal to the
+    expectation over the induced distribution but numerically monotone under
+    target improvements, which keeps f(A) <= f(B) exact for A ⊆ B. The value
+    array is built exactly as in leakage_utility so the two agree bit for
+    bit when no leak changes any target. A row sum of a C-contiguous block
+    equals that row's 1-D sum, so each row is bit-identical to one set's.
+    """
+    moved = _followed(instance, pi, a_idx)[2]
+    value = pi[_ix(pi, moved)] * (instance.py[moved] - instance.gamma)
+    return moved, (instance.px * value).sum(axis=-1)
+
+
 def best_respond(
     instance: Instance, policy: Policy, A: ExplanationSet
 ) -> BestResponseResult:
     """Simulate every individual's best response to (policy, A)."""
-    m = instance.m
-    pi, py, gamma = policy.pi, instance.py, instance.gamma
-    moved = _followed(instance, policy, A)[3]
-
-    induced = np.bincount(moved, weights=instance.px, minlength=m)
-    # Utility accumulated per individual in index order; equal to the
-    # expectation over induced_px but numerically monotone under target
-    # improvements, which keeps f(A) <= f(B) exact for A ⊆ B. The value
-    # array is built exactly as in leakage_utility so the two agree bit for
-    # bit when no leak changes any target.
-    value = pi[moved] * (py[moved] - gamma)
-    util = float(np.sum(instance.px * value))
-    return BestResponseResult(moved=moved, induced_px=induced, utility=util)
+    moved, util = _responses(instance, policy.pi, _members(A))
+    induced = np.bincount(moved, weights=instance.px, minlength=instance.m)
+    return BestResponseResult(moved=moved, induced_px=induced, utility=float(util))
 
 
 def utility(instance: Instance, policy: Policy, A: ExplanationSet) -> float:
     """u(policy, A): decision-maker utility after best responses."""
-    return best_respond(instance, policy, A).utility
+    return float(_responses(instance, policy.pi, _members(A))[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,7 +338,8 @@ def _leak_targets(instance: Instance, policy: Policy, A: ExplanationSet):
     of A, then the lowest cost, then the lowest index, so on equal net
     benefit only a lower cost lets A[c] beat it.
     """
-    a_idx, net, reach, base = _followed(instance, policy, A)
+    a_idx = _members(A)
+    net, reach, base = _followed(instance, policy.pi, a_idx)
     cost_e = instance.cost[np.arange(instance.m), base][:, None]
     net_e = policy.pi[base][:, None] - cost_e
     beats = (net > net_e) | (net == net_e) & (instance.cost[:, a_idx] < cost_e)

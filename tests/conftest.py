@@ -1,6 +1,7 @@
 import heapq
 import tracemalloc
 from functools import partial
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -192,6 +193,61 @@ def ref_pop_k_joint_runs(inst: rg.Instance, k: int, rngs) -> list:
                 heapq.heappush(heap, entry)
         runs.append(algorithms._joint_solution(inst, tuple(A)))
     return runs
+
+
+# The exhaustive oracles before they scored sets in batches: one utility()
+# call per set, each size's sets in lexicographic order. The batched
+# oracles must pick the same set or policy at the same utility bits.
+
+def ref_best_subset(ground, k: int, score) -> tuple:
+    best_u, best = -np.inf, ()
+    for size in range(0, min(k, len(ground)) + 1):
+        for combo in combinations(sorted(ground), size):
+            u = score(rg.ExplanationSet(combo))
+            if u > best_u or (u == best_u and combo < best):
+                best_u, best = u, combo
+    return rg.ExplanationSet(best), best_u
+
+
+def ref_brute_force_fixed(inst: rg.Instance, policy, k: int) -> rg.ExplanationSet:
+    ground = rg.ground_set_accepted(inst, policy).indices
+    return ref_best_subset(ground, k, partial(rg.utility, inst, policy))[0]
+
+
+def ref_brute_force_joint(inst: rg.Instance, k: int):
+    ground = rg.ground_set_viable(inst).indices
+    A, _ = ref_best_subset(ground, k, partial(rg.joint_objective, inst))
+    return algorithms._joint_solution(inst, A.indices)
+
+
+def ref_exhaustive_best_policy(inst: rg.Instance, A) -> tuple:
+    def accepting(extra):
+        pi = np.zeros(inst.m)
+        pi[list(A.indices + extra.indices)] = 1.0
+        return rg.Policy(pi)
+
+    free = [i for i in range(inst.m) if i not in A]
+    extra, best_u = ref_best_subset(
+        free, len(free), lambda E: rg.utility(inst, accepting(E), A)
+    )
+    return accepting(extra), best_u
+
+
+def assert_oracles_match_the_per_set_loop(inst: rg.Instance, policy, k: int, A) -> None:
+    """The three batched oracles pick what their references pick, at the
+    same utility bits."""
+    got = rg.brute_force_fixed(inst, policy, k)
+    assert got.indices == ref_brute_force_fixed(inst, policy, k).indices
+    sol, ref = rg.brute_force_joint(inst, k), ref_brute_force_joint(inst, k)
+    assert sol.explanations.indices == ref.explanations.indices
+    assert sol.policy.pi.tobytes() == ref.policy.pi.tobytes()
+    assert repr(sol.utility) == repr(ref.utility)
+    (best, u), (ref_best, ref_u) = (
+        rg.exhaustive_best_policy(inst, A),
+        ref_exhaustive_best_policy(inst, A),
+    )
+    assert best.pi.tobytes() == ref_best.pi.tobytes()
+    assert repr(u) == repr(ref_u)
 
 
 # The closed form that the marginal states were once built from: everyone's

@@ -10,13 +10,17 @@ import pytest
 
 import recourse_game as rg
 from conftest import (
+    assert_oracles_match_the_per_set_loop,
     equivalence_cases,
     is_feasible,
     random_instance,
+    ref_best_subset,
+    ref_brute_force_fixed,
     ref_fixed_gain,
     ref_joint_gain,
     ref_pop_k_joint_runs,
     subset,
+    tie_heavy_instance,
     traced_peak,
 )
 from recourse_game import algorithms, baselines
@@ -777,6 +781,77 @@ def test_exhaustive_best_policy_caps_free_values():
     )
     with pytest.raises(ValueError, match="too large"):
         rg.exhaustive_best_policy(inst, rg.ExplanationSet((0,)))
+
+
+def test_exhaustive_best_policy_runs_at_its_cap_in_flat_memory():
+    # 2^20 policies; a chunk of 1,024 peaks near 2.5 MB here, where the
+    # C(20, 10) = 184,756 policies of the largest size at once would not
+    m = rg.BRUTE_FORCE_CAP + 2
+    inst = rg.generate_synthetic(rg.SynthConfig(m=m, gamma=0.3, seed=5))
+    A = rg.ExplanationSet((0, 1))
+    assert set(A) <= set(rg.ground_set_viable(inst))
+    result = []
+    peak = traced_peak(lambda: result.append(rg.exhaustive_best_policy(inst, A)))
+    [(policy, best)] = result
+    assert peak < 4_000_000
+    assert policy.pi[[0, 1]].tolist() == [1.0, 1.0]
+    assert repr(rg.utility(inst, policy, A)) == repr(best)
+    assert best - 1e-12 <= rg.joint_objective(inst, A) <= best
+
+
+def test_best_subset_breaks_a_tie_across_sizes_by_tuple_order():
+    # (3,) and (0, 5) share the top score; (0, 5) < (3,) as tuples, so the
+    # pair wins though its size is enumerated after the singleton's
+    top = {(3,), (0, 5)}
+
+    def score(chunk):
+        sets = [tuple(S) for size in chunk for S in size.tolist()]
+        return np.array([float(S in top) for S in sets])
+
+    A, u = algorithms._best_subset(range(6), 2, score)
+    assert (A.indices, u) == ((0, 5), 1.0)
+    ref = ref_best_subset(range(6), 2, lambda E: float(E.indices in top))
+    assert ref == (A, u)
+
+
+def test_oracles_at_k_zero_past_the_ground_set_and_on_an_empty_one():
+    rng = rg.seeded_rng(7)
+    inst = random_instance(rng, 8, gamma=0.3)
+    policy = rg.threshold_policy(inst)
+    ground = rg.ground_set_accepted(inst, policy).indices
+    assert 0 < len(ground) < 8
+    A = rg.ExplanationSet(ground[:1])
+    assert rg.brute_force_fixed(inst, policy, 0).indices == ()
+    assert rg.brute_force_joint(inst, 0).explanations.indices == ()
+    for k in (0, 1, len(ground) + 3):
+        assert_oracles_match_the_per_set_loop(inst, policy, k, A)
+    # nothing accepted, nothing viable, nothing free
+    nothing = rg.Policy(np.zeros(inst.m))
+    assert rg.brute_force_fixed(inst, nothing, 3).indices == ()
+    assert ref_brute_force_fixed(inst, nothing, 3).indices == ()
+    high = rg.make_instance(inst.px, inst.py * 0.5, inst.cost, 0.9)
+    assert len(rg.ground_set_viable(high)) == 0
+    assert_oracles_match_the_per_set_loop(high, rg.threshold_policy(high), 3, A)
+    everything = rg.ExplanationSet(range(inst.m))
+    assert_oracles_match_the_per_set_loop(inst, policy, 2, everything)
+    assert rg.exhaustive_best_policy(inst, everything)[0].pi.tolist() == [1.0] * 8
+
+
+def test_oracles_match_the_per_set_loop_across_chunks(monkeypatch):
+    # C(13, 6) = 1,716 sets of one size, more than one chunk of 1,024
+    assert algorithms._SUBSET_BLOCK == 1024
+    inst = random_instance(rg.seeded_rng(3), 13, gamma=0.05)
+    policy = rg.threshold_policy(inst)
+    assert len(rg.ground_set_accepted(inst, policy)) == 13
+    assert_oracles_match_the_per_set_loop(inst, policy, 6, rg.ExplanationSet((0,)))
+    # chunks of 5 on tie-heavy instances: ties cross chunk boundaries
+    monkeypatch.setattr(algorithms, "_SUBSET_BLOCK", 5)
+    rng = rg.seeded_rng(4)
+    for _ in range(20):
+        inst = tie_heavy_instance(rng, 2 + rng.integers(7))
+        A = rg.ExplanationSet(subset(rng, rg.ground_set_viable(inst).indices))
+        k = int(rng.integers(5))
+        assert_oracles_match_the_per_set_loop(inst, rg.threshold_policy(inst), k, A)
 
 
 def test_brute_force_joint_witness(nonmono):

@@ -1,6 +1,7 @@
 """Best-response mechanics: regions, assignments, induced mass, marginals,
 transport, leakage and group improvement."""
 
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from recourse_game.behavior import (
     _followed,
     _gains,
     _leak_targets,
+    _members,
     adaptation_matrix,
     fixed_marginal_state,
     joint_marginal_state,
@@ -112,12 +114,37 @@ def test_rejected_member_of_a_follows_itself():
     )
     policy = rg.Policy([1.0, 0.0, 0.0])
     A = rg.ExplanationSet((2, 1, 0))
-    _, _, reach, _ = _followed(inst, policy, A)
+    _, reach, _ = _followed(inst, policy.pi, _members(A))
     assert reach[1].tolist() == [True, True, False]
     assert rg.assign_explanations(inst, policy, A).explanation_of[1] == 1
     assert rg.best_respond(inst, policy, A).moved[1] == 1
     targets = _leak_targets(inst, policy, A)
     assert targets[1, 0] == 1 and targets[1, 1:].tolist() == [1, 1, 1]
+
+
+def test_mismatched_shapes_raise_named_errors():
+    inst = rg.generate_synthetic(rg.SynthConfig(m=6, gamma=0.3, seed=0))
+    one = rg.ExplanationSet((0,))
+    for n in (7, 5):
+        sized = rg.Policy(np.ones(n))
+        for call in (
+            partial(rg.utility, inst, sized, one),
+            partial(rg.leakage_utility, inst, sized, one, 0.5),
+            partial(rg.leakage_utility, inst, sized, rg.ExplanationSet(), 0.5),
+            partial(rg.greedy_fixed_policy, inst, sized, 2),
+        ):
+            with pytest.raises(
+                ValueError, match=f"^policy has {n} values but the instance has 6$"
+            ):
+                call()
+    policy, far = rg.threshold_policy(inst), rg.ExplanationSet((1, 9))
+    for call in (
+        partial(rg.utility, inst, policy, far),
+        partial(rg.best_respond, inst, policy, far),
+        partial(rg.leakage_utility, inst, policy, far, 0.5),
+    ):
+        with pytest.raises(ValueError, match=r"^explanation index 9 outside 0\.\.5$"):
+            call()
 
 
 # -- best response and utility ----------------------------------------------

@@ -14,6 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from conftest import (  # noqa: E402
+    assert_oracles_match_the_per_set_loop,
     is_feasible,
     ref_assignment,
     ref_leak_targets,
@@ -22,9 +23,11 @@ from conftest import (  # noqa: E402
     ref_where_gains,
     tie_heavy_instances,
 )
+from recourse_game.algorithms import _optimal_pi  # noqa: E402
 from recourse_game.behavior import (  # noqa: E402
     _gains,
     _leak_targets,
+    _responses,
     fixed_marginal_state,
     joint_marginal_state,
     marginal_gain_fixed,
@@ -170,6 +173,41 @@ def draw_monotone_policy(data, inst) -> rg.Policy:
     pis = sorted(data.draw(st.lists(grid, min_size=len(levels), max_size=len(levels))))
     pi_of = dict(zip(levels, pis[::-1]))
     return rg.Policy([pi_of[y] if y >= inst.gamma else 0.0 for y in inst.py])
+
+
+@hypothesis.given(instances, st.integers(0, 4), st.data())
+def test_batched_oracles_equal_the_per_set_loop(inst, k, data):
+    policy = draw_monotone_policy(data, inst)
+    A = rg.ExplanationSet(draw_subset(data, rg.ground_set_viable(inst).indices))
+    assert_oracles_match_the_per_set_loop(inst, policy, k, A)
+
+
+@hypothesis.given(instances, st.data())
+def test_one_set_utility_equals_its_batched_row(inst, data):
+    # the three batch shapes the oracles use: one policy and (B, c) sets,
+    # each set's optimal policy, and (B, m) policies against one set
+    policy = draw_monotone_policy(data, inst)
+    viable = rg.ground_set_viable(inst).indices
+    for size in range(min(3, inst.m) + 1):
+        sets = np.array(list(combinations(range(inst.m), size)), dtype=int)
+        rows = _responses(inst, policy.pi, sets)[1]
+        assert [repr(float(u)) for u in rows] == [
+            repr(rg.utility(inst, policy, rg.ExplanationSet(S))) for S in sets
+        ]
+        sets = np.array(list(combinations(viable, size)), dtype=int)
+        if len(sets):
+            rows = _responses(inst, _optimal_pi(inst, sets), sets)[1]
+            assert [repr(float(u)) for u in rows] == [
+                repr(rg.joint_objective(inst, rg.ExplanationSet(S))) for S in sets
+            ]
+    A = rg.ExplanationSet(draw_subset(data, viable))
+    members = np.array(A.indices, dtype=int)
+    threshold = rg.threshold_policy(inst).pi
+    pis = np.stack([policy.pi, threshold, _optimal_pi(inst, members)])
+    rows = _responses(inst, pis, members)[1]
+    assert [repr(float(u)) for u in rows] == [
+        repr(rg.utility(inst, rg.Policy(pi), A)) for pi in pis
+    ]
 
 
 def assert_state_is(state, ref) -> None:

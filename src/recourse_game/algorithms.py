@@ -21,7 +21,6 @@ import numpy as np
 
 from .behavior import (  # marginal_gain_joint is re-exported for algorithms.*
     _advance,
-    _check_policy_length,
     _cost_to,
     _gains,
     _ix,
@@ -65,7 +64,6 @@ class JointSolution:
 
 
 def _check_greedy_policy(instance: Instance, policy: Policy) -> None:
-    _check_policy_length(instance, policy.pi)
     if not is_rational(instance, policy):
         raise ValueError("policy must reject every value with py < gamma")
     if not (policy.is_deterministic() or is_outcome_monotonic(instance, policy)):
@@ -169,7 +167,7 @@ def optimal_policy_for(instance: Instance, A: ExplanationSet) -> Policy:
     gained by moving from rejection to acceptance). Rejecting such an x is
     what pushes her to adapt upward.
     """
-    return Policy(_optimal_pi(instance, _members(A)))
+    return Policy(_optimal_pi(instance, _members(instance, A)))
 
 
 def _optimal_pi(instance: Instance, a_idx: np.ndarray) -> np.ndarray:
@@ -267,22 +265,15 @@ def randomized_joint(
 
 
 def _subset_chunks(ground, k: int):
-    """The subsets of ground with at most k members, by size, then in
-    lexicographic order, as lists of (n, size) int arrays: one array per
-    size, at most _SUBSET_BLOCK sets per list."""
-    chunk, room = [], _SUBSET_BLOCK
-    for size in range(0, min(k, len(ground)) + 1):
+    """The subsets of ground with at most k members as (n, size) int arrays
+    of at most _SUBSET_BLOCK sets of one size: sizes ascending, sets in
+    lexicographic order within a size."""
+    for size in range(min(k, len(ground)) + 1):
         sets, count = combinations(ground, size), comb(len(ground), size)
-        while count:
-            n = min(room, count)
+        for start in range(0, count, _SUBSET_BLOCK):
+            n = min(_SUBSET_BLOCK, count - start)
             flat = chain.from_iterable(islice(sets, n))
-            chunk.append(np.fromiter(flat, dtype=int, count=n * size).reshape(n, size))
-            count, room = count - n, room - n
-            if room == 0:
-                yield chunk
-                chunk, room = [], _SUBSET_BLOCK
-    if chunk:
-        yield chunk
+            yield np.fromiter(flat, dtype=int, count=n * size).reshape(n, size)
 
 
 def _best_subset(ground, k: int, score) -> tuple[ExplanationSet, float]:
@@ -291,8 +282,8 @@ def _best_subset(ground, k: int, score) -> tuple[ExplanationSet, float]:
     resolve to the lexicographically smallest index tuple.
 
     Evaluates every subset once, sum over sizes s <= k of C(|ground|, s),
-    in chunks (see _subset_chunks): score takes a chunk and returns one
-    score per set, in order. Each array of a chunk is in lexicographic
+    one array at a time (see _subset_chunks): score takes an (n, size)
+    array and returns one score per row. An array is in lexicographic
     order, so its first argmax is its candidate, which meets the best so
     far under the per-set rule: a larger score, or an equal one and a
     smaller tuple, so (0, 5) beats (3,) at equal score.
@@ -303,15 +294,12 @@ def _best_subset(ground, k: int, score) -> tuple[ExplanationSet, float]:
     if len(ground) > BRUTE_FORCE_CAP:
         raise ValueError(f"ground set too large for brute force (> {BRUTE_FORCE_CAP})")
     best_u, best = -np.inf, ()
-    for chunk in _subset_chunks(ground, k):
-        scores, start = score(chunk), 0
-        for sets in chunk:
-            part = scores[start : start + len(sets)]
-            start += len(sets)
-            i = int(np.argmax(part))
-            u, combo = float(part[i]), tuple(sets[i].tolist())
-            if u > best_u or (u == best_u and combo < best):
-                best_u, best = u, combo
+    for sets in _subset_chunks(ground, k):
+        scores = score(sets)
+        i = int(np.argmax(scores))
+        u, combo = float(scores[i]), tuple(sets[i].tolist())
+        if u > best_u or (u == best_u and combo < best):
+            best_u, best = u, combo
     return ExplanationSet(best), best_u
 
 
@@ -319,13 +307,13 @@ def brute_force_fixed(instance: Instance, policy: Policy, k: int) -> Explanation
     """Exhaustive maximizer of utility over A ⊆ P_pi, |A| <= k.
 
     Verification oracle only; refuses ground sets above BRUTE_FORCE_CAP.
-    Ties resolve to the lexicographically smallest index tuple. The sets of
-    one size in a chunk are scored in one batched best-response pass.
+    Ties resolve to the lexicographically smallest index tuple. Each chunk
+    of sets is scored in one batched best-response pass.
     """
     ground = ground_set_accepted(instance, policy).indices
 
-    def score(chunk):
-        return np.concatenate([_responses(instance, policy.pi, S)[1] for S in chunk])
+    def score(sets):
+        return _responses(instance, policy.pi, sets)[1]
 
     return _best_subset(ground, k, score)[0]
 
@@ -335,15 +323,12 @@ def brute_force_joint(instance: Instance, k: int) -> JointSolution:
 
     Only explanation sets are enumerated; the policy for each candidate A is
     the closed-form optimum, so this is a valid oracle for the joint problem.
-    The sets of one size in a chunk get their policies and utilities in
-    one batched pass.
+    Each chunk of sets gets its policies and utilities in one batched pass.
     """
     ground = ground_set_viable(instance).indices
 
-    def score(chunk):
-        return np.concatenate(
-            [_responses(instance, _optimal_pi(instance, S), S)[1] for S in chunk]
-        )
+    def score(sets):
+        return _responses(instance, _optimal_pi(instance, sets), sets)[1]
 
     A, _ = _best_subset(ground, k, score)
     return _joint_solution(instance, A.indices)
@@ -354,13 +339,14 @@ def exhaustive_best_policy(
 ) -> tuple[Policy, float]:
     """Best deterministic policy accepting all of A, by full enumeration.
 
-    2^(m - |A|) evaluations: each chunk of policies, of every size at once,
-    is one (B, m) block scored against A in one batched best-response pass.
+    2^(m - |A|) evaluations: each chunk of policies, all accepting the same
+    number of extra values, is one (B, m) block scored against A in one
+    batched best-response pass.
     Oracle for validating optimal_policy_for. Refuses more than
     BRUTE_FORCE_CAP free values; ties resolve to the lexicographically
     smallest tuple of extra accepted values.
     """
-    a_idx = _members(A)
+    a_idx = _members(instance, A)
 
     def accepting(extra: np.ndarray) -> np.ndarray:
         pi = np.zeros((len(extra), instance.m))
@@ -368,9 +354,8 @@ def exhaustive_best_policy(
         pi[_ix(pi, extra)] = 1.0
         return pi
 
-    def score(chunk):
-        pi = np.concatenate([accepting(extra) for extra in chunk])
-        return _responses(instance, pi, a_idx)[1]
+    def score(extra):
+        return _responses(instance, accepting(extra), a_idx)[1]
 
     free = [i for i in range(instance.m) if i not in A]
     extra, best_u = _best_subset(free, len(free), score)

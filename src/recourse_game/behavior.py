@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _ROW_BLOCK, ExplanationSet, Instance, Policy
+from .core import _ROW_BLOCK, ExplanationSet, Instance, Policy, _check_policy_length
 
 # Assignment entry for individuals who receive no explanation.
 NO_EXPLANATION = -1
@@ -45,16 +45,14 @@ class Assignment:
     explanation_of: np.ndarray
 
 
-def _members(A: ExplanationSet) -> np.ndarray:
-    """The members of A as an int array, in A's order."""
+def _members(instance: Instance, A: ExplanationSet) -> np.ndarray:
+    """The members of A as an int array, in A's order. The one range check
+    of explanation indices (ExplanationSet already refuses negative ones),
+    in plain Python: it runs once per utility call."""
+    top = max(A.indices, default=-1)
+    if top >= instance.m:
+        raise ValueError(f"explanation index {top} outside 0..{instance.m - 1}")
     return np.fromiter(A.indices, dtype=int, count=len(A))
-
-
-def _check_policy_length(instance: Instance, pi: np.ndarray) -> None:
-    if pi.shape[-1] != instance.m:
-        raise ValueError(
-            f"policy has {pi.shape[-1]} values but the instance has {instance.m}"
-        )
 
 
 def _cost_to(instance: Instance, a_idx: np.ndarray) -> np.ndarray:
@@ -89,11 +87,7 @@ def _followed(instance: Instance, pi: np.ndarray, a_idx: np.ndarray):
     """
     m, py = instance.m, instance.py
     _check_policy_length(instance, pi)
-    try:
-        cost_a = _cost_to(instance, a_idx)
-    except IndexError:
-        bad = int(a_idx[a_idx >= m][0])
-        raise ValueError(f"explanation index {bad} outside 0..{m - 1}") from None
+    cost_a = _cost_to(instance, a_idx)
     members = a_idx[..., None, :]
     net = pi[_ix(pi, a_idx)][..., None, :] - cost_a
     reach = (net >= pi[..., None]) & (pi < 1.0)[..., None]
@@ -119,9 +113,10 @@ def assign_explanations(
     cost member of A is reported (ties: lower index).
     """
     m = instance.m
+    _check_policy_length(instance, policy.pi)
     if len(A) == 0:
         return Assignment(np.full(m, NO_EXPLANATION, dtype=int))
-    a_idx = _members(A)
+    a_idx = _members(instance, A)
     _, reach, moved = _followed(instance, policy.pi, a_idx)
     cost_a = instance.cost[:, a_idx]
     at_min = cost_a == cost_a.min(axis=1)[:, None]
@@ -163,14 +158,14 @@ def best_respond(
     instance: Instance, policy: Policy, A: ExplanationSet
 ) -> BestResponseResult:
     """Simulate every individual's best response to (policy, A)."""
-    moved, util = _responses(instance, policy.pi, _members(A))
+    moved, util = _responses(instance, policy.pi, _members(instance, A))
     induced = np.bincount(moved, weights=instance.px, minlength=instance.m)
     return BestResponseResult(moved=moved, induced_px=induced, utility=float(util))
 
 
 def utility(instance: Instance, policy: Policy, A: ExplanationSet) -> float:
     """u(policy, A): decision-maker utility after best responses."""
-    return float(_responses(instance, policy.pi, _members(A))[1])
+    return float(_responses(instance, policy.pi, _members(instance, A))[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +204,8 @@ def fixed_marginal_state(
 ) -> MarginalState:
     """Build the incremental state for utility(policy, ·) at A, whose
     members must be accepted (pi = 1)."""
-    if np.any(policy.pi[list(A.indices)] != 1.0):
+    _check_policy_length(instance, policy.pi)
+    if np.any(policy.pi[_members(instance, A)] != 1.0):
         raise ValueError("explanations must come from the accepted set")
     near = np.ascontiguousarray(adaptation_matrix(instance, policy).T)
     return _advanced(instance, policy.pi, near, np.zeros(instance.m, dtype=bool), A)
@@ -219,7 +215,7 @@ def joint_marginal_state(instance: Instance, A: ExplanationSet) -> MarginalState
     """Build the incremental state for h at A, under A's optimal policy: the
     threshold policy with every viable value flippable, advanced over A."""
     viable = instance.py >= instance.gamma
-    if not np.all(viable[list(A.indices)]):
+    if not np.all(viable[_members(instance, A)]):
         raise ValueError("explanations must come from the viable set")
     near = np.less_equal(instance.cost.T, 1.0, order="C")
     return _advanced(instance, viable.astype(float), near, viable, A)
@@ -338,7 +334,7 @@ def _leak_targets(instance: Instance, policy: Policy, A: ExplanationSet):
     of A, then the lowest cost, then the lowest index, so on equal net
     benefit only a lower cost lets A[c] beat it.
     """
-    a_idx = _members(A)
+    a_idx = _members(instance, A)
     net, reach, base = _followed(instance, policy.pi, a_idx)
     cost_e = instance.cost[np.arange(instance.m), base][:, None]
     net_e = policy.pi[base][:, None] - cost_e

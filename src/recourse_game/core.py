@@ -224,8 +224,16 @@ def sort_canonical(px, py, cost, gamma: float) -> Tuple[Instance, np.ndarray]:
     return instance, perm
 
 
+def _check_policy_length(instance: Instance, pi: np.ndarray) -> None:
+    if pi.shape[-1] != instance.m:
+        raise ValueError(
+            f"policy has {pi.shape[-1]} values but the instance has {instance.m}"
+        )
+
+
 def ground_set_accepted(instance: Instance, policy: Policy) -> ExplanationSet:
     """Indices accepted with probability one: {i : pi(x_i) = 1} exactly."""
+    _check_policy_length(instance, policy.pi)
     return ExplanationSet(tuple(np.flatnonzero(policy.pi == 1.0)))
 
 
@@ -236,6 +244,7 @@ def ground_set_viable(instance: Instance) -> ExplanationSet:
 
 def is_rational(instance: Instance, policy: Policy) -> bool:
     """True iff pi(x) = 0 wherever py[x] < gamma."""
+    _check_policy_length(instance, policy.pi)
     return bool(np.all(policy.pi[instance.py < instance.gamma] == 0.0))
 
 
@@ -246,6 +255,7 @@ def is_outcome_monotonic(instance: Instance, policy: Policy) -> bool:
     acceptance on equal outcomes.
     """
     pi, py = policy.pi, instance.py
+    _check_policy_length(instance, pi)
     if np.any(pi[:-1] < pi[1:]):
         return False
     ties = py[:-1] == py[1:]

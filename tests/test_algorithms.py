@@ -804,9 +804,8 @@ def test_best_subset_breaks_a_tie_across_sizes_by_tuple_order():
     # pair wins though its size is enumerated after the singleton's
     top = {(3,), (0, 5)}
 
-    def score(chunk):
-        sets = [tuple(S) for size in chunk for S in size.tolist()]
-        return np.array([float(S in top) for S in sets])
+    def score(sets):
+        return np.array([float(tuple(S) in top) for S in sets.tolist()])
 
     A, u = algorithms._best_subset(range(6), 2, score)
     assert (A.indices, u) == ((0, 5), 1.0)
@@ -844,8 +843,14 @@ def test_oracles_match_the_per_set_loop_across_chunks(monkeypatch):
     policy = rg.threshold_policy(inst)
     assert len(rg.ground_set_accepted(inst, policy)) == 13
     assert_oracles_match_the_per_set_loop(inst, policy, 6, rg.ExplanationSet((0,)))
-    # chunks of 5 on tie-heavy instances: ties cross chunk boundaries
+    # chunks of 5: each one (n, size) array, sizes ascending, then
+    # lexicographic order within a size
     monkeypatch.setattr(algorithms, "_SUBSET_BLOCK", 5)
+    chunks = list(algorithms._subset_chunks(range(7), 3))
+    assert all(sets.ndim == 2 and 1 <= len(sets) <= 5 for sets in chunks)
+    rows = [tuple(S) for sets in chunks for S in sets.tolist()]
+    assert rows == [S for size in range(4) for S in combinations(range(7), size)]
+    # on tie-heavy instances: ties cross chunk boundaries
     rng = rg.seeded_rng(4)
     for _ in range(20):
         inst = tie_heavy_instance(rng, 2 + rng.integers(7))

@@ -114,7 +114,7 @@ def test_rejected_member_of_a_follows_itself():
     )
     policy = rg.Policy([1.0, 0.0, 0.0])
     A = rg.ExplanationSet((2, 1, 0))
-    _, reach, _ = _followed(inst, policy.pi, _members(A))
+    _, reach, _ = _followed(inst, policy.pi, _members(inst, A))
     assert reach[1].tolist() == [True, True, False]
     assert rg.assign_explanations(inst, policy, A).explanation_of[1] == 1
     assert rg.best_respond(inst, policy, A).moved[1] == 1
@@ -132,6 +132,13 @@ def test_mismatched_shapes_raise_named_errors():
             partial(rg.leakage_utility, inst, sized, one, 0.5),
             partial(rg.leakage_utility, inst, sized, rg.ExplanationSet(), 0.5),
             partial(rg.greedy_fixed_policy, inst, sized, 2),
+            partial(rg.ground_set_accepted, inst, sized),
+            partial(rg.is_rational, inst, sized),
+            partial(rg.is_outcome_monotonic, inst, sized),
+            partial(rg.min_cost_explanations, inst, sized, 2),
+            partial(rg.diverse_explanations, inst, sized, 2),
+            partial(fixed_marginal_state, inst, sized),
+            partial(rg.assign_explanations, inst, sized, rg.ExplanationSet()),
         ):
             with pytest.raises(
                 ValueError, match=f"^policy has {n} values but the instance has 6$"
@@ -142,6 +149,12 @@ def test_mismatched_shapes_raise_named_errors():
         partial(rg.utility, inst, policy, far),
         partial(rg.best_respond, inst, policy, far),
         partial(rg.leakage_utility, inst, policy, far, 0.5),
+        partial(rg.assign_explanations, inst, policy, far),
+        partial(rg.optimal_policy_for, inst, far),
+        partial(rg.joint_objective, inst, far),
+        partial(rg.exhaustive_best_policy, inst, far),
+        partial(fixed_marginal_state, inst, policy, far),
+        partial(joint_marginal_state, inst, far),
     ):
         with pytest.raises(ValueError, match=r"^explanation index 9 outside 0\.\.5$"):
             call()

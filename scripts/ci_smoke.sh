@@ -61,17 +61,20 @@ cmp agree/file.body agree/synthetic.body
 
 echo "== Acceptance battery report is pinned"
 # sha256 of `check --seed S` stdout; a change that moves any reported digit
-# shows here and must say why before these are updated
+# shows here and must say why before these are updated. stderr holds the
+# per-criterion runtimes; seed 0's are printed once the report matches.
 for pin in \
   "0 6b44944c6e4c0b30a83947d899da8377f686faced3cc935467099e7984dfe77a" \
   "1 bd2da963551cf1f8d6bd772db6fa622622fcd05ac196e10071989138c859aca9" \
   "2 12534b6e813b43ff0127fe5a0b9034346b86d19ae17b302cc8951b4fffd11080"; do
   read -r seed want <<< "$pin"
-  got="$("${cli[@]}" check --seed "$seed" 2>/dev/null | sha256sum)" \
-    || { echo "check --seed $seed failed"; exit 1; }
+  got="$("${cli[@]}" check --seed "$seed" 2>"check-$seed.err" | sha256sum)" \
+    || { echo "check --seed $seed failed"; cat "check-$seed.err"; exit 1; }
   test "${got%% *}" = "$want" \
     || { echo "check --seed $seed: sha256 ${got%% *}, expected $want"; exit 1; }
 done
+echo "check --seed 0 runtimes:"
+cat check-0.err
 
 echo "== Full-size golden hashes"
 for w in paper scale battery; do

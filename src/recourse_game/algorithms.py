@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import warnings
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
@@ -21,6 +22,7 @@ import numpy as np
 
 from .behavior import (  # marginal_gain_joint is re-exported for algorithms.*
     _advance,
+    _check_drawn_from,
     _cost_to,
     _gains,
     _ix,
@@ -175,8 +177,7 @@ def _optimal_pi(instance: Instance, a_idx: np.ndarray) -> np.ndarray:
     acceptance probabilities per set."""
     py, gamma = instance.py, instance.gamma
     viable = py >= gamma
-    if np.any(~viable[a_idx]):
-        raise ValueError("explanations must come from the viable set")
+    _check_drawn_from(a_idx, viable, "viable")
     better = py[a_idx][..., None, :] > py[:, None]
     blocked = (better & (_cost_to(instance, a_idx) <= 1.0)).any(axis=-1)
     pi = (viable & ~blocked).astype(float)
@@ -186,7 +187,8 @@ def _optimal_pi(instance: Instance, a_idx: np.ndarray) -> np.ndarray:
 
 def joint_objective(instance: Instance, A: ExplanationSet) -> float:
     """h(A): utility of A under its own optimal policy."""
-    return utility(instance, optimal_policy_for(instance, A), A)
+    a_idx = _members(instance, A)
+    return float(_responses(instance, _optimal_pi(instance, a_idx), a_idx)[1])
 
 
 def _joint_solution(instance: Instance, picks: tuple[int, ...]) -> JointSolution:
@@ -221,11 +223,12 @@ def randomized_joint_runs(
     reproducible; at k = 0 it builds no state and publishes ∅ under
     optimal_policy_for(∅), the threshold policy.
 
-    The state at the empty set and the first full gain sweep depend only on
-    the instance, so the runs share them: each run starts from a copy of
-    the heap that one _pop_best call at ∅ has scored in full. Runs that
-    pick the same explanations in the same order share one JointSolution,
-    scored once.
+    A run's picks depend only on its k slots, so each stream draws all k
+    first, streams in order, and every slot prefix that two or more streams
+    drew is stepped once: a run resumes from a copy of the heap stored after
+    its deepest such prefix (or at ∅, scored in full there), and a one-stream
+    call stores nothing. Runs that pick the same explanations in the same
+    order share one JointSolution, scored once.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -235,13 +238,18 @@ def randomized_joint_runs(
     first_heap = [(-np.inf, x, -1) for x in ground_set_viable(instance).indices]
     for entry in _pop_best(first_heap, partial(_gains, instance, start), 0, k):
         heapq.heappush(first_heap, entry)
+    draws = [tuple([int(rng.integers(k)) for _ in range(k)]) for rng in rngs]
+    shared = Counter(slots[:i] for slots in draws for i in range(1, k + 1))
+    stepped = {(): (start, first_heap, ())}  # slot prefix -> (state, heap, picks)
     solved: dict[tuple[int, ...], JointSolution] = {}
     runs = []
-    for rng in rngs:
-        state, heap, A = start, list(first_heap), []
-        for _ in range(k):
+    for slots in draws:
+        depth = max(i for i in range(k + 1) if slots[:i] in stepped)
+        state, heap, A = stepped[slots[:depth]]
+        heap, A = list(heap), list(A)
+        for i in range(depth, k):
             # only the ranks up to the drawn slot matter
-            slot = rng.integers(k)
+            slot = slots[i]
             pool = _pop_best(heap, partial(_gains, instance, state), len(A), slot + 1)
             # entries hold -gain: a slot past the nonnegative gains is a dummy
             if slot < len(pool) and pool[slot][0] <= 0.0:
@@ -250,6 +258,8 @@ def randomized_joint_runs(
                 A.append(pick)
             for entry in pool:
                 heapq.heappush(heap, entry)
+            if shared[slots[: i + 1]] > 1:
+                stepped[slots[: i + 1]] = (state, list(heap), tuple(A))
         picks = tuple(A)
         if picks not in solved:
             solved[picks] = _joint_solution(instance, picks)

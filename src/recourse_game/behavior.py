@@ -199,14 +199,19 @@ def _advanced(instance: Instance, pi, near, flippable, A) -> MarginalState:
     return state
 
 
+def _check_drawn_from(a_idx: np.ndarray, allowed: np.ndarray, ground: str) -> None:
+    """Refuse members a_idx (any shape) outside the ground set allowed."""
+    if not np.all(allowed[a_idx]):
+        raise ValueError(f"explanations must come from the {ground} set")
+
+
 def fixed_marginal_state(
     instance: Instance, policy: Policy, A: ExplanationSet = ExplanationSet()
 ) -> MarginalState:
     """Build the incremental state for utility(policy, ·) at A, whose
     members must be accepted (pi = 1)."""
     _check_policy_length(instance, policy.pi)
-    if np.any(policy.pi[_members(instance, A)] != 1.0):
-        raise ValueError("explanations must come from the accepted set")
+    _check_drawn_from(_members(instance, A), policy.pi == 1.0, "accepted")
     near = np.ascontiguousarray(adaptation_matrix(instance, policy).T)
     return _advanced(instance, policy.pi, near, np.zeros(instance.m, dtype=bool), A)
 
@@ -215,8 +220,7 @@ def joint_marginal_state(instance: Instance, A: ExplanationSet) -> MarginalState
     """Build the incremental state for h at A, under A's optimal policy: the
     threshold policy with every viable value flippable, advanced over A."""
     viable = instance.py >= instance.gamma
-    if not np.all(viable[_members(instance, A)]):
-        raise ValueError("explanations must come from the viable set")
+    _check_drawn_from(_members(instance, A), viable, "viable")
     near = np.less_equal(instance.cost.T, 1.0, order="C")
     return _advanced(instance, viable.astype(float), near, viable, A)
 
@@ -285,18 +289,23 @@ def marginal_gain_fixed(
     x: int,
 ) -> tuple[float, MarginalState]:
     """Marginal utility of adding x to A at a fixed policy, plus the state
-    for A ∪ {x}. Requires x not already in A; state must correspond to A."""
-    if x in A:
-        raise ValueError(f"candidate {x} already in A")
-    return float(_gains(instance, state, [x])[0]), _advance(instance, state, x)
+    for A ∪ {x}. Requires an accepted x not in A; state must match A."""
+    return _marginal_gain(instance, A, state, x, policy.pi == 1.0, "accepted")
 
 
 def marginal_gain_joint(
     instance: Instance, A: ExplanationSet, state: MarginalState, x: int
 ) -> tuple[float, MarginalState]:
-    """h(A ∪ {x}) - h(A) in O(m), plus the state for A ∪ {x}."""
+    """h(A ∪ {x}) - h(A) in O(m) for a viable x not in A, plus the new state."""
+    viable = instance.py >= instance.gamma
+    return _marginal_gain(instance, A, state, x, viable, "viable")
+
+
+def _marginal_gain(instance, A, state, x, allowed, ground):
+    """Both wrappers' one-candidate gain and step, after their checks of x."""
     if x in A:
         raise ValueError(f"candidate {x} already in A")
+    _check_drawn_from(_members(instance, ExplanationSet((x,))), allowed, ground)
     return float(_gains(instance, state, [x])[0]), _advance(instance, state, x)
 
 
@@ -404,7 +413,8 @@ def leakage_utility_mc(
         draws += 1
         draws *= leak
         del leak
-    gathered = payoff[np.arange(m), draws]
+    draws += np.arange(0, payoff.size, payoff.shape[1])  # flat index: row offsets
+    gathered = payoff.ravel().take(draws)
     del draws
     gathered *= instance.px
     per_sample = gathered.sum(axis=1)

@@ -25,6 +25,7 @@ from conftest import (
 )
 from recourse_game import algorithms, baselines
 from recourse_game.behavior import (
+    _advance,
     _coverage,
     _gains,
     fixed_marginal_state,
@@ -279,6 +280,50 @@ def test_randomized_joint_refreshes_at_least_a_block(monkeypatch, k, most):
     inst = rg.generate_synthetic(rg.SynthConfig(m=200, gamma=0.3, seed=7))
     rg.randomized_joint(inst, k, rg.seeded_rng(1))
     assert len(calls) <= most
+
+
+def count_steps(monkeypatch) -> dict:
+    """Count the joint greedy's _advance calls and the rows it scores."""
+    counts = {"advance": 0, "rows": 0}
+
+    def advance(instance, state, x):
+        counts["advance"] += 1
+        return _advance(instance, state, x)
+
+    def gains(instance, state, xs):
+        counts["rows"] += len(xs)
+        return _gains(instance, state, xs)
+
+    monkeypatch.setattr(algorithms, "_advance", advance)
+    monkeypatch.setattr(algorithms, "_gains", gains)
+    return counts
+
+
+def test_copies_of_one_stream_step_as_often_as_one(monkeypatch):
+    inst = rg.generate_synthetic(rg.SynthConfig(m=200, gamma=0.3, seed=7))
+    counts = count_steps(monkeypatch)
+    [one] = rg.randomized_joint_runs(inst, 5, [rg.seeded_rng(3)])
+    alone = dict(counts)
+    counts.update(advance=0, rows=0)
+    runs = rg.randomized_joint_runs(inst, 5, [rg.seeded_rng(3) for _ in range(50)])
+    assert alone["advance"] > 0 and counts == alone
+    assert {sol.explanations.indices for sol in runs} == {one.explanations.indices}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("seed", range(5))
+def test_shared_slot_prefixes_are_stepped_once(monkeypatch, seed, k):
+    # k slots have k + k^2 + ... + k^k prefixes (6 at k = 2), each stepped
+    # at most once however many streams draw it; at k = 3 a stored prefix
+    # has three children, so a run that changed its heap would show
+    inst = tie_heavy_instance(rg.seeded_rng(seed), 10)
+    counts = count_steps(monkeypatch)
+    runs = rg.randomized_joint_runs(inst, k, [rg.seeded_rng(r) for r in range(200)])
+    assert counts["advance"] <= sum(k**i for i in range(1, k + 1))
+    for r, sol in enumerate(runs):
+        ref = rg.randomized_joint(inst, k, rg.seeded_rng(r))
+        assert sol.explanations.indices == ref.explanations.indices
+        assert repr(sol.utility) == repr(ref.utility)
 
 
 def test_kernel_gain_is_batch_invariant():

@@ -27,6 +27,7 @@ from recourse_game.behavior import (
     fixed_marginal_state,
     joint_marginal_state,
     marginal_gain_fixed,
+    marginal_gain_joint,
 )
 from recourse_game.harness import _scale_costs
 
@@ -145,6 +146,9 @@ def test_mismatched_shapes_raise_named_errors():
             ):
                 call()
     policy, far = rg.threshold_policy(inst), rg.ExplanationSet((1, 9))
+    none = rg.ExplanationSet()
+    fixed_state = fixed_marginal_state(inst, policy)
+    joint_state = joint_marginal_state(inst, none)
     for call in (
         partial(rg.utility, inst, policy, far),
         partial(rg.best_respond, inst, policy, far),
@@ -155,8 +159,18 @@ def test_mismatched_shapes_raise_named_errors():
         partial(rg.exhaustive_best_policy, inst, far),
         partial(fixed_marginal_state, inst, policy, far),
         partial(joint_marginal_state, inst, far),
+        partial(marginal_gain_fixed, inst, policy, none, fixed_state, 9),
+        partial(marginal_gain_joint, inst, none, joint_state, 9),
     ):
         with pytest.raises(ValueError, match=r"^explanation index 9 outside 0\.\.5$"):
+            call()
+    # 5 is rejected by the threshold policy and not viable
+    assert policy.pi[5] == 0.0 and inst.py[5] < inst.gamma
+    for call, ground in (
+        (partial(marginal_gain_fixed, inst, policy, none, fixed_state, 5), "accepted"),
+        (partial(marginal_gain_joint, inst, none, joint_state, 5), "viable"),
+    ):
+        with pytest.raises(ValueError, match=f"^explanations must come from the {ground}"):
             call()
 
 

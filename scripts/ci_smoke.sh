@@ -39,10 +39,12 @@ echo '{"instance": {"m": 6, "gamma": 0.3},
 test -s smoke/matroid/matroid.csv
 echo '{"repetition": 20}' > smoke/unknown-key.json
 echo '{"instance": {"m": 6, "symmetric": true}}' > smoke/removed-key.json
-echo '{"instance": {"m": 6}, "k": 2.5}' > smoke/non-integer.json
+echo '{"instance": {"m": 6}, "k_sweep": [2.5]}' > smoke/non-integer.json
+echo '{"instance": {"m": 6}, "k": 2}' > smoke/bare-k.json
 for bad in "--config smoke/unknown-key.json" \
   "--config smoke/removed-key.json" "--config smoke/non-integer.json" \
-  "--m 10 --k 2 --alpha nan"; do
+  "--config smoke/bare-k.json" "--m 10 --k 2 --alpha nan" \
+  "--m 10 --gamma 1.5"; do
   rc=0
   # shellcheck disable=SC2086  # $bad holds several flags
   "${cli[@]}" compare $bad --outdir smoke/rejected || rc=$?

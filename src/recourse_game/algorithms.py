@@ -226,9 +226,9 @@ def randomized_joint_runs(
     A run's picks depend only on its k slots, so each stream draws all k
     first, streams in order, and every slot prefix that two or more streams
     drew is stepped once: a run resumes from a copy of the heap stored after
-    its deepest such prefix (or at ∅, scored in full there), and a one-stream
-    call stores nothing. Runs that pick the same explanations in the same
-    order share one JointSolution, scored once.
+    its deepest such prefix, ∅ included (stored unscored, like any new heap),
+    and a one-stream call stores nothing else. Runs that pick the same
+    explanations in the same order share one JointSolution, scored once.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -236,8 +236,6 @@ def randomized_joint_runs(
         return [_joint_solution(instance, ())] * len(list(rngs))
     start = joint_marginal_state(instance, ExplanationSet())
     first_heap = [(-np.inf, x, -1) for x in ground_set_viable(instance).indices]
-    for entry in _pop_best(first_heap, partial(_gains, instance, start), 0, k):
-        heapq.heappush(first_heap, entry)
     draws = [tuple([int(rng.integers(k)) for _ in range(k)]) for rng in rngs]
     shared = Counter(slots[:i] for slots in draws for i in range(1, k + 1))
     stepped = {(): (start, first_heap, ())}  # slot prefix -> (state, heap, picks)

@@ -453,17 +453,14 @@ def check_determinism(base_seed: int) -> tuple[bool, str]:
     mismatches = []
     with tempfile.TemporaryDirectory() as tmp:
         outdir = Path(tmp) / "out"
-        synth = SynthConfig(m=30, gamma=0.3, seed=11)
         matroid = PartitionMatroid(
             groups=(tuple(range(15)), tuple(range(15, 30))), capacities=(2, 1)
         )
         config = harness.ExperimentConfig(
             experiment="determinism-probe",
             outdir=str(outdir),
-            synthetic=synth,
-            k=3,
+            synthetic=SynthConfig(m=30, gamma=0.3, seed=11),
             k_sweep=(3,),
-            alpha_sweep=(1.0,),
             pl_sweep=(0.0, 0.5),
             repetitions=2,
             base_seed=base_seed,

@@ -22,7 +22,7 @@ from .core import PartitionMatroid
 from .datagen import SynthConfig
 
 _TOP_KEYS = (
-    "k", "k_sweep", "alpha_sweep", "pl_sweep", "repetitions", "base_seed", "bins",
+    "k_sweep", "alpha_sweep", "pl_sweep", "repetitions", "base_seed", "bins",
     "outdir", "instance", "matroid",
 )
 # every repetition derives its own instance seed from base_seed
@@ -48,7 +48,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--gamma", type=float, help="decision cost constant")
     sub.add_argument("--seed", dest="base_seed", type=int, help="base seed")
     sub.add_argument(
-        "--k", type=_comma_list(int), help="explanation budget(s), comma separated"
+        "--k", dest="k_sweep", type=_comma_list(int),
+        help="explanation budget(s), comma separated",
     )
     sub.add_argument(
         "--alpha", dest="alpha_sweep", type=_comma_list(float),
@@ -86,9 +87,6 @@ def _config_from_dict(d: dict, experiment: str) -> harness.ExperimentConfig:
         d["synthetic"] = SynthConfig(**inst)
     if "matroid" in d:
         d["matroid"] = PartitionMatroid(**d["matroid"])
-    for seq in ("k_sweep", "alpha_sweep", "pl_sweep"):
-        if seq in d:
-            d[seq] = tuple(d[seq])
     d.setdefault("outdir", "results")
     return harness.ExperimentConfig(experiment=experiment, **d)
 
@@ -105,9 +103,6 @@ def _build_config(flags: dict, experiment: str) -> harness.ExperimentConfig:
     if "values" in flags or "costs" in flags:
         for key in set(_SYNTH_KEYS) - set(_FILE_KEYS):
             inst.pop(key, None)
-    if "k" in flags:
-        flags["k_sweep"] = flags["k"]
-        flags["k"] = flags["k"][0]
     for key, value in flags.items():
         # --m, --gamma, --values and --costs are instance keys
         (inst if key in _SYNTH_KEYS + _FILE_KEYS else raw)[key] = value

@@ -92,7 +92,11 @@ def _check(instance: Instance) -> None:
     diag = np.flatnonzero(np.diagonal(cost) != 0.0)
     if diag.size:
         raise ValueError(f"cost[{int(diag[0])}][{int(diag[0])}] must be 0")
-    if not (0.0 < gamma < 1.0):
+    _check_gamma(gamma)
+
+
+def _check_gamma(gamma: float) -> None:
+    if not (0.0 < gamma < 1.0):  # NaN fails too
         raise ValueError(f"gamma must lie strictly in (0, 1), got {gamma:g}")
 
 

@@ -24,7 +24,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .core import _ROW_BLOCK, Instance, _canonical_order, make_instance
+from .core import _ROW_BLOCK, Instance, _canonical_order, _check_gamma, make_instance
 
 KIND_ACTIONABLE = "actionable"
 KIND_ACTIONABLE_UP = "actionable_up"
@@ -65,6 +65,7 @@ class SynthConfig:
             raise ValueError("m must be an integer")
         if self.m < 2:
             raise ValueError("m must be >= 2")
+        _check_gamma(self.gamma)
 
 
 def generate_synthetic(config: SynthConfig) -> Instance:

@@ -26,7 +26,14 @@ import numpy as np
 from .algorithms import greedy_fixed_policy, greedy_matroid, randomized_joint
 from .baselines import diverse_explanations, min_cost_explanations, threshold_policy
 from .behavior import group_improvement, leakage_utility, transport_matrix, utility
-from .core import _ROW_BLOCK, ExplanationSet, Instance, PartitionMatroid, Policy
+from .core import (
+    _ROW_BLOCK,
+    ExplanationSet,
+    Instance,
+    PartitionMatroid,
+    Policy,
+    _check_gamma,
+)
 from .datagen import (
     SynthConfig,
     _fmt,
@@ -62,7 +69,7 @@ class ExperimentConfig:
     cost_path: str | None = None
     gamma: float | None = None
     k: int = 1
-    k_sweep: tuple[int, ...] = ()
+    k_sweep: tuple[int, ...] | None = None
     alpha_sweep: tuple[float, ...] = (1.0,)
     pl_sweep: tuple[float, ...] = (0.0,)
     repetitions: int = 1
@@ -71,24 +78,28 @@ class ExperimentConfig:
     matroid: PartitionMatroid | None = None
 
     def __post_init__(self):
-        counts = (self.k, *self.k_sweep, self.repetitions, self.base_seed, self.bins)
+        # the one budget setting: k is always the first entry of k_sweep
+        if self.k_sweep is None:
+            object.__setattr__(self, "k_sweep", (self.k,))
+        for sweep in ("k_sweep", "alpha_sweep", "pl_sweep"):
+            object.__setattr__(self, sweep, tuple(getattr(self, sweep)))
+            if not getattr(self, sweep):
+                raise ValueError(f"{sweep} must be nonempty")
+        object.__setattr__(self, "k", self.k_sweep[0])
+        counts = (*self.k_sweep, self.repetitions, self.base_seed, self.bins)
         if not all(isinstance(n, Integral) for n in counts):
             raise ValueError(
                 "k, k_sweep, repetitions, base_seed and bins must be integers"
             )
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.synthetic is None and (
-            self.values_path is None or self.cost_path is None
-        ):
-            raise ValueError("config needs a synthetic block or instance file paths")
-        if self.synthetic is None and self.gamma is None:
-            raise ValueError("file-based instances need gamma in the config")
-        if not self.alpha_sweep:
-            raise ValueError("alpha_sweep must be nonempty")
-        if not self.pl_sweep:
-            raise ValueError("pl_sweep must be nonempty")
-        if min((self.k, *self.k_sweep)) < 0:
+        if self.synthetic is None:
+            if self.values_path is None or self.cost_path is None:
+                raise ValueError("config needs a synthetic block or instance files")
+            if self.gamma is None:
+                raise ValueError("file-based instances need gamma in the config")
+            _check_gamma(self.gamma)
+        if min(self.k_sweep) < 0:
             raise ValueError("k and every k_sweep entry must be >= 0")
         if not all(a >= 0.0 for a in self.alpha_sweep):  # NaN fails too
             raise ValueError("every alpha must be >= 0")
@@ -96,10 +107,6 @@ class ExperimentConfig:
             raise ValueError("every p_l must lie in [0, 1]")
         if self.bins < 1:
             raise ValueError("bins must be >= 1")
-
-    @property
-    def effective_k_sweep(self) -> tuple[int, ...]:
-        return self.k_sweep if self.k_sweep else (self.k,)
 
 
 def _write_csv(config: ExperimentConfig, name: str, header: list[str], rows) -> Path:
@@ -178,8 +185,7 @@ def run_generate(config: ExperimentConfig) -> list[Path]:
     """Write compare's instance at the first alpha and k, repetition 0, to CSV."""
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    alpha, k = config.alpha_sweep[0], config.effective_k_sweep[0]
-    inst = _instance_source(config)(alpha, k, 0)
+    inst = _instance_source(config)(config.alpha_sweep[0], config.k, 0)
     values = outdir / "instance_values.csv"
     costs = outdir / "instance_cost.csv"
     save_instance(inst, values, costs)
@@ -191,7 +197,7 @@ def run_compare(config: ExperimentConfig) -> list[Path]:
     instance_at = _instance_source(config)
     rows, timing_rows = [], []
     for alpha in config.alpha_sweep:
-        for k in config.effective_k_sweep:
+        for k in config.k_sweep:
             for rep in range(config.repetitions):
                 inst = instance_at(alpha, k, rep)
                 rng = _alg2_stream(config, alpha, k, rep)
@@ -216,7 +222,7 @@ def run_leakage(config: ExperimentConfig) -> list[Path]:
     instance_at = _instance_source(config)
     alpha = config.alpha_sweep[0]
     rows = []
-    for k in config.effective_k_sweep:
+    for k in config.k_sweep:
         for rep in range(config.repetitions):
             inst = instance_at(alpha, k, rep)
             policy, A = regime_solution(
@@ -240,8 +246,7 @@ def _bin_labels(bins: int) -> list[str]:
 
 def run_transport(config: ExperimentConfig) -> list[Path]:
     """Moved-mass matrices between outcome bins for alg1 and alg2."""
-    alpha = config.alpha_sweep[0]
-    k = config.effective_k_sweep[0]
+    alpha, k = config.alpha_sweep[0], config.k
     inst = _instance_source(config)(alpha, k, 0)
     rng = _alg2_stream(config, alpha, k, 0)
     labels = _bin_labels(config.bins)

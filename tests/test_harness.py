@@ -446,7 +446,7 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "overrides, message",
     [
-        (dict(k=-1, k_sweep=()), "k and every k_sweep"),
+        (dict(k=-1, k_sweep=None), "k and every k_sweep"),
         (dict(k_sweep=(2, -1)), "k and every k_sweep"),
         (dict(pl_sweep=(0.0, 1.5)), "p_l"),
         (dict(pl_sweep=(-0.1,)), "p_l"),
@@ -497,7 +497,7 @@ def test_cli_compare_smoke(tmp_path, capsys):
 def test_cli_config_file_with_overrides(tmp_path):
     cfg = {
         "instance": {"m": 10, "gamma": 0.3},
-        "k": 1,
+        "k_sweep": [1],
         "repetitions": 1,
         "base_seed": 2,
         "outdir": str(tmp_path / "from_config"),
@@ -604,7 +604,6 @@ def test_cli_matroid_missing_block_fails(tmp_path, capsys):
 
 FULL_CONFIG = {
     "instance": {"m": 200, "gamma": 0.3},
-    "k": 20,
     "k_sweep": [5, 10, 20],
     "alpha_sweep": [1.0],
     "pl_sweep": [0.0, 0.5],
@@ -617,7 +616,6 @@ FULL_CONFIG = {
 FULL_EXPECTED = dict(
     outdir="results",
     synthetic=rg.SynthConfig(m=200, gamma=0.3),
-    k=20,
     k_sweep=(5, 10, 20),
     alpha_sweep=(1.0,),
     pl_sweep=(0.0, 0.5),
@@ -628,10 +626,11 @@ FULL_EXPECTED = dict(
 )
 FILE_CONFIG = {
     "instance": {"values": "v.csv", "costs": "c.csv", "gamma": 0.4},
-    "k": 3,
+    "k_sweep": [3],
 }
 FILE_EXPECTED = dict(
-    outdir="results", values_path="v.csv", cost_path="c.csv", gamma=0.4, k=3
+    outdir="results", values_path="v.csv", cost_path="c.csv", gamma=0.4,
+    k_sweep=(3,),
 )
 
 
@@ -770,7 +769,7 @@ def test_cli_rejects_unknown_keys(cli_config, capsys, argv, config, message):
     "config, message",
     [
         pytest.param({"instance": {"m": 12.5}}, "m must be an integer", id="m"),
-        pytest.param({"k": 2.5}, "must be integers", id="k"),
+        pytest.param({"k_sweep": [2.5]}, "must be integers", id="k"),
         pytest.param({"repetitions": 1.5}, "must be integers", id="repetitions"),
         pytest.param({"k_sweep": [2, 3.5]}, "must be integers", id="k_sweep"),
         pytest.param({"bins": 2.5}, "must be integers", id="bins"),
@@ -800,3 +799,65 @@ def test_cli_rejects_non_integer_counts(cli_config, capsys, command, config, mes
 def test_cli_rejects_bad_values_before_any_run(cli_config, capsys, flags, message):
     assert cli_config(["compare", *flags]) == 2
     assert message in capsys.readouterr().err
+
+
+# -- one budget setting and the gamma rule ----------------------------------------
+
+def test_k_is_the_first_entry_of_k_sweep():
+    base = dict(experiment="compare", outdir="o", synthetic=rg.SynthConfig(m=6))
+    assert ExperimentConfig(**base).k_sweep == (1,)
+    assert ExperimentConfig(**base, k=3).k_sweep == (3,)
+    config = ExperimentConfig(**base, k=9, k_sweep=(2, 4))
+    assert (config.k, config.k_sweep) == (2, (2, 4))
+
+
+def test_k_flag_and_json_k_sweep_build_equal_configs(cli_config):
+    by_flag = cli_config(["compare", "--k", "5,10"])
+    by_json = cli_config(["compare"], {"k_sweep": [5, 10]})
+    assert by_flag == by_json
+    assert (by_flag.k, by_flag.k_sweep) == (5, (5, 10))
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        pytest.param({"k": 2}, "unknown config key(s): k", id="k-key"),
+        pytest.param({"k": 5, "k_sweep": [10]}, "unknown config key(s): k",
+                     id="k-beside-k_sweep"),
+        pytest.param({"k_sweep": []}, "k_sweep must be nonempty", id="empty-k_sweep"),
+    ],
+)
+def test_cli_has_one_budget_setting(cli_config, capsys, config, message):
+    assert cli_config(["compare"], config) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--m", "10"], ["--values", "v.csv", "--costs", "c.csv"]],
+    ids=["synthetic", "file-based"],
+)
+def test_gamma_outside_the_unit_interval_is_a_usage_error(
+    tmp_path, monkeypatch, capsys, flags
+):
+    def no_instance(*args):
+        raise AssertionError("an instance was drawn or read")
+
+    monkeypatch.setattr(harness, "generate_synthetic", no_instance)
+    monkeypatch.setattr(harness, "load_instance", no_instance)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compare", *flags, "--gamma", "1.5", "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "gamma must lie strictly in (0, 1), got 1.5" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0, float("nan")])
+def test_configs_refuse_gamma_outside_the_unit_interval(gamma):
+    with pytest.raises(ValueError, match="gamma must lie strictly in"):
+        rg.SynthConfig(m=6, gamma=gamma)
+    with pytest.raises(ValueError, match="gamma must lie strictly in"):
+        ExperimentConfig(
+            experiment="compare", outdir="o", values_path="v", cost_path="c",
+            gamma=gamma,
+        )

@@ -64,19 +64,33 @@ cmp agree/file.body agree/synthetic.body
 echo "== Acceptance battery report is pinned"
 # sha256 of `check --seed S` stdout; a change that moves any reported digit
 # shows here and must say why before these are updated. stderr holds the
-# per-criterion runtimes; seed 0's are printed once the report matches.
+# per-criterion runtimes and, last, the run's peak RSS, which a wrapper
+# reads from its finished child; stdout passes through it untouched. Each
+# run's peak RSS and seed 0's runtimes are printed once the reports match.
+# They are informational and bound nothing.
+peak_rss() {
+  python3 -c '
+import resource, subprocess, sys
+rc = subprocess.call(sys.argv[1:])
+kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss  # KiB on Linux
+print(f"peak RSS {kib / 1024:.1f} MiB", file=sys.stderr)
+sys.exit(rc)' "$@"
+}
 for pin in \
   "0 6b44944c6e4c0b30a83947d899da8377f686faced3cc935467099e7984dfe77a" \
   "1 bd2da963551cf1f8d6bd772db6fa622622fcd05ac196e10071989138c859aca9" \
   "2 12534b6e813b43ff0127fe5a0b9034346b86d19ae17b302cc8951b4fffd11080"; do
   read -r seed want <<< "$pin"
-  got="$("${cli[@]}" check --seed "$seed" 2>"check-$seed.err" | sha256sum)" \
+  got="$(peak_rss "${cli[@]}" check --seed "$seed" 2>"check-$seed.err" | sha256sum)" \
     || { echo "check --seed $seed failed"; cat "check-$seed.err"; exit 1; }
   test "${got%% *}" = "$want" \
     || { echo "check --seed $seed: sha256 ${got%% *}, expected $want"; exit 1; }
 done
+for seed in 0 1 2; do
+  echo "check --seed $seed $(tail -n 1 "check-$seed.err")" >&2
+done
 echo "check --seed 0 runtimes:"
-cat check-0.err
+sed '$d' check-0.err  # all but the peak RSS line
 
 echo "== Full-size golden hashes"
 for w in paper scale battery; do

@@ -14,6 +14,11 @@ from .behavior import _coverage, utility
 from .core import ExplanationSet, Instance, Policy, ground_set_accepted
 
 
+# Bytes of candidate scores min_cost_explanations holds at once: one block
+# at m=200, about seven at m=1000.
+_SCORE_BYTES = 256 * 1024
+
+
 def threshold_policy(instance: Instance) -> Policy:
     """Deterministic accept-iff-viable policy: pi(x) = 1 iff py[x] >= gamma."""
     return Policy((instance.py >= instance.gamma).astype(float))
@@ -38,8 +43,9 @@ def min_cost_explanations(
     any candidate contribute a constant penalty and never sway the choice.
     A policy that accepts nothing, or k = 0, yields the empty set. The costs
     from rejected individuals to accepted values are gathered once, and each
-    pick scores every candidate in one preallocated buffer, keeping each
-    rejected individual's cost to the nearest pick, so the run is O(k m^2).
+    pick scores every candidate in row blocks of one preallocated buffer of
+    at most _SCORE_BYTES, keeping each rejected individual's cost to the
+    nearest pick, so the run is O(k m^2).
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -50,17 +56,25 @@ def min_cost_explanations(
     px_r = instance.px[rejected]
     # row g holds the costs of every rejected individual to ground[g]
     to_ground = cost.T[np.ix_(ground, rejected)]
-    scores = np.empty_like(to_ground)
+    objs = np.empty(ground.size)
+    rows = max(1, _SCORE_BYTES // max(1, px_r.nbytes))  # a score row is px_r wide
+    scores = np.empty_like(to_ground[:rows])
+    blocks = [
+        (to_ground[s : s + rows], objs[s : s + rows])
+        for s in range(0, ground.size, rows)
+    ]
     # penalty exceeds every finite cost: unservable individuals cost exactly it
     nearest = np.full(px_r.shape, penalty)
 
     # stays eager: a lazy heap flips float near-ties that this argmin pins
     picks: list[int] = []
     for _ in range(min(k, ground.size)):
-        np.minimum(nearest, to_ground, out=scores)
-        scores *= px_r
-        # a row sum of the C-contiguous block equals that row's 1-D sum
-        objs = scores.sum(axis=1)
+        for costs, obj in blocks:
+            part = scores[: len(costs)]
+            np.minimum(nearest, costs, out=part)
+            part *= px_r
+            # a row sum of a C-contiguous block equals that row's 1-D sum
+            part.sum(axis=1, out=obj)
         objs[picks] = np.inf
         best = int(np.argmin(objs))  # first minimum: lowest index
         picks.append(best)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import recourse_game as rg
-from recourse_game import algorithms
+from recourse_game import algorithms, baselines
 from recourse_game.behavior import _advance, adaptation_matrix, joint_marginal_state
 from recourse_game.checks import (
     nonmonotone_witness,
@@ -82,6 +82,13 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def min_cost_one_row_per_block(inst: rg.Instance, policy, k: int) -> tuple:
+    """min_cost_explanations' picks with its score buffer cut to one row."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baselines, "_SCORE_BYTES", 1)
+        return rg.min_cost_explanations(inst, policy, k).indices
 
 
 def subset(rng: np.random.Generator, items, p: float = 0.5) -> tuple[int, ...]:

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 import recourse_game as rg
-from conftest import equivalence_cases, random_instance
+from conftest import (
+    equivalence_cases,
+    min_cost_one_row_per_block,
+    random_instance,
+    traced_peak,
+)
 from recourse_game.behavior import adaptation_matrix
 
 
@@ -180,6 +185,24 @@ def test_min_cost_incremental_matches_eager():
         assert rg.min_cost_explanations(inst, policy, k).indices == eager_min_cost(
             inst, policy, k
         )
+
+
+def test_min_cost_picks_do_not_depend_on_the_score_block():
+    # m=200 scores every candidate in one block under the default budget
+    for seed in range(3):
+        inst = rg.generate_synthetic(rg.SynthConfig(m=200, gamma=0.3, seed=seed))
+        policy = rg.threshold_policy(inst)
+        want = rg.min_cost_explanations(inst, policy, 20).indices
+        assert min_cost_one_row_per_block(inst, policy, 20) == want
+
+
+def test_min_cost_scores_in_blocks_beside_the_gathered_costs():
+    # the gathered rejected-to-accepted costs (about 0.21x here) and one
+    # score block of at most 256 KiB, not a second gathered-size buffer
+    inst = rg.generate_synthetic(rg.SynthConfig(m=1000, gamma=0.3, seed=7))
+    policy = rg.threshold_policy(inst)
+    peak = traced_peak(lambda: rg.min_cost_explanations(inst, policy, 50))
+    assert peak <= 0.3 * inst.cost.nbytes
 
 
 def test_min_cost_without_candidates_is_empty():

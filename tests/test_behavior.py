@@ -19,6 +19,7 @@ from conftest import (
     traced_peak,
 )
 from recourse_game.behavior import (
+    _MC_ROWS,
     _followed,
     _gains,
     _leak_targets,
@@ -454,6 +455,50 @@ def test_leakage_mc_peaks_near_two_draw_arrays():
         lambda: rg.leakage_utility_mc(inst, policy, A, 0.5, samples, rg.seeded_rng(0))
     )
     assert peak <= 2.5 * samples * inst.m * np.dtype(np.int64).itemsize
+
+
+def test_leakage_mc_streams_below_one_draw_array():
+    # the boolean leak mask, the per-sample sums and one block, not the
+    # (samples, m) draws and payoffs
+    inst = rg.generate_synthetic(rg.SynthConfig(m=10, seed=1))
+    policy = rg.threshold_policy(inst)
+    A = rg.greedy_fixed_policy(inst, policy, 3)
+    assert len(A) > 0
+    samples = 100_000
+    peak = traced_peak(
+        lambda: rg.leakage_utility_mc(inst, policy, A, 0.5, samples, rg.seeded_rng(0))
+    )
+    assert peak <= 0.5 * samples * inst.m * np.dtype(np.int64).itemsize
+
+
+def test_blocked_bounded_integers_equal_one_draw():
+    # numpy takes a bounded integer's 32-bit word through the bit generator's
+    # own buffer, so an odd-sized block leaves half a 64-bit draw for the
+    # next: blocks of any size give the one-shot values and the same state
+    for high in (2, 3, 10):
+        one, blocked = np.random.default_rng(7), np.random.default_rng(7)
+        want = one.integers(0, high, size=(301, 9))
+        got = np.vstack([blocked.integers(0, high, size=(n, 9)) for n in (1, 99, 201)])
+        assert np.array_equal(got, want)
+        assert blocked.random() == one.random()
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3])
+def test_leakage_mc_blocks_match_one_shot_draws(size):
+    # sample counts around and across the block size, on an odd m so that
+    # blocks hold odd numbers of integer draws; |A| = 1 draws no integer (a
+    # one-value range), |A| = 3 is not a power of two
+    inst = rg.generate_synthetic(rg.SynthConfig(m=9, gamma=0.5, seed=1))
+    policy = rg.threshold_policy(inst)
+    A = rg.ExplanationSet((2, 1, 0)[:size])
+    for samples in (_MC_ROWS - 1, _MC_ROWS, _MC_ROWS + 1, 5 * _MC_ROWS // 2):
+        for p_l in (0.0, 0.37, 1.0):
+            rng, ref = np.random.default_rng(samples), np.random.default_rng(samples)
+            got = rg.leakage_utility_mc(inst, policy, A, p_l, samples, rng)
+            assert got == ref_leakage_mc(inst, policy, A, p_l, samples, ref)
+            assert rng.random() == ref.random()
+            if size >= 2 and p_l == 0.37:
+                assert got[1] > 0.0  # the draws do change some targets
 
 
 def test_leakage_ties_go_to_lower_cost_before_higher_outcome():

@@ -16,6 +16,7 @@ st = hypothesis.strategies
 from conftest import (  # noqa: E402
     assert_oracles_match_the_per_set_loop,
     is_feasible,
+    min_cost_one_row_per_block,
     ref_assignment,
     ref_leak_targets,
     ref_pop_k_joint_runs,
@@ -291,3 +292,10 @@ def test_targets_match_per_individual_loop(inst, data):
     targets = _leak_targets(inst, policy, A)
     assert targets[:, 0].tolist() == moved
     np.testing.assert_array_equal(targets[:, 1:], ref_leak_targets(inst, policy, A))
+
+
+@hypothesis.given(instances, st.integers(0, 4))
+def test_min_cost_picks_do_not_depend_on_the_score_block(inst, k):
+    policy = rg.threshold_policy(inst)
+    want = rg.min_cost_explanations(inst, policy, k).indices
+    assert min_cost_one_row_per_block(inst, policy, k) == want

@@ -41,15 +41,22 @@ echo '{"repetition": 20}' > smoke/unknown-key.json
 echo '{"instance": {"m": 6, "symmetric": true}}' > smoke/removed-key.json
 echo '{"instance": {"m": 6}, "k_sweep": [2.5]}' > smoke/non-integer.json
 echo '{"instance": {"m": 6}, "k": 2}' > smoke/bare-k.json
-for bad in "--config smoke/unknown-key.json" \
-  "--config smoke/removed-key.json" "--config smoke/non-integer.json" \
-  "--config smoke/bare-k.json" "--m 10 --k 2 --alpha nan" \
-  "--m 10 --gamma 1.5"; do
+# a command that runs at one point refuses a second alpha or k
+echo '{"instance": {"m": 6, "gamma": 0.3}, "k_sweep": [2, 3],
+  "matroid": {"groups": [[0, 1, 2], [3, 4, 5]], "capacities": [2, 1]}}' \
+  > smoke/matroid-sweep.json
+for bad in "compare --config smoke/unknown-key.json" \
+  "compare --config smoke/removed-key.json" \
+  "compare --config smoke/non-integer.json" \
+  "compare --config smoke/bare-k.json" "compare --m 10 --k 2 --alpha nan" \
+  "compare --m 10 --gamma 1.5" "transport --m 10 --k 2,3" \
+  "generate --m 10 --alpha 1,2" "matroid --config smoke/matroid-sweep.json"; do
   rc=0
-  # shellcheck disable=SC2086  # $bad holds several flags
-  "${cli[@]}" compare $bad --outdir smoke/rejected || rc=$?
+  # shellcheck disable=SC2086  # $bad holds a command and several flags
+  "${cli[@]}" $bad --outdir smoke/rejected || rc=$?
   test "$rc" -eq 2 || { echo "$bad: exit $rc, expected 2"; exit 1; }
 done
+test ! -e smoke/rejected  # no rejected command wrote anything
 
 echo "== File and synthetic compare agree"
 "${cli[@]}" generate --m 12 --k 2 --seed 2 --outdir agree/instance

@@ -236,7 +236,7 @@ def randomized_joint_runs(
         return [_joint_solution(instance, ())] * len(list(rngs))
     start = joint_marginal_state(instance, ExplanationSet())
     first_heap = [(-np.inf, x, -1) for x in ground_set_viable(instance).indices]
-    draws = [tuple([int(rng.integers(k)) for _ in range(k)]) for rng in rngs]
+    draws = [tuple(rng.integers(k, size=k).tolist()) for rng in rngs]
     shared = Counter(slots[:i] for slots in draws for i in range(1, k + 1))
     stepped = {(): (start, first_heap, ())}  # slot prefix -> (state, heap, picks)
     solved: dict[tuple[int, ...], JointSolution] = {}

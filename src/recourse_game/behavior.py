@@ -205,7 +205,7 @@ def _advanced(instance: Instance, pi, near, flippable, A) -> MarginalState:
 
 def _check_drawn_from(a_idx: np.ndarray, allowed: np.ndarray, ground: str) -> None:
     """Refuse members a_idx (any shape) outside the ground set allowed."""
-    if not np.all(allowed[a_idx]):
+    if not allowed[a_idx].all():
         raise ValueError(f"explanations must come from the {ground} set")
 
 

@@ -152,7 +152,7 @@ def _sample_instance(
         inst = generate_synthetic(
             SynthConfig(m=m, gamma=gamma, seed=rng.integers(2**62))
         )
-        if int(np.sum(inst.py >= inst.gamma)) >= min_viable:
+        if np.count_nonzero(inst.py >= inst.gamma) >= min_viable:
             return inst
 
 
@@ -160,7 +160,7 @@ def _random_monotone_policy(rng: np.random.Generator, instance: Instance) -> Pol
     """Random rational, outcome-monotonic policy with a nonempty certain-
     acceptance prefix. Outcomes of synthetic instances are distinct almost
     surely, so nonincreasing acceptance suffices for monotonicity."""
-    n_viable = int(np.sum(instance.py >= instance.gamma))
+    n_viable = np.count_nonzero(instance.py >= instance.gamma)
     pi = np.zeros(instance.m)
     if n_viable == 0:
         return Policy(pi)

@@ -74,24 +74,25 @@ def _check(instance: Instance) -> None:
         raise ValueError("px and py must be vectors of equal length")
     if cost.shape != (m, m):
         raise ValueError(f"cost must be {m}x{m}, got {cost.shape}")
-    bad = np.flatnonzero(~(px >= 0.0))
-    if bad.size:
+    # each gate is one reduction; the offender is located only on failure
+    if not px.min(initial=0.0) >= 0.0:  # NaN fails too
+        bad = np.flatnonzero(~(px >= 0.0))
         raise ValueError(f"px[{int(bad[0])}] is negative or NaN")
     total = float(px.sum())
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"px sums to {total:g}")
-    bad = np.flatnonzero(~((py >= 0.0) & (py <= 1.0)))
-    if bad.size:
+    if not (py.min(initial=0.0) >= 0.0 and py.max(initial=1.0) <= 1.0):
+        bad = np.flatnonzero(~((py >= 0.0) & (py <= 1.0)))
         raise ValueError(f"py[{int(bad[0])}] outside [0, 1]")
-    drop = np.flatnonzero(py[:-1] < py[1:])
-    if drop.size:
-        raise ValueError(f"py not nonincreasing at index {int(drop[0])}")
-    if not np.min(cost, initial=0.0) >= 0.0:  # a reduction: NaN fails it too
+    drop = py[:-1] < py[1:]
+    if drop.any():
+        raise ValueError(f"py not nonincreasing at index {int(drop.argmax())}")
+    if not cost.min(initial=0.0) >= 0.0:
         i, j = np.argwhere(~(cost >= 0.0))[0]
         raise ValueError(f"cost[{i}][{j}] is negative or NaN")
-    diag = np.flatnonzero(np.diagonal(cost) != 0.0)
-    if diag.size:
-        raise ValueError(f"cost[{int(diag[0])}][{int(diag[0])}] must be 0")
+    if cost.diagonal().any():  # -0.0 passes, as 0.0
+        i = int(np.flatnonzero(cost.diagonal())[0])
+        raise ValueError(f"cost[{i}][{i}] must be 0")
     _check_gamma(gamma)
 
 
@@ -120,7 +121,7 @@ class Policy:
         return self.pi.shape[0]
 
     def is_deterministic(self) -> bool:
-        return bool(np.all((self.pi == 0.0) | (self.pi == 1.0)))
+        return bool(((self.pi == 0.0) | (self.pi == 1.0)).all())
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ class ExplanationSet:
         # skips CPython's per-length tuple free lists on allocation but refills
         # them on release, so resident memory crept with every solver call.
         idx = tuple([int(i) for i in self.indices])
-        if any(i < 0 for i in idx):
+        if idx and min(idx) < 0:
             raise ValueError("explanation indices must be nonnegative")
         if len(set(idx)) != len(idx):
             raise ValueError("duplicate explanation index")
@@ -238,18 +239,18 @@ def _check_policy_length(instance: Instance, pi: np.ndarray) -> None:
 def ground_set_accepted(instance: Instance, policy: Policy) -> ExplanationSet:
     """Indices accepted with probability one: {i : pi(x_i) = 1} exactly."""
     _check_policy_length(instance, policy.pi)
-    return ExplanationSet(tuple(np.flatnonzero(policy.pi == 1.0)))
+    return ExplanationSet(tuple(np.flatnonzero(policy.pi == 1.0).tolist()))
 
 
 def ground_set_viable(instance: Instance) -> ExplanationSet:
     """Indices whose outcome clears the decision cost: {i : py[i] >= gamma}."""
-    return ExplanationSet(tuple(np.flatnonzero(instance.py >= instance.gamma)))
+    return ExplanationSet(tuple(np.flatnonzero(instance.py >= instance.gamma).tolist()))
 
 
 def is_rational(instance: Instance, policy: Policy) -> bool:
     """True iff pi(x) = 0 wherever py[x] < gamma."""
     _check_policy_length(instance, policy.pi)
-    return bool(np.all(policy.pi[instance.py < instance.gamma] == 0.0))
+    return bool((policy.pi[instance.py < instance.gamma] == 0.0).all())
 
 
 def is_outcome_monotonic(instance: Instance, policy: Policy) -> bool:
@@ -260,7 +261,7 @@ def is_outcome_monotonic(instance: Instance, policy: Policy) -> bool:
     """
     pi, py = policy.pi, instance.py
     _check_policy_length(instance, pi)
-    if np.any(pi[:-1] < pi[1:]):
+    if (pi[:-1] < pi[1:]).any():
         return False
     ties = py[:-1] == py[1:]
-    return bool(np.all(pi[:-1][ties] == pi[1:][ties]))
+    return bool((pi[:-1][ties] == pi[1:][ties]).all())

@@ -73,7 +73,7 @@ def generate_synthetic(config: SynthConfig) -> Instance:
     rng = seeded_rng(config.seed)
     m = config.m
     weights = rng.normal(0.5, 0.1, m)
-    while np.any(weights < 0.0):
+    while (weights < 0.0).any():
         bad = weights < 0.0
         weights[bad] = rng.normal(0.5, 0.1, int(bad.sum()))
     py = rng.uniform(size=m)
@@ -100,9 +100,10 @@ def generate_synthetic(config: SynthConfig) -> Instance:
         np.add(block, unreachable[rows], out=block)
         cost[rank[rows]] = block[:, perm]
     np.fill_diagonal(cost, 0.0)
-    # the pinned bytes: normalized, then normalized again in canonical order
+    # the pinned bytes: normalized, then normalized again in canonical order,
+    # so px sums to 1 and needs none of make_instance's rescaling
     px = weights[perm] / weights.sum()
-    return make_instance(px / px.sum(), py[perm], cost, config.gamma)
+    return Instance(px / px.sum(), py[perm], cost, config.gamma)
 
 
 @dataclass(frozen=True, eq=False)

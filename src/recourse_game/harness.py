@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from numbers import Integral
 from pathlib import Path
 from typing import Callable
@@ -113,7 +113,8 @@ def _write_csv(config: ExperimentConfig, name: str, header: list[str], rows) -> 
     """Write outdir/name: the provenance line, then the header and rows."""
     path = Path(config.outdir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
-    echo = json.dumps(asdict(config), sort_keys=True)
+    # vars, not asdict, which deep-copies every field (a matroid's m indices)
+    echo = json.dumps(config, default=vars, sort_keys=True)
     with open(path, "w", newline="") as f:
         f.write(
             f"# recourse-game {TOOL_VERSION} | base_seed={config.base_seed} "

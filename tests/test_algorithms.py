@@ -310,6 +310,18 @@ def test_copies_of_one_stream_step_as_often_as_one(monkeypatch):
     assert {sol.explanations.indices for sol in runs} == {one.explanations.indices}
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 20, 50])
+def test_one_slot_draw_equals_k_scalar_draws(k):
+    # randomized_joint_runs draws a stream's k slots in one call: the values
+    # of k scalar integers(k) calls, and the generator ends in their state
+    for seed in range(120):
+        one, scalar = rg.seeded_rng(seed), rg.seeded_rng(seed)
+        got = one.integers(k, size=k).tolist()
+        assert got == [int(scalar.integers(k)) for _ in range(k)]
+        assert one.bit_generator.state == scalar.bit_generator.state
+        assert one.integers(k) == scalar.integers(k)
+
+
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("seed", range(5))
 def test_shared_slot_prefixes_are_stepped_once(monkeypatch, seed, k):

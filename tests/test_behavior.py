@@ -167,11 +167,18 @@ def test_mismatched_shapes_raise_named_errors():
             call()
     # 5 is rejected by the threshold policy and not viable
     assert policy.pi[5] == 0.0 and inst.py[5] < inst.gamma
+    outside = rg.ExplanationSet((0, 5))
     for call, ground in (
         (partial(marginal_gain_fixed, inst, policy, none, fixed_state, 5), "accepted"),
         (partial(marginal_gain_joint, inst, none, joint_state, 5), "viable"),
+        (partial(fixed_marginal_state, inst, policy, outside), "accepted"),
+        (partial(joint_marginal_state, inst, outside), "viable"),
+        (partial(rg.optimal_policy_for, inst, outside), "viable"),
+        (partial(rg.joint_objective, inst, outside), "viable"),
     ):
-        with pytest.raises(ValueError, match=f"^explanations must come from the {ground}"):
+        with pytest.raises(
+            ValueError, match=f"^explanations must come from the {ground} set$"
+        ):
             call()
 
 

@@ -33,6 +33,11 @@ def test_validate_reports_py_ordering():
     _rejects({"py": [0.1, 0.9]}, "py not nonincreasing at index 0")
     _rejects({"py": [1.5, 0.1]}, "py[0] outside [0, 1]")
     _rejects({"py": [0.9]}, "px and py must be vectors of equal length")
+    # each gate passes as one reduction and locates a failure afterwards
+    _rejects({"py": [np.nan, 0.1]}, "py[0] outside [0, 1]")
+    _rejects({"py": [0.9, np.nan]}, "py[1] outside [0, 1]")
+    three = dict(px=[0.5, 0.25, 0.25], cost=np.zeros((3, 3)))
+    _rejects({**three, "py": [0.9, 0.1, 0.5]}, "py not nonincreasing at index 1")
 
 
 def test_validate_reports_px_sum():
@@ -45,6 +50,9 @@ def test_validate_reports_bad_gamma_and_diagonal():
     _rejects({"gamma": 1.0}, "gamma must lie strictly in (0, 1), got 1")
     _rejects({"gamma": 0.0}, "gamma must lie strictly in (0, 1), got 0")
     _rejects({"cost": [[0.0, 1.0], [1.0, 0.5]]}, "cost[1][1] must be 0")
+    # the cost gate runs before the diagonal's, and -0.0 is a zero cost
+    _rejects({"cost": [[0.0, 1.0], [1.0, np.nan]]}, "cost[1][1] is negative or NaN")
+    assert rg.Instance(**{**BASIC, "cost": [[-0.0, 1.0], [1.0, -0.0]]}).m == 2
     _rejects({"cost": [[0.0, 1.0]]}, "cost must be 2x2, got (1, 2)")
 
 
@@ -194,6 +202,8 @@ def test_policy_validation_and_determinism_flag():
         rg.Policy([1.2, 0.0])
     with pytest.raises(ValueError):
         rg.Policy([-0.1, 0.0])
+    with pytest.raises(ValueError, match=r"^policy entries must lie in \[0, 1\]$"):
+        rg.Policy([1.0, np.nan])
     assert rg.Policy([1.0, 0.0]).is_deterministic()
     assert not rg.Policy([1.0, 0.5]).is_deterministic()
 
@@ -215,8 +225,9 @@ def test_explanation_set_semantics():
     assert a.add(2).indices == (3, 1, 2)
     with pytest.raises(ValueError):
         rg.ExplanationSet((1, 1))
-    with pytest.raises(ValueError):
-        rg.ExplanationSet((-1,))
+    for negative in ((-1,), (2, 0, -1)):
+        with pytest.raises(ValueError, match="^explanation indices must be nonnegative$"):
+            rg.ExplanationSet(negative)
 
 
 def test_partition_matroid_validation():

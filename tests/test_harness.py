@@ -801,6 +801,37 @@ def test_cli_rejects_bad_values_before_any_run(cli_config, capsys, flags, messag
     assert message in capsys.readouterr().err
 
 
+SIX = {
+    "instance": {"m": 6},
+    "matroid": {"groups": [[0, 1, 2], [3, 4, 5]], "capacities": [2, 1]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, config, sweep",
+    [
+        pytest.param(["transport", "--m", "10", "--k", "2,3"], None, "k_sweep",
+                     id="transport-k"),
+        pytest.param(["transport", "--m", "10", "--alpha", "1,2"], None, "alpha_sweep",
+                     id="transport-alpha"),
+        pytest.param(["generate", "--m", "10", "--alpha", "1,2"], None, "alpha_sweep",
+                     id="generate-alpha"),
+        pytest.param(["generate", "--m", "10", "--k", "2,3"], None, "k_sweep",
+                     id="generate-k"),
+        pytest.param(["matroid"], {**SIX, "k_sweep": [2, 3]}, "k_sweep",
+                     id="matroid-k"),
+        pytest.param(["matroid"], {**SIX, "alpha_sweep": [1.0, 2.0]}, "alpha_sweep",
+                     id="matroid-alpha"),
+    ],
+)
+def test_one_point_commands_refuse_a_second_sweep_entry(
+    cli_config, capsys, argv, config, sweep
+):
+    assert cli_config(argv, config) == 2
+    want = f"{argv[0]} runs at one point: {sweep} needs one entry"
+    assert want in capsys.readouterr().err
+
+
 # -- one budget setting and the gamma rule ----------------------------------------
 
 def test_k_is_the_first_entry_of_k_sweep():

@@ -41,7 +41,7 @@ echo '{"repetition": 20}' > smoke/unknown-key.json
 echo '{"instance": {"m": 6, "symmetric": true}}' > smoke/removed-key.json
 echo '{"instance": {"m": 6}, "k_sweep": [2.5]}' > smoke/non-integer.json
 echo '{"instance": {"m": 6}, "k": 2}' > smoke/bare-k.json
-# a command that runs at one point refuses a second alpha or k
+# a second alpha or k that the command would not read is refused
 echo '{"instance": {"m": 6, "gamma": 0.3}, "k_sweep": [2, 3],
   "matroid": {"groups": [[0, 1, 2], [3, 4, 5]], "capacities": [2, 1]}}' \
   > smoke/matroid-sweep.json
@@ -50,7 +50,8 @@ for bad in "compare --config smoke/unknown-key.json" \
   "compare --config smoke/non-integer.json" \
   "compare --config smoke/bare-k.json" "compare --m 10 --k 2 --alpha nan" \
   "compare --m 10 --gamma 1.5" "transport --m 10 --k 2,3" \
-  "generate --m 10 --alpha 1,2" "matroid --config smoke/matroid-sweep.json"; do
+  "generate --m 10 --alpha 1,2" "matroid --config smoke/matroid-sweep.json" \
+  "leakage --m 10 --alpha 1,2"; do
   rc=0
   # shellcheck disable=SC2086  # $bad holds a command and several flags
   "${cli[@]}" $bad --outdir smoke/rejected || rc=$?

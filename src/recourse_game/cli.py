@@ -5,8 +5,8 @@ A run reads one JSON config (--config, in the README's format). Precedence:
 flags > JSON > defaults (synthetic instance, m=50, outdir `results`).
 --m/--gamma/--values/--costs write the `instance` block, and --values/--costs
 make it file-based. Unknown keys, non-integer counts, flags that conflict
-with the instance (--m with files) and a second alpha or k for a command that
-runs at one point are errors.
+with the instance (--m with files) and a second alpha or k entry that the
+command would not read (`harness.SWEEPS`) are errors.
 
 Exit codes: 0 ok, 1 check failure, 2 usage/config error.
 """
@@ -29,8 +29,6 @@ _TOP_KEYS = (
 # every repetition derives its own instance seed from base_seed
 _SYNTH_KEYS = tuple(f.name for f in fields(SynthConfig) if f.name != "seed")
 _FILE_KEYS = ("values", "costs", "gamma")
-# commands that run one (alpha, k) point: a second sweep entry is refused
-_ONE_POINT = ("generate", "transport", "matroid")
 
 
 def _comma_list(cast):
@@ -92,9 +90,11 @@ def _config_from_dict(d: dict, experiment: str) -> harness.ExperimentConfig:
         d["matroid"] = PartitionMatroid(**d["matroid"])
     d.setdefault("outdir", "results")
     config = harness.ExperimentConfig(experiment=experiment, **d)
+    reads = harness.SWEEPS.get(experiment, ())
     for sweep in ("alpha_sweep", "k_sweep"):
-        if experiment in _ONE_POINT and len(getattr(config, sweep)) > 1:
-            raise ValueError(f"{experiment} runs at one point: {sweep} needs one entry")
+        if sweep not in reads and len(getattr(config, sweep)) > 1:
+            at = f"one {sweep.removesuffix('_sweep')}" if reads else "one point"
+            raise ValueError(f"{experiment} runs at {at}: {sweep} needs one entry")
     return config
 
 

@@ -10,6 +10,7 @@ never by a large finite surrogate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Tuple
 
 import numpy as np
@@ -138,7 +139,11 @@ class ExplanationSet:
         # A list, not a generator: tuple(<generator>) builds by resizing, which
         # skips CPython's per-length tuple free lists on allocation but refills
         # them on release, so resident memory crept with every solver call.
-        idx = tuple([int(i) for i in self.indices])
+        # index, not int, which would truncate 1.7 to 1.
+        try:
+            idx = tuple([index(i) for i in self.indices])
+        except TypeError:
+            raise ValueError("explanation indices must be integers") from None
         if idx and min(idx) < 0:
             raise ValueError("explanation indices must be nonnegative")
         if len(set(idx)) != len(idx):
@@ -158,7 +163,7 @@ class ExplanationSet:
         return frozenset(self.indices)
 
     def add(self, i: int) -> "ExplanationSet":
-        return ExplanationSet(self.indices + (int(i),))
+        return ExplanationSet(self.indices + (i,))
 
 
 @dataclass(frozen=True)

@@ -61,10 +61,13 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.m, Integral):
-            raise ValueError("m must be an integer")
+        for name in ("m", "seed"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.m < 2:
             raise ValueError("m must be >= 2")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         _check_gamma(self.gamma)
 
 

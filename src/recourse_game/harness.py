@@ -5,10 +5,11 @@ config echo, base seed) and is byte-identical across reruns of the same
 config. Wall-clock timings are inherently nondeterministic and therefore go
 to a `*_timings.csv` sidecar that is excluded from the determinism contract.
 
-Seed derivation never includes the experiment name, only the purpose tag and
-the sweep coordinates, so e.g. the leakage table at p_l=0 reproduces the
-compare table's alg2 column exactly, and adding sweep points never perturbs
-existing rows.
+Every command takes its sweep points from one generator, `_points`, which
+reads the `SWEEPS` table. Seed derivation never includes the experiment
+name, only the purpose tag and the sweep coordinates, so e.g. the leakage
+table at p_l=0 reproduces the compare table's alg2 column exactly, and
+adding sweep points never perturbs existing rows.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ import csv
 import json
 import time
 from dataclasses import dataclass, replace
+from itertools import product
 from numbers import Integral
 from pathlib import Path
-from typing import Callable
+from typing import Iterator
 
 import numpy as np
 
@@ -55,6 +57,12 @@ COMMANDS = {
     "leakage": "jointly optimized utility under explanation leakage",
     "transport": "moved-mass matrices between outcome bins",
     "matroid": "group balance under a partition-matroid constraint",
+}
+# The sweeps each command reads, alpha outermost. Every other sweep runs at its
+# first entry (one repetition), and the CLI refuses a second alpha or k there.
+SWEEPS = {
+    "compare": ("alpha_sweep", "k_sweep", "repetitions"),
+    "leakage": ("k_sweep", "repetitions"),
 }
 
 
@@ -99,6 +107,8 @@ class ExperimentConfig:
             if self.gamma is None:
                 raise ValueError("file-based instances need gamma in the config")
             _check_gamma(self.gamma)
+        elif (self.values_path, self.cost_path, self.gamma) != (None, None, None):
+            raise ValueError("a synthetic config takes no instance files or gamma")
         if min(self.k_sweep) < 0:
             raise ValueError("k and every k_sweep entry must be >= 0")
         if not all(a >= 0.0 for a in self.alpha_sweep):  # NaN fails too
@@ -138,25 +148,26 @@ def _scale_costs(instance: Instance, alpha: float) -> Instance:
     return replace(instance, cost=cost)
 
 
-def _instance_source(config: ExperimentConfig) -> Callable[[float, int, int], Instance]:
-    """The instance at a sweep point (alpha, k, rep). A file instance is read
-    once per command and rescaled per point; a synthetic one is drawn per point."""
+def _points(config: ExperimentConfig, command: str) -> Iterator[tuple]:
+    """The (alpha, k, rep, instance, alg2 stream) points `command` runs, in
+    CSV row order. A file instance is read once per command and rescaled per
+    point; a synthetic one is drawn per point from its own seed."""
+    reads = SWEEPS.get(command, ())
+    alphas = config.alpha_sweep if "alpha_sweep" in reads else config.alpha_sweep[:1]
+    ks = config.k_sweep if "k_sweep" in reads else config.k_sweep[:1]
+    reps = config.repetitions if "repetitions" in reads else 1
+    base = None
     if config.synthetic is None:
         base = load_instance(config.values_path, config.cost_path, config.gamma)
-        return lambda alpha, k, rep: _scale_costs(base, alpha)
-
-    def draw(alpha: float, k: int, rep: int) -> Instance:
-        seed = derive_seed(config.base_seed, "instance", alpha, k, rep)
-        inst = generate_synthetic(replace(config.synthetic, seed=seed))
-        return _scale_costs(inst, alpha)
-
-    return draw
-
-
-def _alg2_stream(
-    config: ExperimentConfig, alpha: float, k: int, rep: int
-) -> np.random.Generator:
-    return seeded_rng(derive_seed(config.base_seed, "alg2", alpha, k, rep))
+    for alpha, k, rep in product(alphas, ks, range(reps)):
+        inst = base
+        if inst is None:
+            seed = derive_seed(config.base_seed, "instance", alpha, k, rep)
+            inst = generate_synthetic(replace(config.synthetic, seed=seed))
+        # rebound at once: no unscaled draw is held while the next is drawn
+        inst = _scale_costs(inst, alpha)
+        rng = seeded_rng(derive_seed(config.base_seed, "alg2", alpha, k, rep))
+        yield alpha, k, rep, inst, rng
 
 
 def regime_solution(
@@ -186,7 +197,7 @@ def run_generate(config: ExperimentConfig) -> list[Path]:
     """Write compare's instance at the first alpha and k, repetition 0, to CSV."""
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    inst = _instance_source(config)(config.alpha_sweep[0], config.k, 0)
+    inst = next(_points(config, "generate"))[3]
     values = outdir / "instance_values.csv"
     costs = outdir / "instance_cost.csv"
     save_instance(inst, values, costs)
@@ -195,19 +206,14 @@ def run_generate(config: ExperimentConfig) -> list[Path]:
 
 def run_compare(config: ExperimentConfig) -> list[Path]:
     """Utility of the five regimes per sweep point and repetition."""
-    instance_at = _instance_source(config)
     rows, timing_rows = [], []
-    for alpha in config.alpha_sweep:
-        for k in config.k_sweep:
-            for rep in range(config.repetitions):
-                inst = instance_at(alpha, k, rep)
-                rng = _alg2_stream(config, alpha, k, rep)
-                for regime in REGIMES:
-                    t0 = time.perf_counter()
-                    u = utility(inst, *regime_solution(regime, inst, k, rng))
-                    ms = (time.perf_counter() - t0) * 1000.0
-                    rows.append([_fmt(alpha), k, rep, regime, _fmt(u)])
-                    timing_rows.append([_fmt(alpha), k, rep, regime, f"{ms:.3f}"])
+    for alpha, k, rep, inst, rng in _points(config, "compare"):
+        for regime in REGIMES:
+            t0 = time.perf_counter()
+            u = utility(inst, *regime_solution(regime, inst, k, rng))
+            ms = (time.perf_counter() - t0) * 1000.0
+            rows.append([_fmt(alpha), k, rep, regime, _fmt(u)])
+            timing_rows.append([_fmt(alpha), k, rep, regime, f"{ms:.3f}"])
     _write_csv(
         config,
         "compare_timings.csv",
@@ -220,18 +226,12 @@ def run_compare(config: ExperimentConfig) -> list[Path]:
 
 def run_leakage(config: ExperimentConfig) -> list[Path]:
     """Utility of the jointly optimized solution under explanation leakage."""
-    instance_at = _instance_source(config)
-    alpha = config.alpha_sweep[0]
     rows = []
-    for k in config.k_sweep:
-        for rep in range(config.repetitions):
-            inst = instance_at(alpha, k, rep)
-            policy, A = regime_solution(
-                "alg2", inst, k, _alg2_stream(config, alpha, k, rep)
-            )
-            for p_l in config.pl_sweep:
-                u = leakage_utility(inst, policy, A, p_l)
-                rows.append([k, _fmt(p_l), rep, _fmt(u)])
+    for _, k, rep, inst, rng in _points(config, "leakage"):
+        policy, A = regime_solution("alg2", inst, k, rng)
+        for p_l in config.pl_sweep:
+            u = leakage_utility(inst, policy, A, p_l)
+            rows.append([k, _fmt(p_l), rep, _fmt(u)])
     header = ["k", "p_l", "repetition", "utility"]
     return [_write_csv(config, "leakage.csv", header, rows)]
 
@@ -247,9 +247,7 @@ def _bin_labels(bins: int) -> list[str]:
 
 def run_transport(config: ExperimentConfig) -> list[Path]:
     """Moved-mass matrices between outcome bins for alg1 and alg2."""
-    alpha, k = config.alpha_sweep[0], config.k
-    inst = _instance_source(config)(alpha, k, 0)
-    rng = _alg2_stream(config, alpha, k, 0)
+    _, k, _, inst, rng = next(_points(config, "transport"))
     labels = _bin_labels(config.bins)
     paths = []
     for regime in ("alg1", "alg2"):
@@ -297,7 +295,8 @@ def run_matroid(config: ExperimentConfig) -> list[Path]:
     """Group balance of cardinality- vs matroid-constrained explanations."""
     if config.matroid is None:
         raise ValueError("matroid experiment needs a matroid block in the config")
-    inst = _instance_source(config)(config.alpha_sweep[0], config.matroid.k, 0)
+    # the budget is the matroid's, so its instance is seeded at matroid.k
+    inst = next(_points(replace(config, k_sweep=(config.matroid.k,)), "matroid"))[3]
     rows = [
         [g, _fmt(mass), n_card, n_mat, _fmt(impr_card), _fmt(impr_mat)]
         for g, (mass, n_card, n_mat, impr_card, impr_mat) in enumerate(

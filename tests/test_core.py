@@ -230,6 +230,18 @@ def test_explanation_set_semantics():
             rg.ExplanationSet(negative)
 
 
+def test_explanation_set_refuses_non_integral_indices():
+    for bad in ((1.7, 2.2), (2, 1.0), (np.float64(3.0),), ("1",)):
+        with pytest.raises(ValueError, match="^explanation indices must be integers$"):
+            rg.ExplanationSet(bad)
+    with pytest.raises(ValueError, match="must be integers"):
+        rg.ExplanationSet((3,)).add(1.7)
+    numpy_ints = rg.ExplanationSet(tuple(np.array([4, 0], dtype=np.int64)))
+    assert numpy_ints.indices == (4, 0)
+    assert all(type(i) is int for i in numpy_ints.indices)
+    assert rg.ExplanationSet((1,)).add(np.int32(2)).indices == (1, 2)
+
+
 def test_partition_matroid_validation():
     m = rg.PartitionMatroid(groups=((0, 1), (2,)), capacities=(1, 1))
     assert m.m == 3 and m.k == 2

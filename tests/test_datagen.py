@@ -98,6 +98,18 @@ def test_synth_config_validation():
     assert rg.SynthConfig(m=np.int64(4)).m == 4
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+def test_synth_config_refuses_a_non_integer_seed(seed):
+    with pytest.raises(ValueError, match="^seed must be an integer$"):
+        rg.SynthConfig(m=6, seed=seed)
+
+
+def test_synth_config_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        rg.SynthConfig(m=6, seed=-1)
+    assert rg.SynthConfig(m=6, seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+
+
 # -- weighted empirical CDF and cost matrices ----------------------------------
 
 def test_ecdf_properties():

@@ -175,10 +175,14 @@ def test_regime_solution_is_what_compare_scores(tmp_path):
     config = small_config(tmp_path, k_sweep=(0, 2))
     _, rows = read_rows(*run_compare(config))
     assert len(rows) == 2 * 2 * len(harness.REGIMES)
-    for row in rows:
-        k, rep, regime = int(row["k"]), int(row["repetition"]), row["regime"]
-        inst = harness._instance_source(config)(1.0, k, rep)
-        rng = harness._alg2_stream(config, 1.0, k, rep)
+    points = harness._points(config, "compare")
+    for i, row in enumerate(rows):
+        if i % len(harness.REGIMES) == 0:  # the rows follow the points
+            alpha, k, rep, inst, rng = next(points)
+        assert [row["alpha"], int(row["k"]), int(row["repetition"])] == [
+            rg.datagen._fmt(alpha), k, rep
+        ]
+        regime = row["regime"]
         before = rng.bit_generator.state
         policy, A = harness.regime_solution(regime, inst, k, rng)
         assert row["utility"] == rg.datagen._fmt(rg.utility(inst, policy, A))
@@ -198,7 +202,9 @@ def test_group_balance_is_what_matroid_writes(tmp_path):
     )
     config = small_config(tmp_path, matroid=matroid)
     _, rows = read_rows(*run_matroid(config))
-    inst = harness._instance_source(config)(1.0, matroid.k, 0)
+    seeded_at_budget = replace(config, k_sweep=(matroid.k,))
+    alpha, k, rep, inst, _ = next(harness._points(seeded_at_budget, "matroid"))
+    assert (alpha, k, rep) == (1.0, matroid.k, 0)
     table = harness.group_balance(inst, matroid)
     fmt = rg.datagen._fmt
     assert [list(r.values()) for r in rows] == [
@@ -312,6 +318,18 @@ def test_scale_costs_matches_the_masked_formula(alpha):
     assert scaled.cost.tobytes() == expected.tobytes()
 
 
+def test_compare_off_alpha_one_holds_only_the_scaled_copy(tmp_path):
+    # at alpha != 1 a run holds one more cost matrix than at alpha = 1, the
+    # scaled copy; an unscaled draw kept past its point would add another
+    def peak(alpha):
+        config = small_config(tmp_path, synthetic=rg.SynthConfig(m=600),
+                              alpha_sweep=(alpha,), k_sweep=(1,), repetitions=3)
+        return traced_peak(lambda: run_compare(config))
+
+    peak(1.0)  # lazy imports and first-call caches
+    assert peak(2.0) - peak(1.0) <= 600 * 600 * np.dtype(float).itemsize
+
+
 def test_scale_costs_makes_one_copy():
     # the scaled copy and a boolean mask; no eye, isfinite and masked gather
     inst = _with_unreachable_pairs(1000, 7)
@@ -396,7 +414,8 @@ def test_generate_writes_loadable_instance(tmp_path):
     inst = rg.load_instance(values, costs, gamma=0.3)
     assert inst.m == 18
     # loading checked every invariant; the bytes are the generated instance's
-    want = harness._instance_source(config)(1.0, 2, 0)
+    alpha, k, rep, want, _ = next(harness._points(config, "compare"))
+    assert (alpha, k, rep) == (1.0, 2, 0)
     for name in ("px", "py", "cost"):
         assert getattr(inst, name).tobytes() == getattr(want, name).tobytes()
 
@@ -409,7 +428,9 @@ def test_generate_writes_the_first_sweep_instance(tmp_path):
     )
     values, costs = run_generate(config)
     want = tmp_path / "want_values.csv", tmp_path / "want_cost.csv"
-    rg.save_instance(harness._instance_source(config)(1.0, 10, 0), *want)
+    alpha, k, rep, inst, _ = next(harness._points(config, "compare"))
+    assert (alpha, k, rep) == (1.0, 10, 0)
+    rg.save_instance(inst, *want)
     assert values.read_bytes() == want[0].read_bytes()
     assert costs.read_bytes() == want[1].read_bytes()
 
@@ -440,6 +461,22 @@ def test_config_validation():
     with pytest.raises(ValueError, match="gamma"):
         ExperimentConfig(
             experiment="compare", outdir="x", values_path="v", cost_path="c"
+        )
+
+
+@pytest.mark.parametrize(
+    "files",
+    [
+        dict(values_path="v", cost_path="c", gamma=0.9),
+        dict(values_path="v"),
+        dict(cost_path="c"),
+        dict(gamma=0.9),
+    ],
+)
+def test_config_takes_one_instance_source(files):
+    with pytest.raises(ValueError, match="synthetic config takes no instance files"):
+        ExperimentConfig(
+            experiment="compare", outdir="x", synthetic=rg.SynthConfig(m=6), **files
         )
 
 
@@ -822,14 +859,40 @@ SIX = {
                      id="matroid-k"),
         pytest.param(["matroid"], {**SIX, "alpha_sweep": [1.0, 2.0]}, "alpha_sweep",
                      id="matroid-alpha"),
+        pytest.param(["leakage", "--m", "10", "--alpha", "1,2"], None, "alpha_sweep",
+                     id="leakage-alpha"),
     ],
 )
 def test_one_point_commands_refuse_a_second_sweep_entry(
     cli_config, capsys, argv, config, sweep
 ):
     assert cli_config(argv, config) == 2
-    want = f"{argv[0]} runs at one point: {sweep} needs one entry"
+    # leakage sweeps k but runs at one alpha
+    at = "one alpha" if argv[0] == "leakage" else "one point"
+    want = f"{argv[0]} runs at {at}: {sweep} needs one entry"
     assert want in capsys.readouterr().err
+
+
+def _bodies(paths) -> list[str]:
+    """Each file's text below its provenance line, if it has one."""
+    texts = [Path(p).read_text() for p in paths]
+    return [t.split("\n", 1)[1] if t.startswith("#") else t for t in texts]
+
+
+@pytest.mark.parametrize("command", list(harness.COMMANDS))
+def test_a_sweep_a_command_does_not_read_runs_at_its_first_entry(tmp_path, command):
+    matroid = rg.PartitionMatroid(groups=(tuple(range(9)), tuple(range(9, 18))),
+                                  capacities=(2, 1))
+    first = small_config(tmp_path / "first", alpha_sweep=(2.0,), k_sweep=(2,),
+                         repetitions=1, matroid=matroid)
+    wide = dict(alpha_sweep=(2.0, 3.0), k_sweep=(2, 3), repetitions=2)
+    reads = harness.SWEEPS.get(command, ())
+    widened = replace(
+        first, outdir=str(tmp_path / "widened"),
+        **{sweep: v for sweep, v in wide.items() if sweep not in reads},
+    )
+    run = getattr(harness, f"run_{command}")
+    assert _bodies(run(widened)) == _bodies(run(first))
 
 
 # -- one budget setting and the gamma rule ----------------------------------------

@@ -69,6 +69,19 @@ tail -n +2 agree/file/compare.csv > agree/file.body
 tail -n +2 agree/synthetic/compare.csv > agree/synthetic.body
 cmp agree/file.body agree/synthetic.body
 
+echo "== Leakage at p_l=0 is compare's alg2"
+# every p_l=0 row of leakage.csv holds the alg2 utility that compare.csv
+# holds at the same (k, repetition), string for string
+"${cli[@]}" compare --m 30 --k 3,5 --repetitions 2 --outdir leak0/compare
+"${cli[@]}" leakage --m 30 --k 3,5 --repetitions 2 --pl 0,0.5,1 \
+  --outdir leak0/leakage
+tail -n +3 leak0/compare/compare.csv \
+  | awk -F, '$4 == "alg2" { print $2 "," $3 "," $5 }' > leak0/alg2.rows
+tail -n +3 leak0/leakage/leakage.csv \
+  | awk -F, '$2 == "0.0" { print $1 "," $3 "," $4 }' > leak0/pl0.rows
+test "$(wc -l < leak0/alg2.rows)" -eq 4
+cmp leak0/alg2.rows leak0/pl0.rows
+
 echo "== Acceptance battery report is pinned"
 # sha256 of `check --seed S` stdout; a change that moves any reported digit
 # shows here and must say why before these are updated. stderr holds the

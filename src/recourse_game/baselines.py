@@ -42,10 +42,10 @@ def min_cost_explanations(
     Ties go to the lowest index. Individuals with no finite-cost option under
     any candidate contribute a constant penalty and never sway the choice.
     A policy that accepts nothing, or k = 0, yields the empty set. The costs
-    from rejected individuals to accepted values are gathered once, and each
-    pick scores every candidate in row blocks of one preallocated buffer of
-    at most _SCORE_BYTES, keeping each rejected individual's cost to the
-    nearest pick, so the run is O(k m^2).
+    from rejected individuals to accepted values are gathered and weighted
+    by mass once, and each pick scores every candidate with one min and one
+    row sum, in row blocks of one buffer of at most _SCORE_BYTES, keeping
+    each rejected individual's weighted cost to the nearest pick: O(k m^2).
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -54,8 +54,13 @@ def min_cost_explanations(
     cost = instance.cost
     penalty = 1.0 + float(np.max(cost, where=np.isfinite(cost), initial=0.0))
     px_r = instance.px[rejected]
-    # row g holds the costs of every rejected individual to ground[g]
+    # row g: the rejected's costs to ground[g], capped at penalty and weighted by
+    # mass. The cap is exact (nearest starts at penalty, above every finite cost)
+    # and keeps inf * 0 out; rounding is monotone, so min(a, b) * p = min(ap, bp)
     to_ground = cost.T[np.ix_(ground, rejected)]
+    np.minimum(to_ground, penalty, out=to_ground)
+    to_ground *= px_r
+    nearest = penalty * px_r
     objs = np.empty(ground.size)
     rows = max(1, _SCORE_BYTES // max(1, px_r.nbytes))  # a score row is px_r wide
     scores = np.empty_like(to_ground[:rows])
@@ -63,8 +68,6 @@ def min_cost_explanations(
         (to_ground[s : s + rows], objs[s : s + rows])
         for s in range(0, ground.size, rows)
     ]
-    # penalty exceeds every finite cost: unservable individuals cost exactly it
-    nearest = np.full(px_r.shape, penalty)
 
     # stays eager: a lazy heap flips float near-ties that this argmin pins
     picks: list[int] = []
@@ -72,7 +75,6 @@ def min_cost_explanations(
         for costs, obj in blocks:
             part = scores[: len(costs)]
             np.minimum(nearest, costs, out=part)
-            part *= px_r
             # a row sum of a C-contiguous block equals that row's 1-D sum
             part.sum(axis=1, out=obj)
         objs[picks] = np.inf

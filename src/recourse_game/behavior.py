@@ -178,11 +178,13 @@ class MarginalState:
     objective and for a fixed policy, which is the joint case with pi frozen.
 
     near[x, i] says i can adapt to x once x is offered; it is built once per
-    solver call and shared, read-only, by later states. rejected marks
-    pi < 1, flippable the accepted values outside A that a better candidate
-    within unit cost flips to rejection (none at a fixed policy), value[i]
-    is i's current utility per unit mass, and moving[i] says whether i
-    follows an explanation.
+    solver call and shared, read-only, by later states. The joint near also
+    holds py[x] > py[i]: for a viable x, a pair without it meets only a value
+    that follows a higher outcome (gain term ±0, take test false). rejected
+    marks pi < 1, flippable the accepted values outside A that a better
+    candidate within unit cost flips to rejection (none at a fixed policy),
+    value[i] is i's current utility per unit mass, and moving[i] says
+    whether i follows an explanation.
     """
 
     near: np.ndarray
@@ -223,9 +225,17 @@ def fixed_marginal_state(
 def joint_marginal_state(instance: Instance, A: ExplanationSet) -> MarginalState:
     """Build the incremental state for h at A, under A's optimal policy: the
     threshold policy with every viable value flippable, advanced over A."""
-    viable = instance.py >= instance.gamma
+    py, m = instance.py, instance.m
+    viable = py >= instance.gamma
     _check_drawn_from(_members(instance, A), viable, "viable")
-    near = np.less_equal(instance.cost.T, 1.0, order="C")
+    # py is nonincreasing: py[x] > py[i] iff i >= above[x] = #{j : py[j] >= py[x]}
+    above = np.searchsorted(-py, -py, side="right").tolist()
+    near = np.zeros((m, m), dtype=bool)
+    for s in range(0, m, _ROW_BLOCK):  # row blocks, not a second m x m array
+        e = min(s + _ROW_BLOCK, m)
+        lo, top = above[s], above[e - 1]  # only lo:top needs the comparison
+        np.less_equal(instance.cost.T[s:e, lo:], 1.0, out=near[s:e, lo:])
+        near[s:e, lo:top] &= py[s:e, None] > py[lo:top]
     return _advanced(instance, viable.astype(float), near, viable, A)
 
 
@@ -239,9 +249,9 @@ def _gains(instance: Instance, state: MarginalState, xs) -> np.ndarray:
     A mask is a product, not a branch per entry: a masked entry is +0.0 or
     -0.0, which changes no nonzero sum.
     """
-    px, py = instance.px, instance.py
+    px = instance.px
     xs = np.asarray(xs, dtype=int)
-    base = py[xs] - instance.gamma
+    base = instance.py[xs] - instance.gamma
     # movers only switch to a better target; max(diff, -inf) is diff exactly
     floor = np.where(state.moving, 0.0, -np.inf)
     term = np.subtract.outer(base, state.value)
@@ -250,8 +260,7 @@ def _gains(instance: Instance, state: MarginalState, xs) -> np.ndarray:
     near = state.near[xs]  # a fancy-index copy, masked in place below
     gain = px[xs] * (base - state.value[xs])
     if state.flippable.any():  # flippable values stay: term is px * diff
-        flips = near & state.flippable & (py[xs, None] > py)
-        gain += (term * flips).sum(axis=1)  # product mask
+        gain += (term * (near & state.flippable)).sum(axis=1)  # product mask
     near &= state.rejected
     near[np.arange(xs.size), xs] = False
     term *= near  # product mask, in place
@@ -272,9 +281,8 @@ def _advance(instance: Instance, state: MarginalState, x: int) -> MarginalState:
     """The state at A ∪ {x}: x is accepted and stays, the values it flips
     adapt to it, and the rejected values that reach it take it when they
     stay today or do better there."""
-    py = instance.py
-    base = py[x] - instance.gamma
-    flips = state.near[x] & state.flippable & (py[x] > py)
+    base = instance.py[x] - instance.gamma
+    flips = state.near[x] & state.flippable  # near holds py[x] > py
     takes = state.near[x] & state.rejected & (~state.moving | (base > state.value))
     takes[x] = False
     value = np.where(flips | takes, base, state.value)
@@ -366,24 +374,28 @@ def leakage_utility(
     probability p_l / |A| she knows the assigned one plus x' and follows
     whichever reachable option benefits her most.
     """
-    if not 0.0 <= p_l <= 1.0:
+    return _leakage_utilities(instance, policy, A, (p_l,))[0]
+
+
+def _leakage_utilities(instance, policy, A, pls) -> list[float]:
+    """leakage_utility at each p_l in pls, from one target table."""
+    if not all(0.0 <= p_l <= 1.0 for p_l in pls):
         raise ValueError("p_l must lie in [0, 1]")
     if len(A) == 0:
-        return utility(instance, policy, A)
-
+        return [utility(instance, policy, A)] * len(pls)
     targets = _leak_targets(instance, policy, A)
     payoff = (policy.pi * (instance.py - instance.gamma))[targets]
     # Individuals whose choice no draw can change keep the plain best-response
     # value, so p_l = 0 (and |A| = 1) reproduce utility() exactly rather than
     # within rounding.
-    value = payoff[:, 0]
-    if p_l > 0.0:
-        changed = (targets[:, 1:] != targets[:, :1]).any(axis=1)
-        mix = np.zeros(instance.m)
-        for column in payoff[:, 1:].T:  # left to right, as sum() adds
-            mix += column
-        value = np.where(changed, (1.0 - p_l) * value + p_l * (mix / len(A)), value)
-    return float(np.sum(instance.px * value))
+    stay = payoff[:, 0]
+    changed = (targets[:, 1:] != targets[:, :1]).any(axis=1)
+    mix = sum(payoff[:, 1:].T) / len(A)  # left to right, not numpy's pairwise sum
+    out = []
+    for p_l in pls:
+        value = np.where(changed, (1.0 - p_l) * stay + p_l * mix, stay) if p_l else stay
+        out.append(float(np.sum(instance.px * value)))
+    return out
 
 
 def leakage_utility_mc(

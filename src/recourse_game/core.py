@@ -157,7 +157,7 @@ class ExplanationSet:
         return len(self.indices)
 
     def __contains__(self, i) -> bool:
-        return int(i) in self.indices
+        return i in self.indices  # by value: 1.7 is not 1
 
     def as_set(self) -> frozenset:
         return frozenset(self.indices)

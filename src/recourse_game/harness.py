@@ -27,7 +27,7 @@ import numpy as np
 
 from .algorithms import greedy_fixed_policy, greedy_matroid, randomized_joint
 from .baselines import diverse_explanations, min_cost_explanations, threshold_policy
-from .behavior import group_improvement, leakage_utility, transport_matrix, utility
+from .behavior import _leakage_utilities, group_improvement, transport_matrix, utility
 from .core import (
     _ROW_BLOCK,
     ExplanationSet,
@@ -229,8 +229,8 @@ def run_leakage(config: ExperimentConfig) -> list[Path]:
     rows = []
     for _, k, rep, inst, rng in _points(config, "leakage"):
         policy, A = regime_solution("alg2", inst, k, rng)
-        for p_l in config.pl_sweep:
-            u = leakage_utility(inst, policy, A, p_l)
+        utilities = _leakage_utilities(inst, policy, A, config.pl_sweep)
+        for p_l, u in zip(config.pl_sweep, utilities):
             rows.append([k, _fmt(p_l), rep, _fmt(u)])
     header = ["k", "p_l", "repetition", "utility"]
     return [_write_csv(config, "leakage.csv", header, rows)]

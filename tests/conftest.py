@@ -1,5 +1,6 @@
 import heapq
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 from itertools import combinations
 
@@ -175,6 +176,26 @@ def ref_where_gains(inst: rg.Instance, state, xs) -> np.ndarray:
     return gain + np.where(reach, term, 0.0).sum(axis=1)
 
 
+# The step before the joint reach matrix held the outcome order: its flip
+# test compares outcomes itself. Read with the plain reach matrix
+# cost.T <= 1, it must give what _advance gives on the joint state's.
+
+def ref_ordered_advance(inst: rg.Instance, state, x: int):
+    py = inst.py
+    base = py[x] - inst.gamma
+    flips = state.near[x] & state.flippable & (py[x] > py)
+    takes = state.near[x] & state.rejected & (~state.moving | (base > state.value))
+    takes[x] = False
+    value = np.where(flips | takes, base, state.value)
+    moving = state.moving | flips | takes
+    rejected = state.rejected | flips
+    flippable = state.flippable & ~flips
+    value[x], moving[x], rejected[x], flippable[x] = base, False, False, False
+    return replace(
+        state, rejected=rejected, flippable=flippable, value=value, moving=moving
+    )
+
+
 # The joint greedy's loop before the slot-first draw: each iteration pops
 # the top k, then draws its slot. It scores gains through algorithms._gains,
 # looked up per call, so a test can count its rows.
@@ -262,11 +283,12 @@ def assert_oracles_match_the_per_set_loop(inst: rg.Instance, policy, k: int, A) 
 
 def ref_state(inst: rg.Instance, policy, A) -> tuple:
     """(near, rejected, flippable, value, moving) at A for utility(policy, ·),
-    or, with policy None, for h under optimal_policy_for(A)."""
+    or, with policy None, for h under optimal_policy_for(A), whose near
+    also holds the outcome order py[x] > py[i]."""
     joint = policy is None
     if joint:
         policy = rg.optimal_policy_for(inst, A)
-        near = np.less_equal(inst.cost.T, 1.0, order="C")
+        near = (inst.cost.T <= 1.0) & (inst.py[:, None] > inst.py)
         flippable = policy.pi == 1.0
         flippable[list(A.indices)] = False
     else:

@@ -23,6 +23,7 @@ from recourse_game.behavior import (
     _followed,
     _gains,
     _leak_targets,
+    _leakage_utilities,
     _members,
     adaptation_matrix,
     fixed_marginal_state,
@@ -552,10 +553,14 @@ def ref_leakage_mc(inst, policy, A, p_l, samples, rng):
 
 
 def test_leakage_matches_reference_loop_bit_for_bit():
+    pls, sizes = (0.0, 0.37, 1.0), set()
     for inst, policy, A in leak_cases("leak-equivalence", 200):
-        for p_l in (0.0, 0.37, 1.0):
-            got = rg.leakage_utility(inst, policy, A, p_l)
-            assert repr(got) == repr(ref_leakage_utility(inst, policy, A, p_l))
+        want = [repr(ref_leakage_utility(inst, policy, A, p_l)) for p_l in pls]
+        assert [repr(rg.leakage_utility(inst, policy, A, p_l)) for p_l in pls] == want
+        # a sweep reads one target table for every p_l
+        assert [repr(u) for u in _leakage_utilities(inst, policy, A, pls)] == want
+        sizes.add(len(A))
+    assert 0 in sizes  # an empty A is among the cases
 
 
 def test_leakage_mc_matches_reference_loop_bit_for_bit():
@@ -588,6 +593,10 @@ def test_leakage_matches_reference_loop_on_tie_heavy_examples():
         inst, policy, A = case
         got = rg.leakage_utility(inst, policy, A, p_l)
         assert repr(got) == repr(ref_leakage_utility(inst, policy, A, p_l))
+        pls = (0.0, 0.37, 1.0)
+        assert [repr(u) for u in _leakage_utilities(inst, policy, A, pls)] == [
+            repr(ref_leakage_utility(inst, policy, A, q)) for q in pls
+        ]
         got = rg.leakage_utility_mc(
             inst, policy, A, p_l, samples=8, rng=np.random.default_rng(1)
         )

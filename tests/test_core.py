@@ -240,6 +240,9 @@ def test_explanation_set_refuses_non_integral_indices():
     assert numpy_ints.indices == (4, 0)
     assert all(type(i) is int for i in numpy_ints.indices)
     assert rg.ExplanationSet((1,)).add(np.int32(2)).indices == (1, 2)
+    # membership compares by value, without truncating
+    assert 1.7 not in rg.ExplanationSet((1,))
+    assert np.int64(1) in rg.ExplanationSet((1,))
 
 
 def test_partition_matroid_validation():

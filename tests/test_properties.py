@@ -2,6 +2,7 @@
 boundary instances: outcomes on a grid that includes gamma, zero-mass
 values, costs of exactly 1.0 or inf, empty viable sets and k=0."""
 
+from dataclasses import replace
 from functools import partial
 from itertools import combinations
 
@@ -19,6 +20,7 @@ from conftest import (  # noqa: E402
     min_cost_one_row_per_block,
     ref_assignment,
     ref_leak_targets,
+    ref_ordered_advance,
     ref_pop_k_joint_runs,
     ref_state,
     ref_where_gains,
@@ -26,6 +28,7 @@ from conftest import (  # noqa: E402
 )
 from recourse_game.algorithms import _optimal_pi  # noqa: E402
 from recourse_game.behavior import (  # noqa: E402
+    _advance,
     _gains,
     _leak_targets,
     _responses,
@@ -261,6 +264,35 @@ def test_gains_are_byte_identical_to_the_where_kernel(inst, data):
         if xs:
             got, want = _gains(inst, state, xs), ref_where_gains(inst, state, xs)
             assert got.tobytes() == want.tobytes()
+
+
+def assert_steps_agree(got, want) -> None:
+    """Two states hold the same bytes in every array but near."""
+    fields = (want.rejected, want.flippable, want.value, want.moving)
+    assert_state_is(got, (got.near, *fields))
+
+
+@hypothesis.given(instances, st.data())
+def test_the_joint_outcome_order_changes_no_gain_or_step(inst, data):
+    # the joint near holds py[x] > py[i]; on the plain reach matrix the
+    # kernels that compare outcomes themselves must give the same bytes for
+    # every viable candidate outside A, at every state along a random A
+    viable = rg.ground_set_viable(inst).indices
+    order = data.draw(st.permutations(draw_subset(data, viable)))
+    state = joint_marginal_state(inst, rg.ExplanationSet())
+    plain = replace(state, near=inst.cost.T <= 1.0)
+    for step in range(len(order) + 1):
+        assert_steps_agree(state, plain)
+        xs = [x for x in viable if x not in order[:step]]
+        if xs:
+            got, want = _gains(inst, state, xs), ref_where_gains(inst, plain, xs)
+            assert got.tobytes() == want.tobytes()
+        for x in xs:
+            want = ref_ordered_advance(inst, plain, x)
+            assert_steps_agree(_advance(inst, state, x), want)
+        if step < len(order):
+            state = _advance(inst, state, order[step])
+            plain = ref_ordered_advance(inst, plain, order[step])
 
 
 @hypothesis.given(instances, st.data())

@@ -45,13 +45,21 @@ echo '{"instance": {"m": 6}, "k": 2}' > smoke/bare-k.json
 echo '{"instance": {"m": 6, "gamma": 0.3}, "k_sweep": [2, 3],
   "matroid": {"groups": [[0, 1, 2], [3, 4, 5]], "capacities": [2, 1]}}' \
   > smoke/matroid-sweep.json
+# a non-integer capacity or group member is refused, not truncated
+echo '{"instance": {"m": 6, "gamma": 0.3},
+  "matroid": {"groups": [[0, 1, 2], [3, 4, 5]], "capacities": [1.5, 1]}}' \
+  > smoke/matroid-capacity.json
+echo '{"instance": {"m": 6, "gamma": 0.3},
+  "matroid": {"groups": [[0, 1.5, 2], [3, 4, 5]], "capacities": [2, 1]}}' \
+  > smoke/matroid-member.json
 for bad in "compare --config smoke/unknown-key.json" \
   "compare --config smoke/removed-key.json" \
   "compare --config smoke/non-integer.json" \
   "compare --config smoke/bare-k.json" "compare --m 10 --k 2 --alpha nan" \
   "compare --m 10 --gamma 1.5" "transport --m 10 --k 2,3" \
   "generate --m 10 --alpha 1,2" "matroid --config smoke/matroid-sweep.json" \
-  "leakage --m 10 --alpha 1,2"; do
+  "leakage --m 10 --alpha 1,2" "matroid --config smoke/matroid-capacity.json" \
+  "matroid --config smoke/matroid-member.json"; do
   rc=0
   # shellcheck disable=SC2086  # $bad holds a command and several flags
   "${cli[@]}" $bad --outdir smoke/rejected || rc=$?

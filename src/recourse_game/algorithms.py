@@ -38,6 +38,7 @@ from .core import (
     Instance,
     PartitionMatroid,
     Policy,
+    _counts,
     ground_set_accepted,
     ground_set_viable,
     is_outcome_monotonic,
@@ -97,11 +98,12 @@ def _pop_best(heap: list, gains, stamp: int, n: int) -> list:
 
 
 def _lazy_greedy(
-    instance: Instance, policy: Policy, kernel, group_of, room: list[int]
+    instance: Instance, policy: Policy, kernel, group_of, caps: tuple[int, ...]
 ) -> ExplanationSet:
-    """Greedy over accepted values x with room left in group group_of[x] (`room`
-    is consumed in place), scored by kernel(instance, fixed-policy state, xs),
+    """Greedy over accepted values x with room left in group group_of[x] (of
+    caps[g] in group g), scored by kernel(instance, fixed-policy state, xs),
     which must not grow with A; stops when no such value has positive gain."""
+    room = list(caps)
     state = fixed_marginal_state(instance, policy)
     ground = ground_set_accepted(instance, policy).indices
     ground = [x for x in ground if room[group_of[x]] > 0]
@@ -130,10 +132,8 @@ def greedy_fixed_policy(instance: Instance, policy: Policy, k: int) -> Explanati
     remaining candidate has positive gain. Gains are O(m) each and evaluated
     lazily, in blocks: all m once, then those whose stale bound nears the top.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
     _check_greedy_policy(instance, policy)
-    return _lazy_greedy(instance, policy, _gains, [0] * instance.m, [k])
+    return _lazy_greedy(instance, policy, _gains, [0] * instance.m, _counts([k], "k"))
 
 
 def greedy_matroid(
@@ -157,7 +157,7 @@ def greedy_matroid(
                 stacklevel=2,
             )
     group_of = {i: g for g, members in enumerate(matroid.groups) for i in members}
-    return _lazy_greedy(instance, policy, _gains, group_of, list(matroid.capacities))
+    return _lazy_greedy(instance, policy, _gains, group_of, matroid.capacities)
 
 
 def optimal_policy_for(instance: Instance, A: ExplanationSet) -> Policy:
@@ -230,8 +230,7 @@ def randomized_joint_runs(
     and a one-stream call stores nothing else. Runs that pick the same
     explanations in the same order share one JointSolution, scored once.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    (k,) = _counts([k], "k")
     if k == 0:  # no state and no draws: every run publishes the empty set
         return [_joint_solution(instance, ())] * len(list(rngs))
     start = joint_marginal_state(instance, ExplanationSet())
@@ -296,15 +295,14 @@ def _best_subset(ground, k: int, score) -> tuple[ExplanationSet, float]:
     far under the per-set rule: a larger score, or an equal one and a
     smaller tuple, so (0, 5) beats (3,) at equal score.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    (k,) = _counts([k], "k")
     ground = sorted(ground)
     if len(ground) > BRUTE_FORCE_CAP:
         raise ValueError(f"ground set too large for brute force (> {BRUTE_FORCE_CAP})")
     best_u, best = -np.inf, ()
     for sets in _subset_chunks(ground, k):
         scores = score(sets)
-        i = int(np.argmax(scores))
+        i = np.argmax(scores)
         u, combo = float(scores[i]), tuple(sets[i].tolist())
         if u > best_u or (u == best_u and combo < best):
             best_u, best = u, combo

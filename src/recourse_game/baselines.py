@@ -11,7 +11,7 @@ import numpy as np
 
 from .algorithms import _lazy_greedy
 from .behavior import _coverage, utility
-from .core import ExplanationSet, Instance, Policy, ground_set_accepted
+from .core import ExplanationSet, Instance, Policy, _counts, ground_set_accepted
 
 
 # Bytes of candidate scores min_cost_explanations holds at once: one block
@@ -47,8 +47,7 @@ def min_cost_explanations(
     row sum, in row blocks of one buffer of at most _SCORE_BYTES, keeping
     each rejected individual's weighted cost to the nearest pick: O(k m^2).
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    (k,) = _counts([k], "k")
     ground = np.asarray(ground_set_accepted(instance, policy).indices, dtype=int)
     rejected = np.flatnonzero(policy.pi < 1.0)
     cost = instance.cost
@@ -78,7 +77,7 @@ def min_cost_explanations(
             # a row sum of a C-contiguous block equals that row's 1-D sum
             part.sum(axis=1, out=obj)
         objs[picks] = np.inf
-        best = int(np.argmin(objs))  # first minimum: lowest index
+        best = np.argmin(objs)  # first minimum: lowest index
         picks.append(best)
         np.minimum(nearest, to_ground[best], out=nearest)
     return ExplanationSet(tuple(ground[picks]))
@@ -90,6 +89,5 @@ def diverse_explanations(instance: Instance, policy: Policy, k: int) -> Explanat
     mass (ties: lowest index); stops when nothing new gets covered. Coverage
     is monotone submodular, so the shared lazy greedy picks what re-scoring
     every candidate would."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return _lazy_greedy(instance, policy, _coverage, [0] * instance.m, [k])
+    caps = _counts([k], "k")
+    return _lazy_greedy(instance, policy, _coverage, [0] * instance.m, caps)

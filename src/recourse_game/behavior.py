@@ -17,7 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _ROW_BLOCK, ExplanationSet, Instance, Policy, _check_policy_length
+from .core import (
+    _ROW_BLOCK,
+    ExplanationSet,
+    Instance,
+    Policy,
+    _check_policy_length,
+    _counts,
+)
 
 # Assignment entry for individuals who receive no explanation.
 NO_EXPLANATION = -1
@@ -146,12 +153,12 @@ def _responses(instance: Instance, pi: np.ndarray, a_idx: np.ndarray):
     """(moved, utility) of _followed's arguments, with a leading batch axis
     when it has one: one utility per set (or policy).
 
-    Utility is accumulated per individual in index order; equal to the
-    expectation over the induced distribution but numerically monotone under
-    target improvements, which keeps f(A) <= f(B) exact for A ⊆ B. The value
-    array is built exactly as in leakage_utility so the two agree bit for
-    bit when no leak changes any target. A row sum of a C-contiguous block
-    equals that row's 1-D sum, so each row is bit-identical to one set's.
+    Utility sums px * value over individuals in a fixed order (numpy's
+    pairwise sum, grouped by m alone), and IEEE rounding is monotone in each
+    term, so f(A) <= f(B) holds exactly when B ⊇ A lowers no term. The value
+    array is built as in leakage_utility, so the two agree bit for bit when no
+    leak changes any target. A row sum of a C-contiguous block equals that
+    row's 1-D sum, so each row is bit-identical to one set's.
     """
     moved = _followed(instance, pi, a_idx)[2]
     value = pi[_ix(pi, moved)] * (instance.py[moved] - instance.gamma)
@@ -331,8 +338,7 @@ def transport_matrix(
     closed. Non-movers are not recorded, so the matrix total equals the total
     moved mass.
     """
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
+    (bins,) = _counts([bins], "bins", 1)
     res = best_respond(instance, policy, A)
     movers = np.flatnonzero(res.moved != np.arange(instance.m))
     out = np.zeros((bins, bins))
@@ -423,8 +429,7 @@ def leakage_utility_mc(
     """
     if not 0.0 <= p_l <= 1.0:
         raise ValueError("p_l must lie in [0, 1]")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    (samples,) = _counts([samples], "samples", 1)
     targets = _leak_targets(instance, policy, A)
     payoff = (policy.pi * (instance.py - instance.gamma))[targets].ravel()
     offsets = np.arange(0, payoff.size, len(A) + 1)  # flat index of column 0
@@ -463,16 +468,16 @@ def group_improvement(
     divided by the rejected mass of z; stayers contribute zero improvement
     and a group with no rejected mass scores 0.
     """
-    m = instance.m
+    groups = [_counts(g, "every group member") for g in groups]
     flat = [i for g in groups for i in g]
-    if sorted(flat) != list(range(m)):
+    if sorted(flat) != list(range(instance.m)):
         raise ValueError("groups must partition 0..m-1")
     res = best_respond(instance, policy, A)
     gain = instance.px * (instance.py[res.moved] - instance.py)
     rejected = policy.pi < 1.0
     out = np.zeros(len(groups))
     for z, g in enumerate(groups):
-        members = np.fromiter((int(i) for i in g), dtype=int)
+        members = np.array(g, dtype=int)
         rej = members[rejected[members]]
         mass = float(instance.px[rej].sum())
         if mass > 0.0:

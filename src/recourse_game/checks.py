@@ -100,12 +100,12 @@ def nonmonotone_witness() -> Instance:
     )
 
 
-def set_cover_witness(gamma: float = 0.3) -> tuple[Instance, Policy]:
+def set_cover_witness() -> tuple[Instance, Policy]:
     """Set-cover reduction instance: 2 elements, sets S1={u1,u2}, S2={u2}.
 
     Indices 0,1 are the set values (outcome 1, zero mass, accepted), indices
-    2,3 the element values (outcome gamma, uniform mass, rejected). Moving
-    from an element to a set costs 0 iff the element belongs to the set.
+    2,3 the element values (outcome gamma = 0.3, uniform mass, rejected).
+    Moving from an element to a set costs 0 iff the element belongs to it.
     """
     cost = np.full((4, 4), 2.0)
     np.fill_diagonal(cost, 0.0)
@@ -114,9 +114,9 @@ def set_cover_witness(gamma: float = 0.3) -> tuple[Instance, Policy]:
     cost[3, 1] = 0.0
     instance = make_instance(
         px=[0.0, 0.0, 0.5, 0.5],
-        py=[1.0, 1.0, gamma, gamma],
+        py=[1.0, 1.0, 0.3, 0.3],
         cost=cost,
-        gamma=gamma,
+        gamma=0.3,
     )
     return instance, Policy([1.0, 1.0, 0.0, 0.0])
 
@@ -221,7 +221,7 @@ def check_nonmonotone_fixture(base_seed: int) -> tuple[bool, str]:
 @_criterion()
 def check_set_cover_fixture(base_seed: int) -> tuple[bool, str]:
     """Greedy and diverse both pick the covering set and earn 1 - gamma."""
-    inst, policy = set_cover_witness(gamma=0.3)
+    inst, policy = set_cover_witness()
     expected = 1.0 - inst.gamma
     a_greedy = greedy_fixed_policy(inst, policy, 1)
     a_div = diverse_explanations(inst, policy, 1)

@@ -78,21 +78,21 @@ def _check(instance: Instance) -> None:
     # each gate is one reduction; the offender is located only on failure
     if not px.min(initial=0.0) >= 0.0:  # NaN fails too
         bad = np.flatnonzero(~(px >= 0.0))
-        raise ValueError(f"px[{int(bad[0])}] is negative or NaN")
+        raise ValueError(f"px[{bad[0]}] is negative or NaN")
     total = float(px.sum())
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"px sums to {total:g}")
     if not (py.min(initial=0.0) >= 0.0 and py.max(initial=1.0) <= 1.0):
         bad = np.flatnonzero(~((py >= 0.0) & (py <= 1.0)))
-        raise ValueError(f"py[{int(bad[0])}] outside [0, 1]")
+        raise ValueError(f"py[{bad[0]}] outside [0, 1]")
     drop = py[:-1] < py[1:]
     if drop.any():
-        raise ValueError(f"py not nonincreasing at index {int(drop.argmax())}")
+        raise ValueError(f"py not nonincreasing at index {drop.argmax()}")
     if not cost.min(initial=0.0) >= 0.0:
         i, j = np.argwhere(~(cost >= 0.0))[0]
         raise ValueError(f"cost[{i}][{j}] is negative or NaN")
     if cost.diagonal().any():  # -0.0 passes, as 0.0
-        i = int(np.flatnonzero(cost.diagonal())[0])
+        i = np.flatnonzero(cost.diagonal())[0]
         raise ValueError(f"cost[{i}][{i}] must be 0")
     _check_gamma(gamma)
 
@@ -100,6 +100,22 @@ def _check(instance: Instance) -> None:
 def _check_gamma(gamma: float) -> None:
     if not (0.0 < gamma < 1.0):  # NaN fails too
         raise ValueError(f"gamma must lie strictly in (0, 1), got {gamma:g}")
+
+
+def _counts(values, what: str, low: int | None = 0) -> Tuple[int, ...]:
+    """The one count rule: plain ints, each >= low unless low is None, or a
+    ValueError "<what> must be an integer" or "<what> must be >= <low>".
+    index, not int (which truncates 1.7 to 1), so a NumPy integer passes."""
+    # A list, not a generator: tuple(<generator>) builds by resizing, which
+    # skips CPython's per-length tuple free lists on allocation but refills
+    # them on release, so resident memory crept with every solver call.
+    try:
+        out = tuple([index(v) for v in values])
+    except TypeError:
+        raise ValueError(f"{what} must be an integer") from None
+    if low is not None and out and min(out) < low:
+        raise ValueError(f"{what} must be >= {low}")
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,16 +152,7 @@ class ExplanationSet:
     indices: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        # A list, not a generator: tuple(<generator>) builds by resizing, which
-        # skips CPython's per-length tuple free lists on allocation but refills
-        # them on release, so resident memory crept with every solver call.
-        # index, not int, which would truncate 1.7 to 1.
-        try:
-            idx = tuple([index(i) for i in self.indices])
-        except TypeError:
-            raise ValueError("explanation indices must be integers") from None
-        if idx and min(idx) < 0:
-            raise ValueError("explanation indices must be nonnegative")
+        idx = _counts(self.indices, "every explanation index")
         if len(set(idx)) != len(idx):
             raise ValueError("duplicate explanation index")
         object.__setattr__(self, "indices", idx)
@@ -177,12 +184,10 @@ class PartitionMatroid:
     capacities: Tuple[int, ...]
 
     def __post_init__(self):
-        groups = tuple(tuple(int(i) for i in g) for g in self.groups)
-        caps = tuple(int(c) for c in self.capacities)
+        groups = tuple(_counts(g, "every matroid group member") for g in self.groups)
+        caps = _counts(self.capacities, "every matroid capacity")
         if len(groups) != len(caps):
             raise ValueError("groups and capacities must have equal length")
-        if any(c < 0 for c in caps):
-            raise ValueError("capacities must be nonnegative")
         flat = [i for g in groups for i in g]
         if len(set(flat)) != len(flat):
             raise ValueError("groups must be pairwise disjoint")

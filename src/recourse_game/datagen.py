@@ -18,13 +18,19 @@ import csv
 import hashlib
 import warnings
 from dataclasses import dataclass
-from numbers import Integral
 from pathlib import Path
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from .core import _ROW_BLOCK, Instance, _canonical_order, _check_gamma, make_instance
+from .core import (
+    _ROW_BLOCK,
+    Instance,
+    _canonical_order,
+    _check_gamma,
+    _counts,
+    make_instance,
+)
 
 KIND_ACTIONABLE = "actionable"
 KIND_ACTIONABLE_UP = "actionable_up"
@@ -45,7 +51,7 @@ def derive_seed(*parts) -> int:
 def seeded_rng(seed: int) -> np.random.Generator:
     """Portable random stream: same seed, same draws. The bit generator is
     pinned to PCG64 because numpy's default may change between releases."""
-    return np.random.Generator(np.random.PCG64(int(seed)))
+    return np.random.Generator(np.random.PCG64(*_counts([seed], "seed")))
 
 
 @dataclass(frozen=True)
@@ -61,13 +67,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("m", "seed"):
-            if not isinstance(getattr(self, name), Integral):
-                raise ValueError(f"{name} must be an integer")
-        if self.m < 2:
-            raise ValueError("m must be >= 2")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        for name, low in (("m", 2), ("seed", 0)):
+            object.__setattr__(self, name, *_counts([getattr(self, name)], name, low))
         _check_gamma(self.gamma)
 
 
@@ -78,7 +79,7 @@ def generate_synthetic(config: SynthConfig) -> Instance:
     weights = rng.normal(0.5, 0.1, m)
     while (weights < 0.0).any():
         bad = weights < 0.0
-        weights[bad] = rng.normal(0.5, 0.1, int(bad.sum()))
+        weights[bad] = rng.normal(0.5, 0.1, np.count_nonzero(bad))
     py = rng.uniform(size=m)
 
     # Coins, then costs, drawn in row blocks: the same doubles as one m x m

@@ -19,7 +19,6 @@ import json
 import time
 from dataclasses import dataclass, replace
 from itertools import product
-from numbers import Integral
 from pathlib import Path
 from typing import Iterator
 
@@ -35,6 +34,7 @@ from .core import (
     PartitionMatroid,
     Policy,
     _check_gamma,
+    _counts,
 )
 from .datagen import (
     SynthConfig,
@@ -93,14 +93,11 @@ class ExperimentConfig:
             object.__setattr__(self, sweep, tuple(getattr(self, sweep)))
             if not getattr(self, sweep):
                 raise ValueError(f"{sweep} must be nonempty")
-        object.__setattr__(self, "k", self.k_sweep[0])
-        counts = (*self.k_sweep, self.repetitions, self.base_seed, self.bins)
-        if not all(isinstance(n, Integral) for n in counts):
-            raise ValueError(
-                "k, k_sweep, repetitions, base_seed and bins must be integers"
-            )
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        ks = _counts(self.k_sweep, "k and every k_sweep entry")
+        object.__setattr__(self, "k_sweep", ks)
+        object.__setattr__(self, "k", ks[0])
+        for name, low in (("repetitions", 1), ("base_seed", None), ("bins", 1)):
+            object.__setattr__(self, name, *_counts([getattr(self, name)], name, low))
         if self.synthetic is None:
             if self.values_path is None or self.cost_path is None:
                 raise ValueError("config needs a synthetic block or instance files")
@@ -109,14 +106,10 @@ class ExperimentConfig:
             _check_gamma(self.gamma)
         elif (self.values_path, self.cost_path, self.gamma) != (None, None, None):
             raise ValueError("a synthetic config takes no instance files or gamma")
-        if min(self.k_sweep) < 0:
-            raise ValueError("k and every k_sweep entry must be >= 0")
         if not all(a >= 0.0 for a in self.alpha_sweep):  # NaN fails too
             raise ValueError("every alpha must be >= 0")
         if not all(0.0 <= p <= 1.0 for p in self.pl_sweep):
             raise ValueError("every p_l must lie in [0, 1]")
-        if self.bins < 1:
-            raise ValueError("bins must be >= 1")
 
 
 def _write_csv(config: ExperimentConfig, name: str, header: list[str], rows) -> Path:

@@ -59,7 +59,7 @@ def nonmono() -> rg.Instance:
 @pytest.fixture
 def setcover():
     """(instance, policy) for the two-element set-cover reduction."""
-    return set_cover_witness(gamma=0.3)
+    return set_cover_witness()
 
 
 @pytest.fixture

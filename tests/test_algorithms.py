@@ -472,8 +472,48 @@ def test_regime_solvers_take_k_zero(solve):
     assert A.indices == ()
     assert published.pi.tolist() == policy.pi.tolist()
     assert rng.integers(2**31) == ref.integers(2**31)
-    with pytest.raises(ValueError, match="k must be nonnegative"):
+    with pytest.raises(ValueError, match="^k must be >= 0$"):
         solve(inst, policy, -1, rng)
+
+
+@pytest.mark.parametrize("k", [2.5, np.float64(2.0)], ids=["2.5", "float64"])
+@pytest.mark.parametrize(
+    "solve",
+    [
+        _at_policy(rg.greedy_fixed_policy),
+        _at_policy(rg.diverse_explanations),
+        _at_policy(rg.min_cost_explanations),
+        _joint_solution,
+        _at_policy(rg.brute_force_fixed),
+        lambda inst, policy, k, rng: rg.brute_force_joint(inst, k),
+    ],
+    ids=["alg1", "diverse", "min_cost", "alg2", "brute_fixed", "brute_joint"],
+)
+def test_budgeted_solvers_refuse_a_non_integer_k(solve, k):
+    # refused, not truncated to k=2
+    inst = rg.generate_synthetic(rg.SynthConfig(m=10, gamma=0.3, seed=1))
+    rng, ref = rg.seeded_rng(9), rg.seeded_rng(9)
+    with pytest.raises(ValueError, match="^k must be an integer$"):
+        solve(inst, rg.threshold_policy(inst), k, rng)
+    assert rng.integers(2**31) == ref.integers(2**31)  # nothing drawn
+
+
+def test_budgeted_solvers_take_numpy_integers():
+    inst = rg.generate_synthetic(rg.SynthConfig(m=10, gamma=0.3, seed=1))
+    policy = rg.threshold_policy(inst)
+    fixed = (
+        rg.greedy_fixed_policy,
+        rg.diverse_explanations,
+        rg.min_cost_explanations,
+        rg.brute_force_fixed,
+    )
+    for solve in fixed:
+        assert solve(inst, policy, np.int64(2)) == solve(inst, policy, 2)
+    for k in (np.int32(2), np.int64(2)):
+        got = rg.randomized_joint(inst, k, rg.seeded_rng(3)).explanations
+        assert got == rg.randomized_joint(inst, 2, rg.seeded_rng(3)).explanations
+        got = rg.brute_force_joint(inst, k).explanations
+        assert got == rg.brute_force_joint(inst, 2).explanations
 
 
 def test_greedy_rejects_bad_policies():
@@ -483,7 +523,7 @@ def test_greedy_rejects_bad_policies():
     mono = rg.make_instance([0.5, 0.5], [0.9, 0.8], np.zeros((2, 2)), 0.3)
     with pytest.raises(ValueError, match="monotonic"):
         rg.greedy_fixed_policy(mono, rg.Policy([0.4, 0.7]), 1)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="^k must be >= 0$"):
         rg.greedy_fixed_policy(mono, rg.Policy([1.0, 0.0]), -1)
     # deterministic non-monotonic policies are allowed
     rg.greedy_fixed_policy(mono, rg.Policy([0.0, 1.0]), 1)
@@ -624,7 +664,7 @@ def test_randomized_joint_mean_guarantee_sampled():
 
 
 def test_randomized_joint_rejects_bad_k(nonmono):
-    with pytest.raises(ValueError, match="k must be nonnegative"):
+    with pytest.raises(ValueError, match="^k must be >= 0$"):
         rg.randomized_joint(nonmono, -1, rg.seeded_rng(0))
 
 
@@ -673,7 +713,7 @@ def test_randomized_joint_degenerate_inputs(nonmono):
         taken.append(True)
         yield rg.seeded_rng(0)
 
-    with pytest.raises(ValueError, match="k must be nonnegative"):
+    with pytest.raises(ValueError, match="^k must be >= 0$"):
         rg.randomized_joint_runs(nonmono, -1, streams())
     assert taken == []
     assert rg.randomized_joint_runs(nonmono, 2, []) == []
@@ -923,9 +963,9 @@ def test_brute_force_joint_witness(nonmono):
     assert k1.utility == pytest.approx(0.9, abs=1e-12)
     assert k2.explanations.indices == (0,)
     assert k2.utility == pytest.approx(0.9, abs=1e-12)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="^k must be >= 0$"):
         rg.brute_force_joint(nonmono, -1)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="^k must be >= 0$"):
         rg.brute_force_fixed(nonmono, rg.threshold_policy(nonmono), -1)
     k0 = rg.brute_force_joint(nonmono, 0)
     assert k0.explanations.indices == ()
@@ -963,6 +1003,15 @@ def test_seeded_rng_reproducible():
     # pinned to PCG64, whatever numpy's default bit generator becomes
     pcg = np.random.Generator(np.random.PCG64(123))
     assert rg.seeded_rng(np.int64(123)).random(4).tobytes() == pcg.random(4).tobytes()
+
+
+def test_seeded_rng_refuses_a_non_integer_seed():
+    # refused, not truncated to seed 1's stream
+    for seed in (1.7, np.float64(1.0), None):
+        with pytest.raises(ValueError, match="^seed must be an integer$"):
+            rg.seeded_rng(seed)
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        rg.seeded_rng(-1)
 
 
 def test_derive_seed_stable_and_sensitive():

@@ -209,7 +209,7 @@ def test_min_cost_without_candidates_is_empty():
     inst = rg.make_instance([0.5, 0.5], [0.4, 0.3], np.zeros((2, 2)), 0.9)
     assert rg.min_cost_explanations(inst, rg.threshold_policy(inst), 1).indices == ()
     ok = rg.make_instance([0.5, 0.5], [0.9, 0.3], np.zeros((2, 2)), 0.5)
-    with pytest.raises(ValueError, match="k must be nonnegative"):
+    with pytest.raises(ValueError, match="^k must be >= 0$"):
         rg.min_cost_explanations(ok, rg.threshold_policy(ok), -1)
 
 

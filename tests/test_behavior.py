@@ -376,6 +376,12 @@ def test_transport_conserves_moved_mass():
 def test_transport_rejects_bad_bins(nonmono):
     with pytest.raises(ValueError):
         rg.transport_matrix(nonmono, rg.Policy([1.0, 0.0, 0.0]), rg.ExplanationSet(), 0)
+    policy, A = rg.Policy([1.0, 0.0, 0.0]), rg.ExplanationSet((0,))
+    for bins in (2.5, np.float64(3.0)):
+        with pytest.raises(ValueError, match="^bins must be an integer$"):
+            rg.transport_matrix(nonmono, policy, A, bins)
+    want = rg.transport_matrix(nonmono, policy, A, 3).tolist()
+    assert rg.transport_matrix(nonmono, policy, A, np.int64(3)).tolist() == want
 
 
 # -- leakage -----------------------------------------------------------------
@@ -450,6 +456,12 @@ def test_leakage_mc_rejects_bad_sample_counts():
             rg.leakage_utility_mc(inst, policy, A, 0.5, samples, rg.seeded_rng(0))
     mean, stderr = rg.leakage_utility_mc(inst, policy, A, 0.5, 1, rg.seeded_rng(0))
     assert np.isfinite(mean) and stderr == 0.0
+    for samples in (10.5, np.float64(10.0)):
+        with pytest.raises(ValueError, match="^samples must be an integer$"):
+            rg.leakage_utility_mc(inst, policy, A, 0.5, samples, rg.seeded_rng(0))
+    want = rg.leakage_utility_mc(inst, policy, A, 0.5, 10, rg.seeded_rng(0))
+    got = rg.leakage_utility_mc(inst, policy, A, 0.5, np.int64(10), rg.seeded_rng(0))
+    assert got == want
 
 
 def test_leakage_mc_peaks_near_two_draw_arrays():
@@ -638,3 +650,13 @@ def test_group_improvement_requires_partition(nonmono):
         rg.group_improvement(
             nonmono, rg.Policy([1.0, 0.0, 0.0]), rg.ExplanationSet(), [(0, 1)]
         )
+
+
+def test_group_improvement_refuses_non_integer_members(nonmono):
+    policy, A = rg.Policy([1.0, 0.0, 0.0]), rg.ExplanationSet((0,))
+    for groups in ([(0,), (1.7, 2)], [(0,), (1.0, 2)], [(0,), (1, np.float64(2.0))]):
+        with pytest.raises(ValueError, match="^every group member must be an integer$"):
+            rg.group_improvement(nonmono, policy, A, groups)
+    want = rg.group_improvement(nonmono, policy, A, [(0,), (1, 2)])
+    got = rg.group_improvement(nonmono, policy, A, [(0,), np.array([1, 2])])
+    assert got.tolist() == want.tolist()

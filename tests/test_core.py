@@ -226,15 +226,16 @@ def test_explanation_set_semantics():
     with pytest.raises(ValueError):
         rg.ExplanationSet((1, 1))
     for negative in ((-1,), (2, 0, -1)):
-        with pytest.raises(ValueError, match="^explanation indices must be nonnegative$"):
+        with pytest.raises(ValueError, match="^every explanation index must be >= 0$"):
             rg.ExplanationSet(negative)
 
 
 def test_explanation_set_refuses_non_integral_indices():
+    message = "^every explanation index must be an integer$"
     for bad in ((1.7, 2.2), (2, 1.0), (np.float64(3.0),), ("1",)):
-        with pytest.raises(ValueError, match="^explanation indices must be integers$"):
+        with pytest.raises(ValueError, match=message):
             rg.ExplanationSet(bad)
-    with pytest.raises(ValueError, match="must be integers"):
+    with pytest.raises(ValueError, match="must be an integer"):
         rg.ExplanationSet((3,)).add(1.7)
     numpy_ints = rg.ExplanationSet(tuple(np.array([4, 0], dtype=np.int64)))
     assert numpy_ints.indices == (4, 0)
@@ -256,3 +257,23 @@ def test_partition_matroid_validation():
         rg.PartitionMatroid(groups=((0, 1), (3,)), capacities=(1, 1))
     with pytest.raises(ValueError, match="length"):
         rg.PartitionMatroid(groups=((0,),), capacities=(1, 1))
+
+
+def test_partition_matroid_refuses_non_integer_members_and_capacities():
+    # refused, not truncated to ((0, 1), (2,)) and (1, 1)
+    member = "^every matroid group member must be an integer$"
+    for groups in (((0, 1.7), (2,)), ((0, 1), (np.float64(2.0),)), ((0, "1"), (2,))):
+        with pytest.raises(ValueError, match=member):
+            rg.PartitionMatroid(groups=groups, capacities=(1, 1))
+    capacity = "^every matroid capacity must be an integer$"
+    for caps in ((1, 1.9), (1.0, 1), (1, "1")):
+        with pytest.raises(ValueError, match=capacity):
+            rg.PartitionMatroid(groups=((0, 1), (2,)), capacities=caps)
+    with pytest.raises(ValueError, match="^every matroid capacity must be >= 0$"):
+        rg.PartitionMatroid(groups=((0, 1), (2,)), capacities=(1, -1))
+    m = rg.PartitionMatroid(
+        groups=(np.array([0, 1]), (np.int32(2),)), capacities=np.array([2, 1])
+    )
+    assert m.groups == ((0, 1), (2,)) and m.capacities == (2, 1)
+    assert all(type(i) is int for g in m.groups for i in g)
+    assert all(type(c) is int for c in m.capacities)

@@ -453,6 +453,43 @@ def test_file_based_config_round_trip(tmp_path):
     assert len(rows) == 5
 
 
+def test_numpy_integer_counts_are_stored_as_int(tmp_path):
+    # NumPy integers pass every count rule and are stored as int, which the
+    # provenance echo can serialise
+    np_config = ExperimentConfig(
+        experiment="compare",
+        outdir=str(tmp_path),
+        synthetic=rg.SynthConfig(m=np.int64(8), seed=np.int32(1)),
+        k_sweep=(np.int64(2), np.int32(0)),
+        repetitions=np.int64(2),
+        base_seed=np.int64(5),
+        bins=np.int16(3),
+    )
+    counts = (
+        np_config.synthetic.m,
+        np_config.synthetic.seed,
+        np_config.k,
+        *np_config.k_sweep,
+        np_config.repetitions,
+        np_config.base_seed,
+        np_config.bins,
+    )
+    assert counts == (8, 1, 2, 2, 0, 2, 5, 3)
+    assert all(type(n) is int for n in counts)
+    plain = replace(
+        np_config,
+        synthetic=rg.SynthConfig(m=8, seed=1),
+        k_sweep=(2, 0),
+        repetitions=2,
+        base_seed=5,
+        bins=3,
+    )
+    [path] = run_compare(np_config)
+    got = path.read_bytes()
+    assert path.name == "compare.csv"
+    assert got == run_compare(plain)[0].read_bytes()
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="repetitions"):
         small_config("x", repetitions=0)
@@ -801,16 +838,23 @@ def test_cli_rejects_unknown_keys(cli_config, capsys, argv, config, message):
     assert message in capsys.readouterr().err
 
 
+K_INTEGER = "k and every k_sweep entry must be an integer"
+
+
 @pytest.mark.parametrize("command", ["compare", "transport"])
 @pytest.mark.parametrize(
     "config, message",
     [
         pytest.param({"instance": {"m": 12.5}}, "m must be an integer", id="m"),
-        pytest.param({"k_sweep": [2.5]}, "must be integers", id="k"),
-        pytest.param({"repetitions": 1.5}, "must be integers", id="repetitions"),
-        pytest.param({"k_sweep": [2, 3.5]}, "must be integers", id="k_sweep"),
-        pytest.param({"bins": 2.5}, "must be integers", id="bins"),
-        pytest.param({"base_seed": 1.5}, "must be integers", id="base_seed"),
+        pytest.param({"k_sweep": [2.5]}, K_INTEGER, id="k"),
+        pytest.param(
+            {"repetitions": 1.5}, "repetitions must be an integer", id="repetitions"
+        ),
+        pytest.param({"k_sweep": [2, 3.5]}, K_INTEGER, id="k_sweep"),
+        pytest.param({"bins": 2.5}, "bins must be an integer", id="bins"),
+        pytest.param(
+            {"base_seed": 1.5}, "base_seed must be an integer", id="base_seed"
+        ),
     ],
 )
 def test_cli_rejects_non_integer_counts(cli_config, capsys, command, config, message):
@@ -842,6 +886,27 @@ SIX = {
     "instance": {"m": 6},
     "matroid": {"groups": [[0, 1, 2], [3, 4, 5]], "capacities": [2, 1]},
 }
+
+
+@pytest.mark.parametrize(
+    "matroid, message",
+    [
+        pytest.param(
+            {"groups": [[0, 1, 2], [3, 4, 5]], "capacities": [1.5, 1]},
+            "every matroid capacity must be an integer",
+            id="capacity",
+        ),
+        pytest.param(
+            {"groups": [[0, 1.5, 2], [3, 4, 5]], "capacities": [2, 1]},
+            "every matroid group member must be an integer",
+            id="member",
+        ),
+    ],
+)
+def test_cli_refuses_non_integer_matroid_counts(cli_config, capsys, matroid, message):
+    # refused, not run at the truncated [1, 1] or [0, 1, 2]
+    assert cli_config(["matroid"], {**SIX, "matroid": matroid}) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -58,6 +58,35 @@ def test_randomized_joint_returns_k_viable_members_at_their_objective(inst, k, s
     assert repr(sol.utility) == repr(rg.joint_objective(inst, A))
 
 
+@hypothesis.given(instances, st.data())
+def test_every_budgeted_solver_keeps_within_k(inst, data):
+    # budgets past the ground set and past m included
+    k = data.draw(st.integers(0, inst.m + 2))
+    policy = rg.threshold_policy(inst)
+    fixed = (
+        rg.greedy_fixed_policy,
+        rg.diverse_explanations,
+        rg.min_cost_explanations,
+        rg.brute_force_fixed,
+    )
+    chosen = [solve(inst, policy, k) for solve in fixed]
+    chosen.append(rg.randomized_joint(inst, k, rg.seeded_rng(k)).explanations)
+    chosen.append(rg.brute_force_joint(inst, k).explanations)
+    assert all(len(A) <= k for A in chosen)
+
+
+@pytest.mark.filterwarnings("ignore:capacity")
+@hypothesis.given(instances, st.data())
+def test_matroid_greedy_keeps_within_every_capacity(inst, data):
+    split = data.draw(st.integers(0, inst.m))
+    groups = (tuple(range(split)), tuple(range(split, inst.m)))
+    caps = tuple(data.draw(st.integers(0, inst.m + 2)) for _ in groups)
+    matroid = rg.PartitionMatroid(groups=groups, capacities=caps)
+    A = rg.greedy_matroid(inst, rg.threshold_policy(inst), matroid)
+    for members, cap in zip(groups, caps):
+        assert len(set(A) & set(members)) <= cap
+
+
 @hypothesis.given(instances, st.integers(1, 3))
 def test_randomized_joint_mean_reaches_one_over_e(inst, k):
     opt = rg.brute_force_joint(inst, k).utility

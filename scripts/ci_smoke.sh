@@ -52,6 +52,13 @@ echo '{"instance": {"m": 6, "gamma": 0.3},
 echo '{"instance": {"m": 6, "gamma": 0.3},
   "matroid": {"groups": [[0, 1.5, 2], [3, 4, 5]], "capacities": [2, 1]}}' \
   > smoke/matroid-member.json
+# gamma, alpha and p_l must be numbers: a string or a bool is refused
+echo '{"instance": {"m": 6}, "alpha_sweep": ["1"]}' > smoke/alpha-string.json
+echo '{"instance": {"m": 6}, "pl_sweep": [true]}' > smoke/pl-bool.json
+# a matroid block must cover the synthetic instance's m values
+echo '{"instance": {"m": 8, "gamma": 0.3},
+  "matroid": {"groups": [[0, 1, 2], [3, 4, 5]], "capacities": [2, 1]}}' \
+  > smoke/matroid-size.json
 for bad in "compare --config smoke/unknown-key.json" \
   "compare --config smoke/removed-key.json" \
   "compare --config smoke/non-integer.json" \
@@ -59,7 +66,9 @@ for bad in "compare --config smoke/unknown-key.json" \
   "compare --m 10 --gamma 1.5" "transport --m 10 --k 2,3" \
   "generate --m 10 --alpha 1,2" "matroid --config smoke/matroid-sweep.json" \
   "leakage --m 10 --alpha 1,2" "matroid --config smoke/matroid-capacity.json" \
-  "matroid --config smoke/matroid-member.json"; do
+  "matroid --config smoke/matroid-member.json" \
+  "compare --config smoke/alpha-string.json" \
+  "leakage --config smoke/pl-bool.json" "matroid --config smoke/matroid-size.json"; do
   rc=0
   # shellcheck disable=SC2086  # $bad holds a command and several flags
   "${cli[@]}" $bad --outdir smoke/rejected || rc=$?
@@ -76,6 +85,16 @@ echo "== File and synthetic compare agree"
 tail -n +2 agree/file/compare.csv > agree/file.body
 tail -n +2 agree/synthetic/compare.csv > agree/synthetic.body
 cmp agree/file.body agree/synthetic.body
+
+echo "== JSON and flag alphas agree"
+# alpha is stored as a float, so a JSON 1 draws the instances --alpha 1 draws
+echo '{"instance": {"m": 8}, "alpha_sweep": [1, 2], "k_sweep": [2], "base_seed": 4}' \
+  > alpha.json
+"${cli[@]}" compare --config alpha.json --outdir alpha/json
+"${cli[@]}" compare --m 8 --alpha 1,2 --k 2 --seed 4 --outdir alpha/flag
+tail -n +2 alpha/json/compare.csv > alpha/json.body
+tail -n +2 alpha/flag/compare.csv > alpha/flag.body
+cmp alpha/json.body alpha/flag.body
 
 echo "== Leakage at p_l=0 is compare's alg2"
 # every p_l=0 row of leakage.csv holds the alg2 utility that compare.csv

@@ -38,6 +38,7 @@ from .core import (
     Instance,
     PartitionMatroid,
     Policy,
+    _check_matroid_size,
     _counts,
     ground_set_accepted,
     ground_set_viable,
@@ -146,10 +147,7 @@ def greedy_matroid(
     positive gain. 1/2 approximation for monotone submodular objectives.
     """
     _check_greedy_policy(instance, policy)
-    if matroid.m != instance.m:
-        raise ValueError(
-            f"matroid covers {matroid.m} values but the instance has {instance.m}"
-        )
+    _check_matroid_size(matroid, instance.m)
     for g, cap in zip(matroid.groups, matroid.capacities):
         if cap > len(g):
             warnings.warn(

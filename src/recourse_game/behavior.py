@@ -24,6 +24,7 @@ from .core import (
     Policy,
     _check_policy_length,
     _counts,
+    _reals,
 )
 
 # Assignment entry for individuals who receive no explanation.
@@ -385,8 +386,7 @@ def leakage_utility(
 
 def _leakage_utilities(instance, policy, A, pls) -> list[float]:
     """leakage_utility at each p_l in pls, from one target table."""
-    if not all(0.0 <= p_l <= 1.0 for p_l in pls):
-        raise ValueError("p_l must lie in [0, 1]")
+    pls = _reals(pls, "p_l", 0.0, 1.0)
     if len(A) == 0:
         return [utility(instance, policy, A)] * len(pls)
     targets = _leak_targets(instance, policy, A)
@@ -427,8 +427,7 @@ def leakage_utility_mc(
     leave the generator in the same state. The peak is the mask, the
     per-sample sums and one block.
     """
-    if not 0.0 <= p_l <= 1.0:
-        raise ValueError("p_l must lie in [0, 1]")
+    (p_l,) = _reals([p_l], "p_l", 0.0, 1.0)
     (samples,) = _counts([samples], "samples", 1)
     targets = _leak_targets(instance, policy, A)
     payoff = (policy.pi * (instance.py - instance.gamma))[targets].ravel()

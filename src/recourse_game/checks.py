@@ -148,7 +148,7 @@ def _sample_instance(
 ) -> Instance:
     while True:
         m = m_lo + rng.integers(m_hi - m_lo + 1)
-        gamma = float(rng.uniform(0.15, 0.85))
+        gamma = rng.uniform(0.15, 0.85)
         inst = generate_synthetic(
             SynthConfig(m=m, gamma=gamma, seed=rng.integers(2**62))
         )
@@ -387,7 +387,7 @@ def check_leakage_analytics(base_seed: int) -> tuple[bool, str]:
         for _ in range(size):
             picks.append(order.pop(rng.integers(len(order))))
         A = ExplanationSet(tuple(picks))
-        p_l = float(rng.uniform(0.0, 1.0))
+        p_l = rng.uniform(0.0, 1.0)
         analytic = leakage_utility(inst, policy, A, p_l)
         mc, se = leakage_utility_mc(inst, policy, A, p_l, samples=100_000, rng=rng)
         if abs(analytic - mc) > 3.0 * se + 1e-12:

@@ -10,6 +10,7 @@ never by a large finite surrogate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from operator import index
 from typing import Tuple
 
@@ -59,8 +60,8 @@ class Instance:
         object.__setattr__(self, "px", _readonly(self.px))
         object.__setattr__(self, "py", _readonly(self.py))
         object.__setattr__(self, "cost", _readonly(self.cost))
-        object.__setattr__(self, "gamma", float(self.gamma))
         _check(self)
+        object.__setattr__(self, "gamma", *_reals([self.gamma], *_GAMMA))
 
     @property
     def m(self) -> int:
@@ -69,7 +70,7 @@ class Instance:
 
 def _check(instance: Instance) -> None:
     """Raise ValueError naming the first violated instance invariant."""
-    px, py, cost, gamma = instance.px, instance.py, instance.cost, instance.gamma
+    px, py, cost = instance.px, instance.py, instance.cost
     m = px.shape[0]
     if px.ndim != 1 or py.ndim != 1 or py.shape[0] != m:
         raise ValueError("px and py must be vectors of equal length")
@@ -94,12 +95,6 @@ def _check(instance: Instance) -> None:
     if cost.diagonal().any():  # -0.0 passes, as 0.0
         i = np.flatnonzero(cost.diagonal())[0]
         raise ValueError(f"cost[{i}][{i}] must be 0")
-    _check_gamma(gamma)
-
-
-def _check_gamma(gamma: float) -> None:
-    if not (0.0 < gamma < 1.0):  # NaN fails too
-        raise ValueError(f"gamma must lie strictly in (0, 1), got {gamma:g}")
 
 
 def _counts(values, what: str, low: int | None = 0) -> Tuple[int, ...]:
@@ -116,6 +111,27 @@ def _counts(values, what: str, low: int | None = 0) -> Tuple[int, ...]:
     if low is not None and out and min(out) < low:
         raise ValueError(f"{what} must be >= {low}")
     return out
+
+
+_GAMMA = ("gamma", 0.0, 1.0, True)  # gamma's `_reals` rule: strictly inside (0, 1)
+
+
+def _reals(values, what: str, low: float, high: float, strict=False) -> tuple:
+    """The one real-parameter rule: plain floats in [low, high], or in (low,
+    high) if strict; a bool, str or None raises "<what> must be a number"."""
+    out = []
+    for v in values:
+        if type(v) is not float:  # a plain float skips the type tests
+            if isinstance(v, bool) or not isinstance(v, Real):
+                raise ValueError(f"{what} must be a number")
+            v = float(v)
+        if not (low < v < high if strict else low <= v <= high):  # NaN fails too
+            lo, hi = f"{low:g}", f"{high:g}"
+            span = f"strictly in ({lo}, {hi})" if strict else f"in [{lo}, {hi}]"
+            span = f"be >= {lo}" if high == np.inf else f"lie {span}"
+            raise ValueError(f"{what} must {span}, got {v:g}")
+        out.append(v)
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,6 +260,11 @@ def _check_policy_length(instance: Instance, pi: np.ndarray) -> None:
         raise ValueError(
             f"policy has {pi.shape[-1]} values but the instance has {instance.m}"
         )
+
+
+def _check_matroid_size(matroid: PartitionMatroid, m: int) -> None:
+    if matroid.m != m:
+        raise ValueError(f"matroid covers {matroid.m} values but the instance has {m}")
 
 
 def ground_set_accepted(instance: Instance, policy: Policy) -> ExplanationSet:

@@ -24,11 +24,12 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .core import (
+    _GAMMA,
     _ROW_BLOCK,
     Instance,
     _canonical_order,
-    _check_gamma,
     _counts,
+    _reals,
     make_instance,
 )
 
@@ -69,7 +70,7 @@ class SynthConfig:
     def __post_init__(self):
         for name, low in (("m", 2), ("seed", 0)):
             object.__setattr__(self, name, *_counts([getattr(self, name)], name, low))
-        _check_gamma(self.gamma)
+        object.__setattr__(self, "gamma", *_reals([self.gamma], *_GAMMA))
 
 
 def generate_synthetic(config: SynthConfig) -> Instance:

@@ -28,13 +28,15 @@ from .algorithms import greedy_fixed_policy, greedy_matroid, randomized_joint
 from .baselines import diverse_explanations, min_cost_explanations, threshold_policy
 from .behavior import _leakage_utilities, group_improvement, transport_matrix, utility
 from .core import (
+    _GAMMA,
     _ROW_BLOCK,
     ExplanationSet,
     Instance,
     PartitionMatroid,
     Policy,
-    _check_gamma,
+    _check_matroid_size,
     _counts,
+    _reals,
 )
 from .datagen import (
     SynthConfig,
@@ -76,7 +78,7 @@ class ExperimentConfig:
     values_path: str | None = None
     cost_path: str | None = None
     gamma: float | None = None
-    k: int = 1
+    k: int | None = None
     k_sweep: tuple[int, ...] | None = None
     alpha_sweep: tuple[float, ...] = (1.0,)
     pl_sweep: tuple[float, ...] = (0.0,)
@@ -86,16 +88,23 @@ class ExperimentConfig:
     matroid: PartitionMatroid | None = None
 
     def __post_init__(self):
-        # the one budget setting: k is always the first entry of k_sweep
+        # the one budget setting: k is always the first entry of k_sweep, and a
+        # k given beside a k_sweep must be that entry
         if self.k_sweep is None:
-            object.__setattr__(self, "k_sweep", (self.k,))
+            object.__setattr__(self, "k_sweep", (1 if self.k is None else self.k,))
         for sweep in ("k_sweep", "alpha_sweep", "pl_sweep"):
             object.__setattr__(self, sweep, tuple(getattr(self, sweep)))
             if not getattr(self, sweep):
                 raise ValueError(f"{sweep} must be nonempty")
         ks = _counts(self.k_sweep, "k and every k_sweep entry")
+        if self.k is not None and _counts([self.k], "k")[0] != ks[0]:
+            raise ValueError(f"k={self.k} is not the first entry of k_sweep={ks}")
         object.__setattr__(self, "k_sweep", ks)
         object.__setattr__(self, "k", ks[0])
+        alphas = _reals(self.alpha_sweep, "every alpha", 0.0, np.inf)
+        pls = _reals(self.pl_sweep, "every p_l", 0.0, 1.0)
+        object.__setattr__(self, "alpha_sweep", alphas)
+        object.__setattr__(self, "pl_sweep", pls)
         for name, low in (("repetitions", 1), ("base_seed", None), ("bins", 1)):
             object.__setattr__(self, name, *_counts([getattr(self, name)], name, low))
         if self.synthetic is None:
@@ -103,13 +112,12 @@ class ExperimentConfig:
                 raise ValueError("config needs a synthetic block or instance files")
             if self.gamma is None:
                 raise ValueError("file-based instances need gamma in the config")
-            _check_gamma(self.gamma)
+            object.__setattr__(self, "gamma", *_reals([self.gamma], *_GAMMA))
         elif (self.values_path, self.cost_path, self.gamma) != (None, None, None):
             raise ValueError("a synthetic config takes no instance files or gamma")
-        if not all(a >= 0.0 for a in self.alpha_sweep):  # NaN fails too
-            raise ValueError("every alpha must be >= 0")
-        if not all(0.0 <= p <= 1.0 for p in self.pl_sweep):
-            raise ValueError("every p_l must lie in [0, 1]")
+        elif self.matroid is not None and self.experiment == "matroid":
+            # only `matroid` reads the block; a file instance's m is known once read
+            _check_matroid_size(self.matroid, self.synthetic.m)
 
 
 def _write_csv(config: ExperimentConfig, name: str, header: list[str], rows) -> Path:
@@ -289,7 +297,8 @@ def run_matroid(config: ExperimentConfig) -> list[Path]:
     if config.matroid is None:
         raise ValueError("matroid experiment needs a matroid block in the config")
     # the budget is the matroid's, so its instance is seeded at matroid.k
-    inst = next(_points(replace(config, k_sweep=(config.matroid.k,)), "matroid"))[3]
+    budget = replace(config, k=None, k_sweep=(config.matroid.k,))
+    inst = next(_points(budget, "matroid"))[3]
     rows = [
         [g, _fmt(mass), n_card, n_mat, _fmt(impr_card), _fmt(impr_mat)]
         for g, (mass, n_card, n_mat, impr_card, impr_mat) in enumerate(

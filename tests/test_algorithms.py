@@ -2,6 +2,8 @@
 optimizer, and the exhaustive oracles."""
 
 import sys
+import warnings
+from dataclasses import replace
 from functools import partial
 from itertools import combinations
 
@@ -807,6 +809,20 @@ def test_matroid_warns_on_oversized_capacity(two_group):
     silly = rg.PartitionMatroid(groups=matroid.groups, capacities=(10, 1))
     with pytest.warns(UserWarning, match="capacity"):
         rg.greedy_matroid(inst, rg.threshold_policy(inst), silly)
+
+
+def test_matroid_warns_only_past_the_group_size(two_group):
+    inst, matroid = two_group
+    policy = rg.threshold_policy(inst)
+    sizes = tuple(len(g) for g in matroid.groups)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rg.greedy_matroid(inst, policy, replace(matroid, capacities=sizes))
+    over = replace(matroid, capacities=(sizes[0] + 1, *sizes[1:]))
+    with pytest.warns(UserWarning) as seen:
+        rg.greedy_matroid(inst, policy, over)
+    want = f"capacity {sizes[0] + 1} exceeds group size {sizes[0]}; effectively capped"
+    assert [str(w.message) for w in seen] == [want]
 
 
 def test_matroid_dimension_mismatch(nonmono):

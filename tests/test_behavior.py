@@ -183,6 +183,19 @@ def test_mismatched_shapes_raise_named_errors():
             call()
 
 
+def test_an_explanation_index_of_exactly_m_is_refused():
+    # the range gate's boundary: m is the first index past 0..m-1
+    inst = rg.generate_synthetic(rg.SynthConfig(m=8, gamma=0.3, seed=0))
+    policy, edge = rg.threshold_policy(inst), rg.ExplanationSet((8,))
+    for call in (
+        partial(rg.utility, inst, policy, edge),
+        partial(rg.best_respond, inst, policy, edge),
+        partial(rg.joint_objective, inst, edge),
+    ):
+        with pytest.raises(ValueError, match=r"^explanation index 8 outside 0\.\.7$"):
+            call()
+
+
 # -- best response and utility ----------------------------------------------
 
 def test_best_respond_witness_utilities(nonmono):
@@ -446,6 +459,28 @@ def test_leakage_rejects_bad_probability():
     inst = leaky_instance()
     with pytest.raises(ValueError):
         rg.leakage_utility(inst, rg.threshold_policy(inst), rg.ExplanationSet((0,)), 1.5)
+
+
+@pytest.mark.parametrize("p_l", [True, np.True_, "0.5", None])
+def test_leakage_refuses_a_p_l_that_is_not_a_number(p_l):
+    # True is refused, not run as p_l = 1
+    inst = leaky_instance()
+    policy, A = rg.threshold_policy(inst), rg.ExplanationSet((0, 1))
+    with pytest.raises(ValueError, match="^p_l must be a number$"):
+        rg.leakage_utility(inst, policy, A, p_l)
+    with pytest.raises(ValueError, match="^p_l must be a number$"):
+        rg.leakage_utility_mc(inst, policy, A, p_l, 10, rg.seeded_rng(0))
+
+
+def test_leakage_reads_a_numpy_p_l_as_its_float():
+    inst = leaky_instance()
+    policy, A = rg.threshold_policy(inst), rg.ExplanationSet((0, 1))
+    assert rg.leakage_utility(inst, policy, A, np.float32(0.5)) == rg.leakage_utility(
+        inst, policy, A, 0.5
+    )
+    runs = [rg.leakage_utility_mc(inst, policy, A, p, 50, rg.seeded_rng(0))
+            for p in (np.float32(0.5), 0.5)]
+    assert runs[0] == runs[1]
 
 
 def test_leakage_mc_rejects_bad_sample_counts():

@@ -56,6 +56,21 @@ def test_validate_reports_bad_gamma_and_diagonal():
     _rejects({"cost": [[0.0, 1.0]]}, "cost must be 2x2, got (1, 2)")
 
 
+@pytest.mark.parametrize("gamma", [True, False, np.True_, "0.3", None, 0.3 + 0j])
+def test_gamma_must_be_a_number(gamma):
+    # bool and str are refused, not read as 1.0 or parsed
+    _rejects({"gamma": gamma}, "gamma must be a number")
+    with pytest.raises(ValueError, match="^gamma must be a number$"):
+        rg.SynthConfig(m=6, gamma=gamma)
+
+
+@pytest.mark.parametrize("gamma", [0.25, np.float32(0.25), np.float64(0.25)])
+def test_gamma_is_stored_as_a_plain_float(gamma):
+    for holder in (rg.Instance(**{**BASIC, "gamma": gamma}),
+                   rg.SynthConfig(m=6, gamma=gamma)):
+        assert type(holder.gamma) is float and holder.gamma == 0.25
+
+
 @pytest.mark.parametrize("first, second", [(-0.5, np.nan), (np.nan, -0.5)])
 def test_validate_reports_the_first_bad_cost_in_row_major_order(first, second):
     cost = np.ones((3, 3))

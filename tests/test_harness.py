@@ -27,7 +27,6 @@ def small_config(outdir, **overrides) -> ExperimentConfig:
         experiment="test",
         outdir=str(outdir),
         synthetic=rg.SynthConfig(m=18, gamma=0.3, seed=0),
-        k=2,
         k_sweep=(2,),
         alpha_sweep=(1.0,),
         pl_sweep=(0.0, 0.5),
@@ -202,7 +201,7 @@ def test_group_balance_is_what_matroid_writes(tmp_path):
     )
     config = small_config(tmp_path, matroid=matroid)
     _, rows = read_rows(*run_matroid(config))
-    seeded_at_budget = replace(config, k_sweep=(matroid.k,))
+    seeded_at_budget = replace(config, k=None, k_sweep=(matroid.k,))
     alpha, k, rep, inst, _ = next(harness._points(seeded_at_budget, "matroid"))
     assert (alpha, k, rep) == (1.0, matroid.k, 0)
     table = harness.group_balance(inst, matroid)
@@ -960,14 +959,35 @@ def test_a_sweep_a_command_does_not_read_runs_at_its_first_entry(tmp_path, comma
     assert _bodies(run(widened)) == _bodies(run(first))
 
 
-# -- one budget setting and the gamma rule ----------------------------------------
+# -- one budget setting and the real-parameter rule -------------------------------
 
 def test_k_is_the_first_entry_of_k_sweep():
     base = dict(experiment="compare", outdir="o", synthetic=rg.SynthConfig(m=6))
     assert ExperimentConfig(**base).k_sweep == (1,)
     assert ExperimentConfig(**base, k=3).k_sweep == (3,)
-    config = ExperimentConfig(**base, k=9, k_sweep=(2, 4))
+    # a k beside a k_sweep must be its first entry; it is not overwritten
+    refused = r"^k=9 is not the first entry of k_sweep=\(2, 4\)$"
+    with pytest.raises(ValueError, match=refused):
+        ExperimentConfig(**base, k=9, k_sweep=(2, 4))
+    config = ExperimentConfig(**base, k=np.int64(2), k_sweep=(2, 4))
     assert (config.k, config.k_sweep) == (2, (2, 4))
+    # so a replaced k_sweep takes k=None (or its new first entry) beside it
+    assert replace(config, k=None, k_sweep=(5,)).k == 5
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [
+        pytest.param(7, r"^k=7 is not the first entry of k_sweep=\(2,\)$", id="other"),
+        pytest.param(2.5, "^k must be an integer$", id="non-integer"),
+        pytest.param(np.float64(2.0), "^k must be an integer$", id="numpy-float"),
+        pytest.param(-1, "^k must be >= 0$", id="negative"),
+    ],
+)
+def test_a_k_beside_k_sweep_must_be_its_first_entry(k, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(experiment="compare", outdir="o",
+                         synthetic=rg.SynthConfig(m=6), k=k, k_sweep=(2,))
 
 
 def test_k_flag_and_json_k_sweep_build_equal_configs(cli_config):
@@ -1020,3 +1040,121 @@ def test_configs_refuse_gamma_outside_the_unit_interval(gamma):
             experiment="compare", outdir="o", values_path="v", cost_path="c",
             gamma=gamma,
         )
+
+
+def test_integer_alphas_draw_the_instances_float_alphas_draw(tmp_path):
+    # alpha is stored as a float, so the instance seed hashes "1.0" for each
+    bodies = []
+    for n, alphas in enumerate([(1.0, 2.0), (1, 2), (np.int64(1), np.float64(2.0))]):
+        config = small_config(tmp_path / str(n), alpha_sweep=alphas)
+        assert config.alpha_sweep == (1.0, 2.0)
+        assert all(type(a) is float for a in config.alpha_sweep)
+        bodies.append(_bodies(run_compare(config)))
+    assert bodies[1] == bodies[0]
+    assert bodies[2] == bodies[0]
+
+
+def test_cli_json_and_flag_alphas_write_the_same_compare(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instance": {"m": 8}, "alpha_sweep": [1, 2],
+                               "k_sweep": [2]}))
+    by_json = ["compare", "--config", str(cfg), "--outdir", str(tmp_path / "json")]
+    by_flag = ["compare", "--m", "8", "--alpha", "1,2", "--k", "2",
+               "--outdir", str(tmp_path / "flag")]
+    assert cli.main(by_json) == 0 and cli.main(by_flag) == 0
+    paths = [tmp_path / out / "compare.csv" for out in ("json", "flag")]
+    assert _bodies(paths[:1]) == _bodies(paths[1:])
+
+
+def test_float32_parameters_are_stored_and_run_as_plain_floats(tmp_path):
+    f32 = small_config(
+        tmp_path / "f32", synthetic=rg.SynthConfig(m=18, gamma=np.float32(0.25)),
+        alpha_sweep=(np.float32(2.0),), pl_sweep=(np.float32(0.5),),
+    )
+    plain = small_config(
+        tmp_path / "plain", synthetic=rg.SynthConfig(m=18, gamma=0.25),
+        alpha_sweep=(2.0,), pl_sweep=(0.5,),
+    )
+    values = (f32.synthetic.gamma, *f32.alpha_sweep, *f32.pl_sweep)
+    assert values == (0.25, 2.0, 0.5)
+    assert all(type(v) is float for v in values)
+    for run in (run_compare, run_leakage):
+        assert _bodies(run(f32)) == _bodies(run(plain))
+    files = ExperimentConfig(experiment="compare", outdir="o", values_path="v",
+                             cost_path="c", gamma=np.float32(0.25))
+    assert type(files.gamma) is float and files.gamma == 0.25
+
+
+FILES = dict(synthetic=None, values_path="v", cost_path="c")
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        pytest.param(dict(alpha_sweep=(True,)), "every alpha", id="alpha-bool"),
+        pytest.param(dict(alpha_sweep=(1.0, "2")), "every alpha", id="alpha-str"),
+        pytest.param(dict(pl_sweep=(0.5, np.False_)), "every p_l", id="pl-numpy-bool"),
+        pytest.param(dict(pl_sweep=(None,)), "every p_l", id="pl-none"),
+        pytest.param(dict(FILES, gamma=True), "gamma", id="gamma-bool"),
+        pytest.param(dict(FILES, gamma="0.3"), "gamma", id="gamma-str"),
+    ],
+)
+def test_configs_refuse_a_real_parameter_that_is_not_a_number(overrides, message):
+    with pytest.raises(ValueError, match=f"^{message} must be a number$"):
+        small_config("o", **overrides)
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        pytest.param("compare", {"alpha_sweep": [True]}, "every alpha",
+                     id="alpha-bool"),
+        pytest.param("compare", {"alpha_sweep": ["1"]}, "every alpha",
+                     id="alpha-str"),
+        pytest.param("leakage", {"pl_sweep": [True]}, "every p_l", id="pl-bool"),
+        pytest.param("compare", {"instance": {"m": 6, "gamma": True}}, "gamma",
+                     id="synthetic-gamma-bool"),
+        pytest.param("compare",
+                     {"instance": {**FILE_CONFIG["instance"], "gamma": False}},
+                     "gamma", id="file-gamma-bool"),
+    ],
+)
+def test_cli_refuses_a_real_parameter_that_is_not_a_number(
+    cli_config, capsys, command, config, message
+):
+    assert cli_config([command], config) == 2
+    assert f"{message} must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, config, sizes",
+    [
+        pytest.param(["matroid"], {**SIX, "instance": {"m": 8}}, (6, 8), id="json"),
+        pytest.param(["matroid", "--m", "8"], SIX, (6, 8), id="m-flag"),
+        # --m overrides the JSON m, which the five-value block then misses
+        pytest.param(["matroid", "--m", "20"],
+                     {"instance": {"m": 5}, "matroid": FULL_CONFIG["matroid"]},
+                     (5, 20), id="m-flag-over-json"),
+    ],
+)
+def test_a_matroid_block_that_misses_the_instance_is_a_usage_error(
+    cli_config, capsys, argv, config, sizes
+):
+    # refused when the config is built, before any instance is drawn
+    assert cli_config(argv, config) == 2
+    covers, m = sizes
+    assert f"matroid covers {covers} values but the instance has {m}" in (
+        capsys.readouterr().err
+    )
+    six = rg.PartitionMatroid(**SIX["matroid"])
+    with pytest.raises(ValueError, match="^matroid covers 6 values but the instance"):
+        ExperimentConfig(experiment="matroid", outdir="o", matroid=six,
+                         synthetic=rg.SynthConfig(m=8))
+    # the other commands never read the block, so they run beside it
+    other = ExperimentConfig(experiment="compare", outdir="o", matroid=six,
+                             synthetic=rg.SynthConfig(m=8))
+    assert other.matroid == six
+    # a file instance's m is known only once its files are read
+    files = ExperimentConfig(experiment="matroid", outdir="o", matroid=six,
+                             values_path="v", cost_path="c", gamma=0.3)
+    assert files.matroid == six

@@ -27,6 +27,22 @@ echo "== Console script smoke test"
   --costs smoke/instance/instance_cost.csv --gamma 0.3 --k 2 \
   --outdir smoke/results
 test -s smoke/results/compare.csv
+# gamma below every py rejects nobody (a fixed-policy state with no
+# columns) and above every py accepts nobody (every value a column); either
+# way min_cost, diverse and alg1 move nobody and read black_box's utility
+awk -F, 'NR > 1 && ($2 <= 0.001 || $2 >= 0.999) { exit 1 }' \
+  smoke/instance/instance_values.csv \
+  || { echo "a py outside (0.001, 0.999): the gamma runs test nothing"; exit 1; }
+for gamma in 0.001 0.999; do
+  "${cli[@]}" compare --values smoke/instance/instance_values.csv \
+    --costs smoke/instance/instance_cost.csv --gamma "$gamma" --k 2 \
+    --outdir "smoke/gamma-$gamma"
+  awk -F, 'NR > 2 { u[$4] = $5 "" } END {
+    b = u["black_box"]
+    exit !(b != "" && u["min_cost"] == b && u["diverse"] == b && u["alg1"] == b)
+  }' "smoke/gamma-$gamma/compare.csv" \
+    || { echo "gamma $gamma: a fixed-policy regime differs from black_box"; exit 1; }
+done
 "${cli[@]}" leakage --m 20 --k 0,2 --pl 0,0.5 --outdir smoke/leakage
 grep -q '^0,' smoke/leakage/leakage.csv
 "${cli[@]}" transport --m 20 --k 0 --outdir smoke/transport

@@ -41,11 +41,15 @@ def adaptation_matrix(instance: Instance, policy: Policy) -> np.ndarray:
     The inequality is exact (>=); infinite costs compare as -inf and can never
     satisfy it, and the diagonal is always True because cost[i, i] = 0.
     """
-    pi, cost, m = policy.pi, instance.cost, instance.m
-    region = np.empty((m, m), dtype=bool)
-    for s in range(0, m, _ROW_BLOCK):
-        rows = slice(s, s + _ROW_BLOCK)
-        np.greater_equal(pi - cost[rows], pi[rows, None], out=region[rows])
+    return _region_rows(instance, policy.pi, np.arange(instance.m))
+
+
+def _region_rows(instance: Instance, pi: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """R[rows] under acceptance probabilities pi, filled in row blocks."""
+    region = np.empty((len(rows), instance.m), dtype=bool)
+    for s in range(0, len(rows), _ROW_BLOCK):
+        r = rows[s : s + _ROW_BLOCK]
+        np.greater_equal(pi - instance.cost[r], pi[r, None], out=region[s : s + r.size])
     return region
 
 
@@ -185,29 +189,32 @@ class MarginalState:
     """Per-individual cache for O(m) marginal gains at A, for the joint
     objective and for a fixed policy, which is the joint case with pi frozen.
 
-    near[x, i] says i can adapt to x once x is offered; it is built once per
-    solver call and shared, read-only, by later states. The joint near also
-    holds py[x] > py[i]: for a viable x, a pair without it meets only a value
-    that follows a higher outcome (gain term ±0, take test false). rejected
-    marks pi < 1, flippable the accepted values outside A that a better
-    candidate within unit cost flips to rejection (none at a fixed policy),
-    value[i] is i's current utility per unit mass, and moving[i] says
-    whether i follows an explanation.
+    near[x, c] says the c-th value of cols can adapt to x once x is offered;
+    it is built once per solver call and shared, read-only, by later states.
+    Its columns are every value in the joint state (cols = slice(None)) and,
+    at a fixed policy, the rejected values in index order, the only ones that
+    move. The joint near also holds py[x] > py[i]: for a viable x, a pair
+    without it meets only a value that follows a higher outcome (gain term
+    ±0, take test false). rejected marks pi < 1, flippable the accepted
+    values outside A that a better candidate within unit cost flips to
+    rejection (none at a fixed policy), value[i] is i's current utility per
+    unit mass, and moving[i] says whether i follows an explanation.
     """
 
     near: np.ndarray
+    cols: np.ndarray | slice
     rejected: np.ndarray
     flippable: np.ndarray
     value: np.ndarray
     moving: np.ndarray
 
 
-def _advanced(instance: Instance, pi, near, flippable, A) -> MarginalState:
+def _advanced(instance: Instance, pi, near, cols, flippable, A) -> MarginalState:
     """The state at ∅ under pi (nobody moves, value = pi * (py - gamma)),
     advanced over A one member at a time."""
     value = pi * (instance.py - instance.gamma)
     moving = np.zeros(instance.m, dtype=bool)
-    state = MarginalState(near, pi < 1.0, flippable, value, moving)
+    state = MarginalState(near, cols, pi < 1.0, flippable, value, moving)
     for x in A.indices:
         state = _advance(instance, state, x)
     return state
@@ -226,8 +233,9 @@ def fixed_marginal_state(
     members must be accepted (pi = 1)."""
     _check_policy_length(instance, policy.pi)
     _check_drawn_from(_members(instance, A), policy.pi == 1.0, "accepted")
-    near = np.ascontiguousarray(adaptation_matrix(instance, policy).T)
-    return _advanced(instance, policy.pi, near, np.zeros(instance.m, dtype=bool), A)
+    cols = (policy.pi < 1.0).nonzero()[0]
+    near = np.ascontiguousarray(_region_rows(instance, policy.pi, cols).T)
+    return _advanced(instance, policy.pi, near, cols, np.zeros(instance.m, bool), A)
 
 
 def joint_marginal_state(instance: Instance, A: ExplanationSet) -> MarginalState:
@@ -244,34 +252,45 @@ def joint_marginal_state(instance: Instance, A: ExplanationSet) -> MarginalState
         lo, top = above[s], above[e - 1]  # only lo:top needs the comparison
         np.less_equal(instance.cost.T[s:e, lo:], 1.0, out=near[s:e, lo:])
         near[s:e, lo:top] &= py[s:e, None] > py[lo:top]
-    return _advanced(instance, viable.astype(float), near, viable, A)
+    return _advanced(instance, viable.astype(float), near, slice(None), viable, A)
+
+
+def _widened(state: MarginalState, block: np.ndarray) -> np.ndarray:
+    """block, over near's columns, as rows over every value, zero elsewhere."""
+    if block.shape[-1] == state.value.size:  # the columns are every value
+        return block
+    rows = np.zeros(block.shape[:-1] + state.value.shape, dtype=block.dtype)
+    rows.T[state.cols] = block.T  # on the first axis: numpy's fast path for a row
+    return rows
 
 
 def _gains(instance: Instance, state: MarginalState, xs) -> np.ndarray:
     """Marginal gains of the candidates xs (none in A) from one numpy pass
-    over a len(xs) x m block: x's own mass, the values it flips (who then
-    adapt to it), and the rejected values that reach it and do better there.
+    over a len(xs) x len(cols) block: x's own mass, the values it flips (who
+    then adapt to it), and the rejected values that reach it and do better.
 
-    Every term is a full-row masked sum, and a row sum of a C-contiguous
-    block equals that row's 1-D sum, so a gain is bit-identical in any block.
-    A mask is a product, not a branch per entry: a masked entry is +0.0 or
-    -0.0, which changes no nonzero sum.
+    Every term is a full-row masked sum, widened with zeros to all m values
+    first, and a row sum of a C-contiguous block equals that row's 1-D sum,
+    so a gain is bit-identical in any block. A mask is a product, not a
+    branch per entry: a masked entry is +0.0 or -0.0, which changes no
+    nonzero sum.
     """
-    px = instance.px
+    px, cols = instance.px, state.cols
     xs = np.asarray(xs, dtype=int)
     base = instance.py[xs] - instance.gamma
     # movers only switch to a better target; max(diff, -inf) is diff exactly
-    floor = np.where(state.moving, 0.0, -np.inf)
-    term = np.subtract.outer(base, state.value)
+    floor = np.where(state.moving[cols], 0.0, -np.inf)
+    term = np.subtract.outer(base, state.value[cols])
     np.maximum(term, floor, out=term)
-    term *= px
+    term *= px[cols]
     near = state.near[xs]  # a fancy-index copy, masked in place below
     gain = px[xs] * (base - state.value[xs])
-    if state.flippable.any():  # flippable values stay: term is px * diff
+    if state.flippable.any():  # joint only, over every value; they stay: px * diff
         gain += (term * (near & state.flippable)).sum(axis=1)  # product mask
-    near &= state.rejected
-    near[np.arange(xs.size), xs] = False
+    near &= state.rejected[cols]
     term *= near  # product mask, in place
+    term = _widened(state, term)
+    term[np.arange(xs.size), xs] = 0.0  # x's own mass is counted above
     # a row of masked -0.0 entries sums to -0.0 where a sum starts from its
     # first entry (numpy 2.4 starts from +0.0); `+ 0.0` makes it +0.0 anyway
     return gain + term.sum(axis=1) + 0.0
@@ -281,24 +300,25 @@ def _coverage(instance: Instance, state: MarginalState, xs) -> np.ndarray:
     """Rejected mass that can adapt to each candidate in xs and follows no
     explanation yet: the diverse baseline's coverage gain. A zero-filled
     full-row sum, so bit-identical in any block and monotone as A grows."""
-    mask = state.near[np.asarray(xs, dtype=int)] & state.rejected & ~state.moving
-    return np.where(mask, instance.px, 0.0).sum(axis=1)
+    open_ = (state.rejected & ~state.moving)[state.cols]
+    mask = state.near[np.asarray(xs, dtype=int)] & open_
+    return _widened(state, np.where(mask, instance.px[state.cols], 0.0)).sum(axis=1)
 
 
 def _advance(instance: Instance, state: MarginalState, x: int) -> MarginalState:
-    """The state at A ∪ {x}: x is accepted and stays, the values it flips
-    adapt to it, and the rejected values that reach it take it when they
-    stay today or do better there."""
+    """The state at A ∪ {x}: x is accepted and stays (its own entries are
+    set last), the values it flips adapt to it, and the rejected values that
+    reach it take it when they stay today or do better there."""
     base = instance.py[x] - instance.gamma
-    flips = state.near[x] & state.flippable  # near holds py[x] > py
-    takes = state.near[x] & state.rejected & (~state.moving | (base > state.value))
-    takes[x] = False
+    near = _widened(state, state.near[x])
+    flips = near & state.flippable  # near holds py[x] > py
+    takes = near & state.rejected & (~state.moving | (base > state.value))
     value = np.where(flips | takes, base, state.value)
     moving = state.moving | flips | takes
     rejected = state.rejected | flips
     flippable = state.flippable & ~flips
     value[x], moving[x], rejected[x], flippable[x] = base, False, False, False
-    return MarginalState(state.near, rejected, flippable, value, moving)
+    return MarginalState(state.near, state.cols, rejected, flippable, value, moving)
 
 
 def marginal_gain_fixed(

@@ -128,6 +128,15 @@ def equivalence_cases(tag: str, n: int = 200):
         yield inst, 1 + rng.integers(4)
 
 
+def full_near(state) -> np.ndarray:
+    """A marginal state's reach matrix over all m values, the form the
+    references read: near's columns at the state's cols, False elsewhere."""
+    m = state.value.size
+    near = np.zeros((m, m), dtype=bool)
+    near[:, state.cols] = state.near
+    return near
+
+
 # The per-candidate gain kernels that the batched one replaced, reading the
 # merged state: compressed sums over the affected individuals only. Zero
 # terms change the summation tree, so they agree with the batched kernel to
@@ -135,7 +144,7 @@ def equivalence_cases(tag: str, n: int = 200):
 
 def ref_fixed_gain(inst: rg.Instance, state, x: int) -> float:
     base = inst.py[x] - inst.gamma
-    affected = state.near[x] & state.rejected
+    affected = full_near(state)[x] & state.rejected
     delta = np.where(
         state.moving, np.maximum(base - state.value, 0.0), base - state.value
     )
@@ -145,8 +154,9 @@ def ref_fixed_gain(inst: rg.Instance, state, x: int) -> float:
 def ref_joint_gain(inst: rg.Instance, state, x: int) -> float:
     px, py = inst.px, inst.py
     base = py[x] - inst.gamma
-    flips = state.flippable & (py[x] > py) & state.near[x]
-    reachable = state.rejected & state.near[x]
+    near = full_near(state)[x]
+    flips = state.flippable & (py[x] > py) & near
+    reachable = state.rejected & near
     reachable[x] = False
     gain = px[x] * (base - state.value[x])
     gain += float(np.sum(px[flips] * (base - state.value[flips])))
@@ -166,7 +176,7 @@ def ref_where_gains(inst: rg.Instance, state, xs) -> np.ndarray:
     base = py[xs] - inst.gamma
     floor = np.where(state.moving, 0.0, -np.inf)
     term = px * np.maximum(base[:, None] - state.value, floor)
-    near = state.near[xs]
+    near = full_near(state)[xs]
     gain = px[xs] * (base - state.value[xs])
     if state.flippable.any():
         flips = near & state.flippable & (py[xs, None] > py)
@@ -176,6 +186,13 @@ def ref_where_gains(inst: rg.Instance, state, xs) -> np.ndarray:
     return gain + np.where(reach, term, 0.0).sum(axis=1)
 
 
+def ref_where_coverage(inst: rg.Instance, state, xs) -> np.ndarray:
+    """The coverage kernel on the full-width near: a zero-filled sum over
+    all m values."""
+    mask = full_near(state)[np.asarray(xs, dtype=int)] & state.rejected
+    return np.where(mask & ~state.moving, inst.px, 0.0).sum(axis=1)
+
+
 # The step before the joint reach matrix held the outcome order: its flip
 # test compares outcomes itself. Read with the plain reach matrix
 # cost.T <= 1, it must give what _advance gives on the joint state's.
@@ -183,8 +200,9 @@ def ref_where_gains(inst: rg.Instance, state, xs) -> np.ndarray:
 def ref_ordered_advance(inst: rg.Instance, state, x: int):
     py = inst.py
     base = py[x] - inst.gamma
-    flips = state.near[x] & state.flippable & (py[x] > py)
-    takes = state.near[x] & state.rejected & (~state.moving | (base > state.value))
+    near = full_near(state)[x]
+    flips = near & state.flippable & (py[x] > py)
+    takes = near & state.rejected & (~state.moving | (base > state.value))
     takes[x] = False
     value = np.where(flips | takes, base, state.value)
     moving = state.moving | flips | takes
@@ -284,7 +302,8 @@ def assert_oracles_match_the_per_set_loop(inst: rg.Instance, policy, k: int, A) 
 def ref_state(inst: rg.Instance, policy, A) -> tuple:
     """(near, rejected, flippable, value, moving) at A for utility(policy, ·),
     or, with policy None, for h under optimal_policy_for(A), whose near
-    also holds the outcome order py[x] > py[i]."""
+    also holds the outcome order py[x] > py[i]. near is full_near's m x m
+    form: at a fixed policy, False outside the rejected columns."""
     joint = policy is None
     if joint:
         policy = rg.optimal_policy_for(inst, A)
@@ -292,11 +311,36 @@ def ref_state(inst: rg.Instance, policy, A) -> tuple:
         flippable = policy.pi == 1.0
         flippable[list(A.indices)] = False
     else:
-        near = np.ascontiguousarray(adaptation_matrix(inst, policy).T)
+        near = adaptation_matrix(inst, policy).T & (policy.pi < 1.0)
         flippable = np.zeros(inst.m, dtype=bool)
     moved = rg.best_respond(inst, policy, A).moved
     value = policy.pi[moved] * (inst.py[moved] - inst.gamma)
     return near, policy.pi < 1.0, flippable, value, moved != np.arange(inst.m)
+
+
+def column_set_cases(n: int = 40):
+    """(name, instance, policy) on small instances, one of each set of
+    columns that a fixed-policy state can hold: none (a policy that rejects
+    nothing), every value (one that accepts nothing), rejected values that
+    are not a suffix (accepts 0 and 2, rejects 1 and the rest) and the
+    rejected values of a stochastic monotone policy. Every other instance
+    is tie-heavy."""
+    rng = rg.seeded_rng(rg.derive_seed(0, "column-sets"))
+    for t in range(n):
+        m = 3 + int(rng.integers(10))
+        inst = tie_heavy_instance(rng, m) if t % 2 else random_instance(rng, m)
+        # outcomes moved above gamma = 0.25: every value is viable
+        viable = rg.make_instance(inst.px, 0.5 + inst.py / 2, inst.cost, 0.25)
+        some = np.zeros(m)
+        some[[0, 2]] = 1.0
+        # one acceptance probability per outcome, 1 from top up, 0 below gamma
+        top, gamma = (1.0 + inst.gamma) / 2, inst.gamma
+        graded = 0.9 * (inst.py - gamma) / (top - gamma)
+        graded = np.where(inst.py >= gamma, graded, 0.0)
+        yield "rejects nothing", viable, rg.Policy(np.ones(m))
+        yield "accepts nothing", inst, rg.Policy(np.zeros(m))
+        yield "not a suffix", viable, rg.Policy(some)
+        yield "stochastic", inst, rg.Policy(np.where(inst.py >= top, 1.0, graded))
 
 
 # The per-individual leakage loops that the vectorized target table

@@ -7,12 +7,14 @@ import pytest
 
 import recourse_game as rg
 from conftest import (
+    column_set_cases,
     equivalence_cases,
     min_cost_one_row_per_block,
     random_instance,
     traced_peak,
 )
-from recourse_game.behavior import adaptation_matrix
+from recourse_game import baselines
+from recourse_game.behavior import _coverage, adaptation_matrix
 
 
 def _min_cost_objective(
@@ -254,6 +256,23 @@ def test_diverse_lazy_matches_eager():
         assert rg.diverse_explanations(inst, policy, k).indices == eager_diverse(
             inst, policy, k
         )
+
+
+def test_diverse_on_every_column_set_matches_eager(monkeypatch):
+    # no columns, every column, a non-suffix and a stochastic policy's; no
+    # coverage call scores an empty block of candidates
+    calls = []
+
+    def checked(instance, state, xs):
+        assert len(xs) > 0
+        calls.append(len(xs))
+        return _coverage(instance, state, xs)
+
+    monkeypatch.setattr(baselines, "_coverage", checked)
+    for _, inst, policy in column_set_cases():
+        got = rg.diverse_explanations(inst, policy, 3).indices
+        assert got == eager_diverse(inst, policy, 3)
+    assert calls
 
 
 def test_diverse_coverage_guarantee():

@@ -8,11 +8,14 @@ import pytest
 
 import recourse_game as rg
 from conftest import (
+    column_set_cases,
     equivalence_cases,
     random_instance,
     ref_fixed_gain,
     ref_leak_payoff,
     ref_leakage_utility,
+    ref_ordered_advance,
+    ref_where_coverage,
     ref_where_gains,
     subset,
     tie_heavy_instance,
@@ -20,6 +23,8 @@ from conftest import (
 )
 from recourse_game.behavior import (
     _MC_ROWS,
+    _advance,
+    _coverage,
     _followed,
     _gains,
     _leak_targets,
@@ -335,6 +340,42 @@ def test_gains_never_return_negative_zero():
     got = _gains(inst, state, [1])
     assert got.tobytes() == ref_where_gains(inst, state, [1]).tobytes()
     assert got[0] == 0.0 and not np.signbit(got[0])
+
+
+def test_kernels_on_every_column_set_match_the_full_width_form():
+    # the fixed state holds its rejected columns only; at every state along
+    # the accepted values, every value outside A is scored and stepped to,
+    # rejected ones too, and gives the bytes of its full-width form
+    # (ref_ordered_advance's outcome test reads no value: nothing is
+    # flippable at a fixed policy)
+    seen = set()
+    for name, inst, policy in column_set_cases():
+        state = fixed_marginal_state(inst, policy)
+        cols = np.flatnonzero(policy.pi < 1.0)
+        assert state.cols.tolist() == cols.tolist()
+        assert state.near.shape == (inst.m, cols.size)
+        seen.add((name, cols.size == 0, cols.size == inst.m))
+        A = []
+        for pick in [*np.flatnonzero(policy.pi == 1.0).tolist(), None]:
+            xs = [x for x in range(inst.m) if x not in A]
+            for kernel, ref in (
+                (_gains, ref_where_gains), (_coverage, ref_where_coverage)
+            ):
+                if xs:
+                    got, want = kernel(inst, state, xs), ref(inst, state, xs)
+                    assert got.tobytes() == want.tobytes()
+            for x in xs:
+                got, want = _advance(inst, state, x), ref_ordered_advance(inst, state, x)
+                for field in ("rejected", "flippable", "value", "moving"):
+                    assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+                assert got.near is state.near and got.cols is state.cols
+            if pick is not None:
+                state = _advance(inst, state, pick)
+                A.append(pick)
+    assert {("rejects nothing", True, False), ("accepts nothing", False, True)} <= seen
+    assert {name for name, *_ in seen} == {
+        "rejects nothing", "accepts nothing", "not a suffix", "stochastic"
+    }
 
 
 def test_monotone_and_submodular_sampled():

@@ -16,6 +16,7 @@ st = hypothesis.strategies
 
 from conftest import (  # noqa: E402
     assert_oracles_match_the_per_set_loop,
+    full_near,
     is_feasible,
     min_cost_one_row_per_block,
     ref_assignment,
@@ -244,7 +245,8 @@ def test_one_set_utility_equals_its_batched_row(inst, data):
 
 
 def assert_state_is(state, ref) -> None:
-    arrays = (state.near, state.rejected, state.flippable, state.value, state.moving)
+    near = full_near(state)
+    arrays = (near, state.rejected, state.flippable, state.value, state.moving)
     for got, want in zip(arrays, ref):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -298,7 +300,7 @@ def test_gains_are_byte_identical_to_the_where_kernel(inst, data):
 def assert_steps_agree(got, want) -> None:
     """Two states hold the same bytes in every array but near."""
     fields = (want.rejected, want.flippable, want.value, want.moving)
-    assert_state_is(got, (got.near, *fields))
+    assert_state_is(got, (full_near(got), *fields))
 
 
 @hypothesis.given(instances, st.data())

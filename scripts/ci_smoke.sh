@@ -23,6 +23,12 @@ cd "$work"
 
 echo "== Console script smoke test"
 "${cli[@]}" generate --m 10 --seed 3 --outdir smoke/instance
+# every CSV is written with "\n" line ends, never "\r\n"
+if grep -q $'\r' smoke/instance/instance_values.csv smoke/instance/instance_cost.csv
+then
+  echo "generate wrote a CR byte"
+  exit 1
+fi
 "${cli[@]}" compare --values smoke/instance/instance_values.csv \
   --costs smoke/instance/instance_cost.csv --gamma 0.3 --k 2 \
   --outdir smoke/results
@@ -56,6 +62,7 @@ test -s smoke/matroid/matroid.csv
 echo '{"repetition": 20}' > smoke/unknown-key.json
 echo '{"instance": {"m": 6, "symmetric": true}}' > smoke/removed-key.json
 echo '{"instance": {"m": 6}, "k_sweep": [2.5]}' > smoke/non-integer.json
+echo '{"instance": {"m": 6}, "k_sweep": [true]}' > smoke/bool-k.json
 echo '{"instance": {"m": 6}, "k": 2}' > smoke/bare-k.json
 # a second alpha or k that the command would not read is refused
 echo '{"instance": {"m": 6, "gamma": 0.3}, "k_sweep": [2, 3],
@@ -77,7 +84,7 @@ echo '{"instance": {"m": 8, "gamma": 0.3},
   > smoke/matroid-size.json
 for bad in "compare --config smoke/unknown-key.json" \
   "compare --config smoke/removed-key.json" \
-  "compare --config smoke/non-integer.json" \
+  "compare --config smoke/non-integer.json" "compare --config smoke/bool-k.json" \
   "compare --config smoke/bare-k.json" "compare --m 10 --k 2 --alpha nan" \
   "compare --m 10 --gamma 1.5" "transport --m 10 --k 2,3" \
   "generate --m 10 --alpha 1,2" "matroid --config smoke/matroid-sweep.json" \

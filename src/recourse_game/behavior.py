@@ -22,8 +22,10 @@ from .core import (
     ExplanationSet,
     Instance,
     Policy,
+    _bin_edges,
     _check_policy_length,
     _counts,
+    _partition,
     _reals,
 )
 
@@ -355,17 +357,17 @@ def transport_matrix(
     """Mass moved between outcome bins by the best response.
 
     Cell (r, c) accumulates px[i] for every mover i -> j with py[i] in bin r
-    and py[j] in bin c; bins split [0, 1] into equal widths with the top edge
-    closed. Non-movers are not recorded, so the matrix total equals the total
-    moved mass.
+    and py[j] in bin c; bin b is [edges[b], edges[b + 1]) of `_bin_edges`,
+    the top one closed. Non-movers are not recorded, so the matrix total
+    equals the total moved mass.
     """
     (bins,) = _counts([bins], "bins", 1)
     res = best_respond(instance, policy, A)
     movers = np.flatnonzero(res.moved != np.arange(instance.m))
     out = np.zeros((bins, bins))
-    src = np.minimum((instance.py[movers] * bins).astype(int), bins - 1)
-    dst = np.minimum((instance.py[res.moved[movers]] * bins).astype(int), bins - 1)
-    np.add.at(out, (src, dst), instance.px[movers])
+    where = np.searchsorted(_bin_edges(bins), instance.py, "right") - 1
+    np.minimum(where, bins - 1, out=where)
+    np.add.at(out, (where[movers], where[res.moved[movers]]), instance.px[movers])
     return out
 
 
@@ -487,10 +489,7 @@ def group_improvement(
     divided by the rejected mass of z; stayers contribute zero improvement
     and a group with no rejected mass scores 0.
     """
-    groups = [_counts(g, "every group member") for g in groups]
-    flat = [i for g in groups for i in g]
-    if sorted(flat) != list(range(instance.m)):
-        raise ValueError("groups must partition 0..m-1")
+    groups = _partition(groups, "every group member", instance.m)
     res = best_respond(instance, policy, A)
     gain = instance.px * (instance.py[res.moved] - instance.py)
     rejected = policy.pi < 1.0

@@ -100,17 +100,33 @@ def _check(instance: Instance) -> None:
 def _counts(values, what: str, low: int | None = 0) -> Tuple[int, ...]:
     """The one count rule: plain ints, each >= low unless low is None, or a
     ValueError "<what> must be an integer" or "<what> must be >= <low>".
-    index, not int (which truncates 1.7 to 1), so a NumPy integer passes."""
+    index, not int (which truncates 1.7 to 1), so a NumPy integer passes; a
+    bool, which index reads as 0 or 1, goes in as None and is refused."""
     # A list, not a generator: tuple(<generator>) builds by resizing, which
     # skips CPython's per-length tuple free lists on allocation but refills
     # them on release, so resident memory crept with every solver call.
     try:
-        out = tuple([index(v) for v in values])
+        out = tuple([index(None if type(v) is bool else v) for v in values])
     except TypeError:
         raise ValueError(f"{what} must be an integer") from None
     if low is not None and out and min(out) < low:
         raise ValueError(f"{what} must be >= {low}")
     return out
+
+
+def _partition(groups, what: str, m: int | None = None) -> Tuple[Tuple[int, ...], ...]:
+    """The one partition rule: tuples of counts (`what` to `_counts`) that are
+    disjoint and cover exactly 0..m-1, m being their total size when None."""
+    groups = tuple(_counts(g, what) for g in groups)
+    flat = sorted(i for g in groups for i in g)
+    if flat != list(range(len(flat) if m is None else m)):
+        raise ValueError("groups must be disjoint and cover exactly 0..m-1")
+    return groups
+
+
+def _bin_edges(bins: int) -> np.ndarray:
+    """The one definition of the outcome bins' edges: b / bins, b = 0..bins."""
+    return np.arange(bins + 1) / bins
 
 
 _GAMMA = ("gamma", 0.0, 1.0, True)  # gamma's `_reals` rule: strictly inside (0, 1)
@@ -200,15 +216,10 @@ class PartitionMatroid:
     capacities: Tuple[int, ...]
 
     def __post_init__(self):
-        groups = tuple(_counts(g, "every matroid group member") for g in self.groups)
+        groups = _partition(self.groups, "every matroid group member")
         caps = _counts(self.capacities, "every matroid capacity")
         if len(groups) != len(caps):
             raise ValueError("groups and capacities must have equal length")
-        flat = [i for g in groups for i in g]
-        if len(set(flat)) != len(flat):
-            raise ValueError("groups must be pairwise disjoint")
-        if set(flat) != set(range(len(flat))):
-            raise ValueError("groups must cover exactly 0..m-1")
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "capacities", caps)
 

@@ -203,17 +203,22 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+def _write_rows(path, rows, first_line: str = "") -> Path:
+    """The one CSV writer: make path's directory, write first_line verbatim,
+    then the rows, each ended by a line feed alone."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as f:
+        f.write(first_line)
+        csv.writer(f, lineterminator="\n").writerows(rows)
+    return path
+
+
 def save_instance(instance: Instance, values_path, cost_path) -> None:
     """Write px/py and the cost matrix; floats keep full round-trip precision."""
-    with open(values_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["px", "py"])
-        for p, y in zip(instance.px, instance.py):
-            w.writerow([_fmt(p), _fmt(y)])
-    with open(cost_path, "w", newline="") as f:
-        w = csv.writer(f)
-        for row in instance.cost:
-            w.writerow([_fmt(c) for c in row])
+    values = zip(map(_fmt, instance.px), map(_fmt, instance.py))
+    _write_rows(values_path, [["px", "py"], *values])
+    _write_rows(cost_path, ([_fmt(c) for c in row] for row in instance.cost))
 
 
 def _parse_float(token: str, path, line_no: int) -> float:
@@ -221,6 +226,19 @@ def _parse_float(token: str, path, line_no: int) -> float:
         return float(token)
     except ValueError:
         raise ValueError(f"{path}: line {line_no}: bad float {token!r}") from None
+
+
+def _data_rows(reader, path, width: int, first: int):
+    """The one row reader: (line number, fields) of each nonblank row, the
+    next being line `first`; a row not `width` fields wide is refused."""
+    for line_no, row in enumerate(reader, start=first):
+        if not row:
+            continue
+        if len(row) != width:
+            raise ValueError(
+                f"{path}: line {line_no}: expected {width} fields, got {len(row)}"
+            )
+        yield line_no, row
 
 
 def load_instance(values_path, cost_path, gamma: float) -> Instance:
@@ -232,13 +250,9 @@ def load_instance(values_path, cost_path, gamma: float) -> Instance:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["px", "py"]:
             raise ValueError(f"{values_path}: line 1: expected header 'px,py'")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{values_path}: line {line_no}: expected 2 fields")
-            px.append(_parse_float(row[0], values_path, line_no))
-            py.append(_parse_float(row[1], values_path, line_no))
+        for line_no, (p, y) in _data_rows(reader, values_path, 2, 2):
+            px.append(_parse_float(p, values_path, line_no))
+            py.append(_parse_float(y, values_path, line_no))
     m = len(px)
     if m == 0:
         raise ValueError(f"{values_path}: no data rows")
@@ -246,13 +260,7 @@ def load_instance(values_path, cost_path, gamma: float) -> Instance:
     cost = np.empty((m, m))
     rows = 0
     with open(cost_path, newline="") as f:
-        for line_no, row in enumerate(csv.reader(f), start=1):
-            if not row:
-                continue
-            if len(row) != m:
-                raise ValueError(
-                    f"{cost_path}: line {line_no}: expected {m} fields, got {len(row)}"
-                )
+        for line_no, row in _data_rows(csv.reader(f), cost_path, m, 1):
             dest = cost[rows] if rows < m else np.empty(m)  # surplus rows parse too
             dest[:] = [_parse_float(t, cost_path, line_no) for t in row]
             rows += 1
@@ -262,15 +270,11 @@ def load_instance(values_path, cost_path, gamma: float) -> Instance:
 
 
 def save_feature_table(table: FeatureTable, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(table.names)
-        w.writerow(table.kinds)
-        for r in range(table.m):
-            w.writerow([
-                _fmt(col[r]) if kind != KIND_DISCRETE else str(col[r])
-                for kind, col in zip(table.kinds, table.columns)
-            ])
+    columns = [
+        [str(v) for v in col] if kind == KIND_DISCRETE else [_fmt(v) for v in col]
+        for kind, col in zip(table.kinds, table.columns)
+    ]
+    _write_rows(path, [table.names, table.kinds, *zip(*columns)])
 
 
 def load_feature_table(path) -> FeatureTable:
@@ -285,25 +289,13 @@ def load_feature_table(path) -> FeatureTable:
         for k in kinds:
             if k not in _KINDS:
                 raise ValueError(f"{path}: line 2: unknown column kind {k!r}")
-        raw_rows = []
-        for line_no, row in enumerate(reader, start=3):
-            if not row:
-                continue
-            if len(row) != len(names):
-                raise ValueError(
-                    f"{path}: line {line_no}: expected {len(names)} fields"
-                )
-            raw_rows.append((line_no, row))
-    columns = []
-    for c, kind in enumerate(kinds):
-        if kind == KIND_DISCRETE:
-            columns.append(np.array([row[c] for _, row in raw_rows], dtype=object))
-        else:
-            columns.append(
-                np.array([
-                    _parse_float(row[c], path, line_no) for line_no, row in raw_rows
-                ])
-            )
+        raw_rows = list(_data_rows(reader, path, len(names), 3))
+    columns = [
+        np.array([row[c] for _, row in raw_rows], dtype=object)
+        if kind == KIND_DISCRETE
+        else np.array([_parse_float(row[c], path, n) for n, row in raw_rows])
+        for c, kind in enumerate(kinds)
+    ]
     return FeatureTable(
         names=tuple(n.strip() for n in names),
         kinds=tuple(kinds),

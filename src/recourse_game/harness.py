@@ -14,10 +14,9 @@ adding sweep points never perturbs existing rows.
 
 from __future__ import annotations
 
-import csv
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from itertools import product
 from pathlib import Path
 from typing import Iterator
@@ -34,6 +33,7 @@ from .core import (
     Instance,
     PartitionMatroid,
     Policy,
+    _bin_edges,
     _check_matroid_size,
     _counts,
     _reals,
@@ -41,6 +41,7 @@ from .core import (
 from .datagen import (
     SynthConfig,
     _fmt,
+    _write_rows,
     derive_seed,
     generate_synthetic,
     load_instance,
@@ -78,7 +79,7 @@ class ExperimentConfig:
     values_path: str | None = None
     cost_path: str | None = None
     gamma: float | None = None
-    k: int | None = None
+    k: InitVar[int | None] = None  # read into k_sweep, never stored
     k_sweep: tuple[int, ...] | None = None
     alpha_sweep: tuple[float, ...] = (1.0,)
     pl_sweep: tuple[float, ...] = (0.0,)
@@ -87,20 +88,19 @@ class ExperimentConfig:
     bins: int = 10
     matroid: PartitionMatroid | None = None
 
-    def __post_init__(self):
-        # the one budget setting: k is always the first entry of k_sweep, and a
-        # k given beside a k_sweep must be that entry
+    def __post_init__(self, k):
+        # the one budget setting is k_sweep: a k given beside it must be its
+        # first entry
         if self.k_sweep is None:
-            object.__setattr__(self, "k_sweep", (1 if self.k is None else self.k,))
+            object.__setattr__(self, "k_sweep", (1 if k is None else k,))
         for sweep in ("k_sweep", "alpha_sweep", "pl_sweep"):
             object.__setattr__(self, sweep, tuple(getattr(self, sweep)))
             if not getattr(self, sweep):
                 raise ValueError(f"{sweep} must be nonempty")
         ks = _counts(self.k_sweep, "k and every k_sweep entry")
-        if self.k is not None and _counts([self.k], "k")[0] != ks[0]:
-            raise ValueError(f"k={self.k} is not the first entry of k_sweep={ks}")
+        if k is not None and _counts([k], "k")[0] != ks[0]:
+            raise ValueError(f"k={k} is not the first entry of k_sweep={ks}")
         object.__setattr__(self, "k_sweep", ks)
-        object.__setattr__(self, "k", ks[0])
         alphas = _reals(self.alpha_sweep, "every alpha", 0.0, np.inf)
         pls = _reals(self.pl_sweep, "every p_l", 0.0, 1.0)
         object.__setattr__(self, "alpha_sweep", alphas)
@@ -122,19 +122,13 @@ class ExperimentConfig:
 
 def _write_csv(config: ExperimentConfig, name: str, header: list[str], rows) -> Path:
     """Write outdir/name: the provenance line, then the header and rows."""
-    path = Path(config.outdir) / name
-    path.parent.mkdir(parents=True, exist_ok=True)
     # vars, not asdict, which deep-copies every field (a matroid's m indices)
     echo = json.dumps(config, default=vars, sort_keys=True)
-    with open(path, "w", newline="") as f:
-        f.write(
-            f"# recourse-game {TOOL_VERSION} | base_seed={config.base_seed} "
-            f"| config={echo}\n"
-        )
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
+    provenance = (
+        f"# recourse-game {TOOL_VERSION} | base_seed={config.base_seed} "
+        f"| config={echo}\n"
+    )
+    return _write_rows(Path(config.outdir) / name, [header, *rows], provenance)
 
 
 def _scale_costs(instance: Instance, alpha: float) -> Instance:
@@ -196,13 +190,10 @@ def regime_solution(
 
 def run_generate(config: ExperimentConfig) -> list[Path]:
     """Write compare's instance at the first alpha and k, repetition 0, to CSV."""
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     inst = next(_points(config, "generate"))[3]
-    values = outdir / "instance_values.csv"
-    costs = outdir / "instance_cost.csv"
-    save_instance(inst, values, costs)
-    return [values, costs]
+    paths = [Path(config.outdir) / f"instance_{n}.csv" for n in ("values", "cost")]
+    save_instance(inst, *paths)
+    return paths
 
 
 def run_compare(config: ExperimentConfig) -> list[Path]:
@@ -238,7 +229,7 @@ def run_leakage(config: ExperimentConfig) -> list[Path]:
 
 
 def _bin_labels(bins: int) -> list[str]:
-    edges = np.linspace(0.0, 1.0, bins + 1)
+    edges = _bin_edges(bins)
     out = []
     for b in range(bins):
         close = "]" if b == bins - 1 else ")"
@@ -296,9 +287,10 @@ def run_matroid(config: ExperimentConfig) -> list[Path]:
     """Group balance of cardinality- vs matroid-constrained explanations."""
     if config.matroid is None:
         raise ValueError("matroid experiment needs a matroid block in the config")
-    # the budget is the matroid's, so its instance is seeded at matroid.k
-    budget = replace(config, k=None, k_sweep=(config.matroid.k,))
-    inst = next(_points(budget, "matroid"))[3]
+    # the budget is the matroid's, so its instance is seeded, and its
+    # provenance line written, at matroid.k
+    config = replace(config, k_sweep=(config.matroid.k,))
+    inst = next(_points(config, "matroid"))[3]
     rows = [
         [g, _fmt(mass), n_card, n_mat, _fmt(impr_card), _fmt(impr_mat)]
         for g, (mass, n_card, n_mat, impr_card, impr_mat) in enumerate(

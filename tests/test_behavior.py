@@ -36,7 +36,7 @@ from recourse_game.behavior import (
     marginal_gain_fixed,
     marginal_gain_joint,
 )
-from recourse_game.harness import _scale_costs
+from recourse_game.harness import _bin_labels, _scale_costs
 
 
 def rational_monotone_policy(rng, inst) -> rg.Policy:
@@ -412,6 +412,26 @@ def test_transport_witness_mass_lands_in_top_bin(nonmono):
     assert out[4, 9] == pytest.approx(0.1)
     assert out[:, 9].sum() == pytest.approx(0.9)
     assert out.sum() == pytest.approx(0.9)
+
+
+@pytest.mark.parametrize("bins", [5, 10, 20, 50, 80, 100])
+def test_transport_bins_a_value_on_an_edge_above_it(bins):
+    # a mover at py = b / bins lands in bin b, whose label starts at that
+    # edge: at 50 bins 0.58 is bin 29, [0.58,0.6), where floor(0.58 * 50)
+    # gives 28, labelled [0.56,0.58)
+    py = [1.0] + [b / bins for b in reversed(range(bins))]
+    cost = np.full((bins + 1, bins + 1), rg.INFINITE_COST)
+    cost[:, 0] = 0.5
+    np.fill_diagonal(cost, 0.0)
+    inst = rg.make_instance(np.full(bins + 1, 1.0 / (bins + 1)), py, cost, 0.3)
+    policy = rg.Policy(np.array([1.0] + [0.0] * bins))
+    out = rg.transport_matrix(inst, policy, rg.ExplanationSet((0,)), bins)
+    assert np.array_equal(np.flatnonzero(out[:, -1]), np.arange(bins))
+    assert np.count_nonzero(out) == bins
+    labels = _bin_labels(bins)
+    assert all(labels[b].startswith(f"[{b / bins:.3g},") for b in range(bins))
+    if bins == 50:
+        assert labels[29] == "[0.58,0.6)" and out[29, -1] > 0.0
 
 
 def test_transport_conserves_moved_mass():

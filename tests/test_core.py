@@ -223,6 +223,14 @@ def test_policy_validation_and_determinism_flag():
     assert not rg.Policy([1.0, 0.5]).is_deterministic()
 
 
+@pytest.mark.parametrize(
+    "pi", [0.5, [[1.0, 0.0]], np.zeros((2, 2))], ids=["scalar", "nested", "matrix"]
+)
+def test_policy_must_be_a_vector(pi):
+    with pytest.raises(ValueError, match="^policy must be a vector$"):
+        rg.Policy(pi)
+
+
 def test_outcome_monotonicity_detection():
     inst = rg.make_instance([0.5, 0.5], [0.9, 0.8], np.zeros((2, 2)), 0.3)
     assert rg.is_outcome_monotonic(inst, rg.Policy([0.7, 0.4]))
@@ -247,7 +255,8 @@ def test_explanation_set_semantics():
 
 def test_explanation_set_refuses_non_integral_indices():
     message = "^every explanation index must be an integer$"
-    for bad in ((1.7, 2.2), (2, 1.0), (np.float64(3.0),), ("1",)):
+    # a bool is refused too, though operator.index reads True as 1
+    for bad in ((1.7, 2.2), (2, 1.0), (np.float64(3.0),), ("1",), (True,), (0, False)):
         with pytest.raises(ValueError, match=message):
             rg.ExplanationSet(bad)
     with pytest.raises(ValueError, match="must be an integer"):

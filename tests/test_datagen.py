@@ -1,6 +1,7 @@
 """Synthetic generation, percentile-shift cost matrices, file round trips."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -352,6 +353,85 @@ def test_load_instance_validates_invariants(tmp_path):
     costs.write_text("0.0,1.0\n1.0,0.0\n")
     with pytest.raises(ValueError, match="nonincreasing"):
         rg.load_instance(values, costs, gamma=0.3)
+
+
+def test_crlf_files_and_blank_rows_load_the_same_instance(tmp_path):
+    # earlier versions wrote "\r\n" line ends; files are now written with "\n"
+    inst = rg.generate_synthetic(rg.SynthConfig(m=9, gamma=0.3, seed=2))
+    lf = tmp_path / "v.csv", tmp_path / "c.csv"
+    rg.save_instance(inst, *lf)
+    texts = [path.read_bytes() for path in lf]
+    assert not any(b"\r" in text for text in texts)
+    variants = {
+        "crlf": [text.replace(b"\n", b"\r\n") for text in texts],
+        "blank": [text.replace(b"\n", b"\n\n") for text in texts],
+    }
+    want = rg.load_instance(*lf, gamma=0.3)
+    for name, (values, costs) in variants.items():
+        paths = tmp_path / f"{name}-v.csv", tmp_path / f"{name}-c.csv"
+        paths[0].write_bytes(values)
+        paths[1].write_bytes(costs)
+        got = rg.load_instance(*paths, gamma=0.3)
+        for field in ("px", "py", "cost"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+
+def _table(names=("a",), kinds=(KIND_ACTIONABLE,), columns=((1.0, 2.0),)):
+    return rg.FeatureTable(names, kinds, tuple(np.array(c) for c in columns))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda d: rg.load_instance(d / "head.csv", d / "c.csv", 0.3),
+            "/head.csv: no data rows", id="values-no-rows",
+        ),
+        pytest.param(
+            lambda d: rg.load_feature_table(d / "names.csv"),
+            "/names.csv: need a name row and a kind row", id="table-no-kinds",
+        ),
+        pytest.param(
+            lambda d: rg.load_feature_table(d / "empty.csv"),
+            "/empty.csv: need a name row and a kind row", id="table-empty",
+        ),
+        pytest.param(
+            lambda d: rg.load_feature_table(d / "kind.csv"),
+            "/kind.csv: line 2: unknown column kind 'weird'", id="table-kind",
+        ),
+        pytest.param(
+            lambda d: rg.load_feature_table(d / "ragged.csv"),
+            "/ragged.csv: line 4: expected 2 fields, got 1", id="table-width",
+        ),
+        pytest.param(
+            lambda d: _table(kinds=(KIND_ACTIONABLE, KIND_DISCRETE)),
+            "names, kinds and columns must align", id="kinds-misaligned",
+        ),
+        pytest.param(
+            lambda d: _table(columns=((1.0,), (2.0,))),
+            "names, kinds and columns must align", id="columns-misaligned",
+        ),
+        pytest.param(
+            lambda d: _table(("a", "b"), (KIND_ACTIONABLE,) * 2, ((1.0, 2.0), (3.0,))),
+            "all columns must have the same number of rows", id="ragged-columns",
+        ),
+        pytest.param(
+            lambda d: rg.build_cost_matrix(_table(), px=[0.5, 0.25, 0.25]),
+            "px must have one weight per row", id="px-shape",
+        ),
+    ],
+)
+def test_file_and_table_refusals(tmp_path, call, message):
+    (tmp_path / "head.csv").write_text("px,py\n\n")
+    (tmp_path / "c.csv").write_text("0.0\n")
+    (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "names.csv").write_text("a,b\n")
+    (tmp_path / "kind.csv").write_text("a,b\nactionable,weird\n1.0,2.0\n")
+    (tmp_path / "ragged.csv").write_text("a,b\nactionable,discrete\n1.0,x\n2.0\n")
+    # a file's message starts with its path, tmp_path / name
+    where = re.escape(str(tmp_path))
+    with pytest.raises(ValueError, match=f"(^|{where}){re.escape(message)}$"):
+        call(tmp_path)
 
 
 def test_feature_table_round_trip(tmp_path):

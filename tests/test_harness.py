@@ -201,7 +201,7 @@ def test_group_balance_is_what_matroid_writes(tmp_path):
     )
     config = small_config(tmp_path, matroid=matroid)
     _, rows = read_rows(*run_matroid(config))
-    seeded_at_budget = replace(config, k=None, k_sweep=(matroid.k,))
+    seeded_at_budget = replace(config, k_sweep=(matroid.k,))
     alpha, k, rep, inst, _ = next(harness._points(seeded_at_budget, "matroid"))
     assert (alpha, k, rep) == (1.0, matroid.k, 0)
     table = harness.group_balance(inst, matroid)
@@ -467,13 +467,12 @@ def test_numpy_integer_counts_are_stored_as_int(tmp_path):
     counts = (
         np_config.synthetic.m,
         np_config.synthetic.seed,
-        np_config.k,
         *np_config.k_sweep,
         np_config.repetitions,
         np_config.base_seed,
         np_config.bins,
     )
-    assert counts == (8, 1, 2, 2, 0, 2, 5, 3)
+    assert counts == (8, 1, 2, 0, 2, 5, 3)
     assert all(type(n) is int for n in counts)
     plain = replace(
         np_config,
@@ -837,6 +836,12 @@ def test_cli_rejects_unknown_keys(cli_config, capsys, argv, config, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", [[], [{"k_sweep": [2]}], "k", 2], ids=repr)
+def test_cli_refuses_a_config_that_is_not_an_object(cli_config, capsys, config):
+    assert cli_config(["compare"], config) == 2
+    assert "the config must be a JSON object" in capsys.readouterr().err
+
+
 K_INTEGER = "k and every k_sweep entry must be an integer"
 
 
@@ -850,6 +855,7 @@ K_INTEGER = "k and every k_sweep entry must be an integer"
             {"repetitions": 1.5}, "repetitions must be an integer", id="repetitions"
         ),
         pytest.param({"k_sweep": [2, 3.5]}, K_INTEGER, id="k_sweep"),
+        pytest.param({"k_sweep": [True]}, K_INTEGER, id="k-bool"),
         pytest.param({"bins": 2.5}, "bins must be an integer", id="bins"),
         pytest.param(
             {"base_seed": 1.5}, "base_seed must be an integer", id="base_seed"
@@ -970,9 +976,9 @@ def test_k_is_the_first_entry_of_k_sweep():
     with pytest.raises(ValueError, match=refused):
         ExperimentConfig(**base, k=9, k_sweep=(2, 4))
     config = ExperimentConfig(**base, k=np.int64(2), k_sweep=(2, 4))
-    assert (config.k, config.k_sweep) == (2, (2, 4))
-    # so a replaced k_sweep takes k=None (or its new first entry) beside it
-    assert replace(config, k=None, k_sweep=(5,)).k == 5
+    assert config.k_sweep == (2, 4)
+    # k is not stored, so a replaced k_sweep needs no k beside it
+    assert replace(config, k_sweep=(5,)).k_sweep == (5,)
 
 
 @pytest.mark.parametrize(
@@ -994,7 +1000,7 @@ def test_k_flag_and_json_k_sweep_build_equal_configs(cli_config):
     by_flag = cli_config(["compare", "--k", "5,10"])
     by_json = cli_config(["compare"], {"k_sweep": [5, 10]})
     assert by_flag == by_json
-    assert (by_flag.k, by_flag.k_sweep) == (5, (5, 10))
+    assert by_flag.k_sweep == (5, 10)
 
 
 @pytest.mark.parametrize(

@@ -33,6 +33,23 @@ fi
   --costs smoke/instance/instance_cost.csv --gamma 0.3 --k 2 \
   --outdir smoke/results
 test -s smoke/results/compare.csv
+# blank lines are skipped anywhere, before the header too: the same body
+{ echo; cat smoke/instance/instance_values.csv; } > smoke/blank_values.csv
+"${cli[@]}" compare --values smoke/blank_values.csv \
+  --costs smoke/instance/instance_cost.csv --gamma 0.3 --k 2 \
+  --outdir smoke/blank
+cmp <(tail -n +2 smoke/results/compare.csv) <(tail -n +2 smoke/blank/compare.csv)
+# a line number is the physical line: one record spans lines 2 and 3, so
+# the bad float is reported on line 4, and the run exits 1
+printf 'px,py\n"0.5\n",0.9\n0.5,abc\n' > smoke/quoted_values.csv
+printf '0.0,1.0\n1.0,0.0\n' > smoke/quoted_cost.csv
+rc=0
+"${cli[@]}" compare --values smoke/quoted_values.csv \
+  --costs smoke/quoted_cost.csv --gamma 0.3 --outdir smoke/quoted \
+  2> smoke/quoted.err || rc=$?
+test "$rc" -eq 1 || { echo "quoted record: exit $rc, expected 1"; exit 1; }
+grep -q "quoted_values.csv: line 4: bad float 'abc'" smoke/quoted.err \
+  || { echo "quoted record: stderr does not name line 4"; cat smoke/quoted.err; exit 1; }
 # gamma below every py rejects nobody (a fixed-policy state with no
 # columns) and above every py accepts nobody (every value a column); either
 # way min_cost, diverse and alg1 move nobody and read black_box's utility
@@ -98,6 +115,14 @@ for bad in "compare --config smoke/unknown-key.json" \
   test "$rc" -eq 2 || { echo "$bad: exit $rc, expected 2"; exit 1; }
 done
 test ! -e smoke/rejected  # no rejected command wrote anything
+# an outdir that is not a path is a usage error before anything is drawn;
+# run outside the loop above, whose --outdir would override the JSON value
+echo '{"instance": {"m": 6}, "outdir": 5}' > smoke/outdir-int.json
+mkdir smoke/pathless
+rc=0
+(cd smoke/pathless && "${cli[@]}" compare --config ../outdir-int.json) || rc=$?
+test "$rc" -eq 2 || { echo "outdir 5: exit $rc, expected 2"; exit 1; }
+test -z "$(ls -A smoke/pathless)" || { echo "outdir 5: wrote files"; exit 1; }
 
 echo "== File and synthetic compare agree"
 "${cli[@]}" generate --m 12 --k 2 --seed 2 --outdir agree/instance

@@ -49,9 +49,13 @@ def adaptation_matrix(instance: Instance, policy: Policy) -> np.ndarray:
 def _region_rows(instance: Instance, pi: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """R[rows] under acceptance probabilities pi, filled in row blocks."""
     region = np.empty((len(rows), instance.m), dtype=bool)
+    buffer = np.empty((min(len(rows), _ROW_BLOCK), instance.m))  # the one float block
     for s in range(0, len(rows), _ROW_BLOCK):
         r = rows[s : s + _ROW_BLOCK]
-        np.greater_equal(pi - instance.cost[r], pi[r, None], out=region[s : s + r.size])
+        # the rows are in range; "clip" gathers straight into out, "raise" via a copy
+        block = np.take(instance.cost, r, axis=0, out=buffer[: r.size], mode="clip")
+        np.subtract(pi, block, out=block)
+        np.greater_equal(block, pi[r, None], out=region[s : s + r.size])
     return region
 
 

@@ -458,7 +458,7 @@ def check_determinism(base_seed: int) -> tuple[bool, str]:
         )
         config = harness.ExperimentConfig(
             experiment="determinism-probe",
-            outdir=str(outdir),
+            outdir=outdir,
             synthetic=SynthConfig(m=30, gamma=0.3, seed=11),
             k_sweep=(3,),
             pl_sweep=(0.0, 0.5),

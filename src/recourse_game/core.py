@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from numbers import Real
 from operator import index
+from pathlib import PurePath
 from typing import Tuple
 
 import numpy as np
@@ -112,6 +113,14 @@ def _counts(values, what: str, low: int | None = 0) -> Tuple[int, ...]:
     if low is not None and out and min(out) < low:
         raise ValueError(f"{what} must be >= {low}")
     return out
+
+
+def _paths(values, what: str) -> Tuple[str, ...]:
+    """The one path rule: each a str or a pathlib.PurePath, stored as a str,
+    or a ValueError "<what> must be a path"."""
+    if not all(isinstance(v, (str, PurePath)) for v in values):
+        raise ValueError(f"{what} must be a path")
+    return tuple([str(v) for v in values])
 
 
 def _partition(groups, what: str, m: int | None = None) -> Tuple[Tuple[int, ...], ...]:
@@ -237,7 +246,8 @@ def make_instance(px, py, cost, gamma: float) -> Instance:
     than PROB_SUM_TOL but by no more than NORMALIZE_WINDOW is rescaled; any
     other px is stored bit for bit. Raises ValueError on a broken invariant."""
     px = np.array(px, dtype=float)
-    total = float(px.sum())
+    with np.errstate(invalid="ignore"):  # inf + -inf; _check refuses the -inf
+        total = float(px.sum())
     if PROB_SUM_TOL < abs(total - 1.0) <= NORMALIZE_WINDOW:
         px /= total
     return Instance(px=px, py=py, cost=cost, gamma=gamma)

@@ -10,6 +10,7 @@ infinite entry. gamma is supplied by configuration, not stored.
 Feature table: a header row of column names, one metadata row declaring each
 column as ``actionable``, ``actionable_up`` (its percentile may never
 decrease) or ``discrete``, then one data row per feature value.
+Blank lines are skipped anywhere; errors name the file and the physical line.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import csv
 import hashlib
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Sequence, Tuple
 
@@ -161,6 +163,8 @@ def build_cost_matrix(table: FeatureTable, px: Sequence[float] | None = None) ->
     total); omit it for plain row counting.
     """
     m = table.m
+    if m == 0:
+        raise ValueError("the table has no rows")
     if px is None:
         w = np.full(m, 1.0 / m)
     else:
@@ -228,45 +232,48 @@ def _parse_float(token: str, path, line_no: int) -> float:
         raise ValueError(f"{path}: line {line_no}: bad float {token!r}") from None
 
 
-def _data_rows(reader, path, width: int, first: int):
-    """The one row reader: (line number, fields) of each nonblank row, the
-    next being line `first`; a row not `width` fields wide is refused."""
-    for line_no, row in enumerate(reader, start=first):
-        if not row:
-            continue
-        if len(row) != width:
-            raise ValueError(
-                f"{path}: line {line_no}: expected {width} fields, got {len(row)}"
-            )
-        yield line_no, row
+def _data_rows(path, width: int | None = None):
+    """The one CSV reader: (physical line it starts on, fields) per nonblank
+    record, each `width` fields wide, or as wide as the first if width is None."""
+    with open(Path(path), newline="") as f:
+        reader, end = csv.reader(f), 0  # end: the last physical line read
+        for row in reader:
+            line, end = end + 1, reader.line_num
+            if not row:
+                continue
+            width = len(row) if width is None else width
+            if len(row) != width:
+                raise ValueError(
+                    f"{path}: line {line}: expected {width} fields, got {len(row)}"
+                )
+            yield line, row
 
 
 def load_instance(values_path, cost_path, gamma: float) -> Instance:
     """Read an instance back from the two CSV files; validates invariants."""
-    values_path, cost_path = Path(values_path), Path(cost_path)
-    px, py = [], []
-    with open(values_path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["px", "py"]:
-            raise ValueError(f"{values_path}: line 1: expected header 'px,py'")
-        for line_no, (p, y) in _data_rows(reader, values_path, 2, 2):
-            px.append(_parse_float(p, values_path, line_no))
-            py.append(_parse_float(y, values_path, line_no))
-    m = len(px)
-    if m == 0:
+    gamma = _reals([gamma], *_GAMMA)[0]  # an argument, not a file's fault
+    records, px, py = _data_rows(values_path), [], []
+    line, header = next(records, (0, ["px", "py"]))  # an empty file: no data rows
+    if [h.strip() for h in header] != ["px", "py"]:
+        raise ValueError(f"{values_path}: line {line}: expected header 'px,py'")
+    for line, (p, y) in records:
+        px.append(_parse_float(p, values_path, line))
+        py.append(_parse_float(y, values_path, line))
+    if not px:
         raise ValueError(f"{values_path}: no data rows")
-
+    m, rows = len(px), 0
     cost = np.empty((m, m))
-    rows = 0
-    with open(cost_path, newline="") as f:
-        for line_no, row in _data_rows(csv.reader(f), cost_path, m, 1):
-            dest = cost[rows] if rows < m else np.empty(m)  # surplus rows parse too
-            dest[:] = [_parse_float(t, cost_path, line_no) for t in row]
-            rows += 1
+    for line, row in _data_rows(cost_path, m):
+        dest = cost[rows] if rows < m else np.empty(m)  # surplus rows parse too
+        dest[:] = [_parse_float(t, cost_path, line) for t in row]
+        rows += 1
     if rows != m:
         raise ValueError(f"{cost_path}: expected {m} rows, got {rows}")
-    return make_instance(px, py, cost, gamma)
+    try:
+        return make_instance(px, py, cost, gamma)
+    except ValueError as exc:  # name the file a broken invariant was read from
+        where = cost_path if str(exc).startswith("cost") else values_path
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def save_feature_table(table: FeatureTable, path) -> None:
@@ -278,26 +285,23 @@ def save_feature_table(table: FeatureTable, path) -> None:
 
 
 def load_feature_table(path) -> FeatureTable:
-    path = Path(path)
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        names = next(reader, None)
-        kinds = next(reader, None)
-        if names is None or kinds is None:
-            raise ValueError(f"{path}: need a name row and a kind row")
-        kinds = [k.strip() for k in kinds]
-        for k in kinds:
-            if k not in _KINDS:
-                raise ValueError(f"{path}: line 2: unknown column kind {k!r}")
-        raw_rows = list(_data_rows(reader, path, len(names), 3))
+    records = _data_rows(path)  # the kind and data rows are as wide as the names
+    head = list(islice(records, 2))
+    if len(head) < 2:
+        raise ValueError(f"{path}: need a name row and a kind row")
+    (_, names), (line, kinds) = head
+    kinds = [k.strip() for k in kinds]
+    for k in kinds:
+        if k not in _KINDS:
+            raise ValueError(f"{path}: line {line}: unknown column kind {k!r}")
+    raw_rows = list(records)
+    if not raw_rows:
+        raise ValueError(f"{path}: no data rows")
     columns = [
         np.array([row[c] for _, row in raw_rows], dtype=object)
         if kind == KIND_DISCRETE
         else np.array([_parse_float(row[c], path, n) for n, row in raw_rows])
         for c, kind in enumerate(kinds)
     ]
-    return FeatureTable(
-        names=tuple(n.strip() for n in names),
-        kinds=tuple(kinds),
-        columns=tuple(columns),
-    )
+    names = tuple(n.strip() for n in names)
+    return FeatureTable(names, tuple(kinds), tuple(columns))

@@ -36,6 +36,7 @@ from .core import (
     _bin_edges,
     _check_matroid_size,
     _counts,
+    _paths,
     _reals,
 )
 from .datagen import (
@@ -71,7 +72,8 @@ SWEEPS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs: instance source, sweeps, seeds, output."""
+    """Everything a run needs: instance source, sweeps, seeds, output. Paths
+    may be strings or pathlib paths and are stored as strings."""
 
     experiment: str
     outdir: str
@@ -107,9 +109,12 @@ class ExperimentConfig:
         object.__setattr__(self, "pl_sweep", pls)
         for name, low in (("repetitions", 1), ("base_seed", None), ("bins", 1)):
             object.__setattr__(self, name, *_counts([getattr(self, name)], name, low))
+        object.__setattr__(self, "outdir", *_paths([self.outdir], "outdir"))
         if self.synthetic is None:
             if self.values_path is None or self.cost_path is None:
                 raise ValueError("config needs a synthetic block or instance files")
+            for name in ("values_path", "cost_path"):
+                object.__setattr__(self, name, *_paths([getattr(self, name)], name))
             if self.gamma is None:
                 raise ValueError("file-based instances need gamma in the config")
             object.__setattr__(self, "gamma", *_reals([self.gamma], *_GAMMA))

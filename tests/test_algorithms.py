@@ -27,6 +27,7 @@ from conftest import (
     traced_peak,
 )
 from recourse_game import algorithms, baselines
+from recourse_game.checks import check_randomized_joint_guarantee
 from recourse_game.behavior import (
     _advance,
     _coverage,
@@ -362,6 +363,14 @@ def test_shared_slot_prefixes_are_stepped_once(monkeypatch, seed, k):
         ref = rg.randomized_joint(inst, k, rg.seeded_rng(r))
         assert sol.explanations.indices == ref.explanations.indices
         assert repr(sol.utility) == repr(ref.utility)
+
+
+def test_randomized_guarantee_criterion_advances_156_times(monkeypatch):
+    # the shared-prefix stepping's count on the criterion's 20 instances of
+    # 200 streams each; stepping every stream alone takes 6,134 advances
+    counts = count_steps(monkeypatch)
+    assert check_randomized_joint_guarantee(0).passed
+    assert counts["advance"] == 156
 
 
 def test_kernel_gain_is_batch_invariant():
@@ -774,9 +783,9 @@ def test_randomized_joint_peaks_below_the_cost_matrix():
     ],
 )
 def test_solvers_make_no_float_copy_of_the_cost_matrix(solve, bound):
-    # the region's rejected rows, their transpose and one row block of
-    # float temporaries (0.17x here), or min_cost's gathered block and score
-    # buffer; no m x m float temporary
+    # the region's rejected rows, their transpose and one float row block
+    # (0.11x here), or min_cost's gathered block and score buffer; no m x m
+    # float temporary
     inst = rg.generate_synthetic(rg.SynthConfig(m=1000, gamma=0.3, seed=7))
     policy = rg.threshold_policy(inst)
     assert traced_peak(lambda: solve(inst, policy)) <= bound * inst.cost.nbytes

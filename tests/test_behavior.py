@@ -36,6 +36,7 @@ from recourse_game.behavior import (
     marginal_gain_fixed,
     marginal_gain_joint,
 )
+from recourse_game.core import _ROW_BLOCK
 from recourse_game.harness import _bin_labels, _scale_costs
 
 
@@ -73,6 +74,20 @@ def test_region_zero_cost_boundary():
     )
     policy = rg.Policy([1.0, 0.2])
     assert adaptation_matrix(inst, policy)[1, 0]
+
+
+def test_region_rows_match_the_broadcast_formula_in_one_float_block():
+    # the row blocks give pi[j] - cost[i, j] >= pi[i] bit for bit, holding
+    # the boolean matrix and one gathered float block that is subtracted in
+    # place, not a gathered copy and a difference beside it
+    inst = rg.generate_synthetic(rg.SynthConfig(m=1000, gamma=0.3, seed=7))
+    pi = np.where(inst.py >= 0.6, 1.0, np.clip(inst.py, 0.0, 0.5))
+    policy = rg.Policy(pi)
+    want = pi[None, :] - inst.cost >= pi[:, None]
+    assert np.array_equal(adaptation_matrix(inst, policy), want)
+    block = _ROW_BLOCK * inst.m * np.dtype(float).itemsize
+    peak = traced_peak(lambda: adaptation_matrix(inst, policy))
+    assert peak <= want.nbytes + 1.25 * block
 
 
 # -- explanation assignment --------------------------------------------------

@@ -365,6 +365,7 @@ def test_crlf_files_and_blank_rows_load_the_same_instance(tmp_path):
     variants = {
         "crlf": [text.replace(b"\n", b"\r\n") for text in texts],
         "blank": [text.replace(b"\n", b"\n\n") for text in texts],
+        "leading-blank": [b"\n\r\n" + text for text in texts],  # before the header too
     }
     want = rg.load_instance(*lf, gamma=0.3)
     for name, (values, costs) in variants.items():
@@ -374,6 +375,62 @@ def test_crlf_files_and_blank_rows_load_the_same_instance(tmp_path):
         got = rg.load_instance(*paths, gamma=0.3)
         for field in ("px", "py", "cost"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+
+# Arbitrary text for a values, cost or feature file: rows of one to three
+# fields, each a float token, or a run of up to two tokens of any kind (an
+# empty run is an empty field), or a whole header row; each row is ended by
+# one of the line ends. A text mostly starts with the row its file needs
+# first, so the loaders' later checks are reached too.
+FUZZ_FLOATS = ("0.5", "0", "-0.25", "1e-3", "2", "inf", "-inf", "nan")
+FUZZ_TOKENS = (
+    *FUZZ_FLOATS, "abc", " ", '"', "px", "py",
+    KIND_ACTIONABLE, KIND_ACTIONABLE_UP, KIND_DISCRETE,
+)
+FUZZ_HEADERS = ("px,py", "a,b", f"{KIND_ACTIONABLE},{KIND_DISCRETE}")
+FUZZ_ENDS = ("\n", "\r\n", "\r", "\n\n", "")
+FUZZ_FIRST = {"values": "px,py\n", "costs": "", "table": "a,b\n"}
+
+
+def _fuzz_text(st, first: str):
+    field = st.one_of(
+        st.sampled_from(FUZZ_FLOATS),
+        st.lists(st.sampled_from(FUZZ_TOKENS), max_size=2).map("".join),
+    )
+    fields = st.one_of(
+        st.lists(field, min_size=1, max_size=3).map(",".join),
+        st.sampled_from(FUZZ_HEADERS),
+    )
+    row = st.tuples(fields, st.sampled_from(FUZZ_ENDS)).map("".join)
+    start = st.sampled_from((first, ""))
+    return st.tuples(start, st.lists(row, max_size=5).map("".join)).map("".join)
+
+
+@pytest.mark.parametrize("fuzzed", ["values", "costs", "table"])
+def test_readers_load_or_refuse_arbitrary_text_naming_the_file(tmp_path, fuzzed):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    values, costs, table = tmp_path / "v.csv", tmp_path / "c.csv", tmp_path / "t.csv"
+    # one value, so a fuzzed file of one record reaches the invariant checks
+    values.write_text("px,py\n1,0.5\n")
+    costs.write_text("0\n")
+    target = {"values": values, "costs": costs, "table": table}[fuzzed]
+    # the fixed 1 x 1 cost file may no longer fit a fuzzed values file
+    named = (values, costs) if fuzzed == "values" else (target,)
+
+    @hypothesis.settings(max_examples=300)
+    @hypothesis.given(_fuzz_text(st, FUZZ_FIRST[fuzzed]))
+    def check(text):
+        target.write_bytes(text.encode())
+        try:
+            if fuzzed == "table":
+                rg.load_feature_table(table)
+            else:
+                rg.load_instance(values, costs, gamma=0.3)
+        except ValueError as exc:
+            assert str(exc).startswith(tuple(f"{p}: " for p in named)), exc
+
+    check()
 
 
 def _table(names=("a",), kinds=(KIND_ACTIONABLE,), columns=((1.0, 2.0),)):
@@ -419,6 +476,50 @@ def _table(names=("a",), kinds=(KIND_ACTIONABLE,), columns=((1.0, 2.0),)):
             lambda d: rg.build_cost_matrix(_table(), px=[0.5, 0.25, 0.25]),
             "px must have one weight per row", id="px-shape",
         ),
+        # a line number is the physical line a record starts on
+        pytest.param(
+            lambda d: rg.load_instance(d / "quoted.csv", d / "c2.csv", 0.3),
+            "/quoted.csv: line 4: bad float 'abc'", id="values-after-quoted-record",
+        ),
+        pytest.param(
+            lambda d: rg.load_feature_table(d / "blank-kind.csv"),
+            "/blank-kind.csv: line 4: unknown column kind 'weird'",
+            id="table-kind-after-blank-lines",
+        ),
+        # the kind row is as wide as the name row
+        pytest.param(
+            lambda d: rg.load_feature_table(d / "short.csv"),
+            "/short.csv: line 2: expected 2 fields, got 1", id="table-kinds-short",
+        ),
+        pytest.param(
+            lambda d: rg.load_feature_table(d / "long.csv"),
+            "/long.csv: line 2: expected 2 fields, got 3", id="table-kinds-long",
+        ),
+        pytest.param(
+            lambda d: rg.load_feature_table(d / "norows.csv"),
+            "/norows.csv: no data rows", id="table-no-rows",
+        ),
+        pytest.param(
+            lambda d: rg.build_cost_matrix(_table(columns=((),))),
+            "the table has no rows", id="cost-matrix-no-rows",
+        ),
+        # a broken instance invariant names the file it was read from
+        pytest.param(
+            lambda d: rg.load_instance(d / "sum.csv", d / "c2.csv", 0.3),
+            "/sum.csv: px sums to 0.9", id="values-invariant",
+        ),
+        pytest.param(
+            lambda d: rg.load_instance(d / "infs.csv", d / "c2.csv", 0.3),
+            "/infs.csv: px[1] is negative or NaN", id="values-inf-and-minus-inf",
+        ),
+        pytest.param(
+            lambda d: rg.load_instance(d / "v2.csv", d / "diag.csv", 0.3),
+            "/diag.csv: cost[1][1] must be 0", id="cost-invariant",
+        ),
+        pytest.param(
+            lambda d: rg.load_instance(d / "v2.csv", d / "c2.csv", 1.5),
+            "gamma must lie strictly in (0, 1), got 1.5", id="gamma-names-no-file",
+        ),
     ],
 )
 def test_file_and_table_refusals(tmp_path, call, message):
@@ -428,6 +529,16 @@ def test_file_and_table_refusals(tmp_path, call, message):
     (tmp_path / "names.csv").write_text("a,b\n")
     (tmp_path / "kind.csv").write_text("a,b\nactionable,weird\n1.0,2.0\n")
     (tmp_path / "ragged.csv").write_text("a,b\nactionable,discrete\n1.0,x\n2.0\n")
+    (tmp_path / "v2.csv").write_text("px,py\n0.5,0.9\n0.5,0.4\n")
+    (tmp_path / "c2.csv").write_text("0.0,1.0\n1.0,0.0\n")
+    (tmp_path / "quoted.csv").write_text('px,py\n"0.5\n",0.9\n0.5,abc\n')
+    (tmp_path / "blank-kind.csv").write_text("\na,b\n\nactionable,weird\n1.0,2.0\n")
+    (tmp_path / "short.csv").write_text("a,b\nactionable\n1.0,2.0\n")
+    (tmp_path / "long.csv").write_text("a,b\nactionable,actionable,discrete\n1.0,2.0\n")
+    (tmp_path / "norows.csv").write_text("a,b\nactionable,discrete\n\n")
+    (tmp_path / "sum.csv").write_text("px,py\n0.5,0.9\n0.4,0.4\n")
+    (tmp_path / "infs.csv").write_text("px,py\ninf,0.9\n-inf,0.4\n")
+    (tmp_path / "diag.csv").write_text("0.0,1.0\n1.0,0.5\n")
     # a file's message starts with its path, tmp_path / name
     where = re.escape(str(tmp_path))
     with pytest.raises(ValueError, match=f"(^|{where}){re.escape(message)}$"):

@@ -1132,6 +1132,57 @@ def test_cli_refuses_a_real_parameter_that_is_not_a_number(
     assert f"{message} must be a number" in capsys.readouterr().err
 
 
+def test_config_paths_may_be_pathlib_paths(tmp_path):
+    # outdir, values_path and cost_path are stored as strings, so Path
+    # objects write what their strings write, provenance line included
+    gen = ExperimentConfig(experiment="generate", outdir=tmp_path / "gen",
+                           synthetic=rg.SynthConfig(m=8))
+    assert gen.outdir == str(tmp_path / "gen")
+    values, costs = run_generate(gen)
+    written = {}
+    for wrap in (str, Path):
+        config = ExperimentConfig(
+            experiment="compare", outdir=wrap(tmp_path / "out"),
+            values_path=wrap(values), cost_path=wrap(costs), gamma=0.3,
+        )
+        stored = (config.outdir, config.values_path, config.cost_path)
+        assert stored == (str(tmp_path / "out"), str(values), str(costs))
+        written[wrap] = [path.read_bytes() for path in run_compare(config)]
+    assert written[str] == written[Path]
+
+
+@pytest.mark.parametrize(
+    "overrides, what",
+    [
+        pytest.param(dict(outdir=5), "outdir", id="outdir-int"),
+        pytest.param(dict(outdir=None), "outdir", id="outdir-none"),
+        pytest.param(dict(FILES, gamma=0.3, values_path=5), "values_path",
+                     id="values-int"),
+        pytest.param(dict(FILES, gamma=0.3, cost_path=b"c"), "cost_path",
+                     id="costs-bytes"),
+    ],
+)
+def test_configs_refuse_a_path_that_is_not_one(overrides, what):
+    base = dict(experiment="compare", outdir="o", synthetic=rg.SynthConfig(m=6))
+    with pytest.raises(ValueError, match=f"^{what} must be a path$"):
+        ExperimentConfig(**{**base, **overrides})
+
+
+@pytest.mark.parametrize(
+    "config, what",
+    [
+        pytest.param({"outdir": 5}, "outdir", id="outdir-int"),
+        pytest.param({"outdir": None}, "outdir", id="outdir-null"),
+        pytest.param({"instance": {**FILE_CONFIG["instance"], "values": 5}},
+                     "values_path", id="values-int"),
+    ],
+)
+def test_cli_refuses_a_path_that_is_not_one(cli_config, capsys, config, what):
+    # a usage error, before any runner starts
+    assert cli_config(["compare"], config) == 2
+    assert f"{what} must be a path" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv, config, sizes",
     [

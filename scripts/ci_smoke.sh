@@ -50,6 +50,16 @@ rc=0
 test "$rc" -eq 1 || { echo "quoted record: exit $rc, expected 1"; exit 1; }
 grep -q "quoted_values.csv: line 4: bad float 'abc'" smoke/quoted.err \
   || { echo "quoted record: stderr does not name line 4"; cat smoke/quoted.err; exit 1; }
+# a number cell holds no digit-group underscores: "1_0" is refused, not 10
+printf 'px,py\n0.5,0.9\n0.5,0.4\n' > smoke/grouped_values.csv
+printf '0.0,1.0\n1_0,0.0\n' > smoke/grouped_cost.csv
+rc=0
+"${cli[@]}" compare --values smoke/grouped_values.csv \
+  --costs smoke/grouped_cost.csv --gamma 0.3 --outdir smoke/grouped \
+  2> smoke/grouped.err || rc=$?
+test "$rc" -eq 1 || { echo "digit groups: exit $rc, expected 1"; exit 1; }
+grep -q "grouped_cost.csv: line 2: bad float '1_0'" smoke/grouped.err \
+  || { echo "digit groups: stderr does not name line 2"; cat smoke/grouped.err; exit 1; }
 # gamma below every py rejects nobody (a fixed-policy state with no
 # columns) and above every py accepts nobody (every value a column); either
 # way min_cost, diverse and alg1 move nobody and read black_box's utility

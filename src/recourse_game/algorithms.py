@@ -185,8 +185,17 @@ def _optimal_pi(instance: Instance, a_idx: np.ndarray) -> np.ndarray:
 
 def joint_objective(instance: Instance, A: ExplanationSet) -> float:
     """h(A): utility of A under its own optimal policy."""
-    a_idx = _members(instance, A)
-    return float(_responses(instance, _optimal_pi(instance, a_idx), a_idx)[1])
+    return float(_joint_scores(instance, _members(instance, A)))
+
+
+def _fixed_scores(instance: Instance, policy: Policy, a_idx: np.ndarray):
+    """utility(policy, ·) of members a_idx, (c,) or (B, c): one per set."""
+    return _responses(instance, policy.pi, a_idx)[1]
+
+
+def _joint_scores(instance: Instance, a_idx: np.ndarray):
+    """h of members a_idx, (c,) or (B, c), each set under its optimal policy."""
+    return _responses(instance, _optimal_pi(instance, a_idx), a_idx)[1]
 
 
 def _joint_solution(instance: Instance, picks: tuple[int, ...]) -> JointSolution:
@@ -315,11 +324,7 @@ def brute_force_fixed(instance: Instance, policy: Policy, k: int) -> Explanation
     of sets is scored in one batched best-response pass.
     """
     ground = ground_set_accepted(instance, policy).indices
-
-    def score(sets):
-        return _responses(instance, policy.pi, sets)[1]
-
-    return _best_subset(ground, k, score)[0]
+    return _best_subset(ground, k, partial(_fixed_scores, instance, policy))[0]
 
 
 def brute_force_joint(instance: Instance, k: int) -> JointSolution:
@@ -330,11 +335,7 @@ def brute_force_joint(instance: Instance, k: int) -> JointSolution:
     Each chunk of sets gets its policies and utilities in one batched pass.
     """
     ground = ground_set_viable(instance).indices
-
-    def score(sets):
-        return _responses(instance, _optimal_pi(instance, sets), sets)[1]
-
-    A, _ = _best_subset(ground, k, score)
+    A, _ = _best_subset(ground, k, partial(_joint_scores, instance))
     return _joint_solution(instance, A.indices)
 
 

@@ -104,8 +104,9 @@ def _followed(instance: Instance, pi: np.ndarray, a_idx: np.ndarray):
 
     i follows the reachable member with the highest outcome (ties: lower
     cost from i, then lower index). This is the one place that decides it.
-    pi is (m,) or (B, m) and a_idx is (c,) or (B, c): a leading axis scores
-    B sets (or B policies) at once, every row as its own one-set call would.
+    pi is (m,) or (B, m) and a_idx is (c,) or (B, c): a leading axis scores B
+    sets (or policies) at once, each row as its own one-set call would, and a
+    member repeated in a row (same outcome, cost and index) changes no bit.
     """
     m, py = instance.m, instance.py
     _check_policy_length(instance, pi)

@@ -23,6 +23,8 @@ import numpy as np
 
 from . import harness
 from .algorithms import (
+    _fixed_scores,
+    _joint_scores,
     brute_force_fixed,
     brute_force_joint,
     exhaustive_best_policy,
@@ -32,12 +34,11 @@ from .algorithms import (
     randomized_joint_runs,
 )
 from .behavior import (
+    _gains,
     fixed_marginal_state,
     joint_marginal_state,
     leakage_utility,
     leakage_utility_mc,
-    marginal_gain_fixed,
-    marginal_gain_joint,
     utility,
 )
 from .baselines import diverse_explanations, threshold_policy
@@ -182,13 +183,25 @@ def _draw_candidate(rng: np.random.Generator, ground) -> tuple[int, tuple[int, .
     return x, _subset(rng, [i for i in ground if i != x])
 
 
-def _draw_violations(rng: np.random.Generator, ground, f) -> tuple[bool, bool, bool]:
-    """Draw x and A ⊆ B ⊆ ground - {x}; report whether f is negative at
-    A, B, A+x or B+x, whether f(A) > f(B), and whether the gain of x at A
-    falls short of its gain at B."""
+def _batch_scores(score, sets) -> list[float]:
+    """Each tuple's score, where score(rows) scores the n sets of an (n, c)
+    int array, in two calls at most: the empty sets, then the rest, each
+    padded to the widest by repeating its first member (behavior._followed)."""
+    out = {}
+    for group in filter(None, ([S for S in sets if not S], [S for S in sets if S])):
+        width = max(map(len, group))
+        rows = np.array([S + S[:1] * (width - len(S)) for S in group], dtype=int)
+        out.update(zip(group, score(rows).tolist()))
+    return [out[S] for S in sets]
+
+
+def _draw_violations(rng: np.random.Generator, ground, score) -> tuple[bool, bool, bool]:
+    """Draw x and A ⊆ B ⊆ ground - {x}; report whether f, batch-scored by
+    score, is negative at A, B, A+x or B+x, whether f(A) > f(B), and whether
+    the gain of x at A falls short of its gain at B."""
     x, B = _draw_candidate(rng, ground)
     A = _subset(rng, B)
-    fa, fb, fax, fbx = (f(ExplanationSet(S)) for S in (A, B, A + (x,), B + (x,)))
+    fa, fb, fax, fbx = _batch_scores(score, [A, B, A + (x,), B + (x,)])
     negative = fa < 0.0 or fb < 0.0 or fax < 0.0 or fbx < 0.0
     return negative, fa > fb, (fax - fa) < (fbx - fb) - 1e-12
 
@@ -269,7 +282,7 @@ def check_fixed_objective_properties(base_seed: int) -> tuple[bool, str]:
         inst = _sample_instance(rng, 4, 10, min_viable=1)
         policy = _random_monotone_policy(rng, inst)
         accepted = ground_set_accepted(inst, policy).indices
-        n, mo, su = _draw_violations(rng, accepted, partial(utility, inst, policy))
+        n, mo, su = _draw_violations(rng, accepted, partial(_fixed_scores, inst, policy))
         neg, mono, sub = neg + n, mono + mo, sub + su
     ok = neg == 0 and mono == 0 and sub == 0
     detail = f"1000 draws, negativity={neg}, monotonicity={mono}, submodularity={sub}"
@@ -285,7 +298,7 @@ def check_joint_objective_submodularity(base_seed: int) -> tuple[bool, str]:
     for _ in range(1000):
         inst = _sample_instance(rng, 4, 10, min_viable=2)
         viable = ground_set_viable(inst).indices
-        n, _, su = _draw_violations(rng, viable, partial(joint_objective, inst))
+        n, _, su = _draw_violations(rng, viable, partial(_joint_scores, inst))
         neg, sub = neg + n, sub + su
     detail = (
         f"1000 draws, negativity={neg}, submodularity={sub}; "
@@ -349,19 +362,15 @@ def check_marginal_consistency(base_seed: int) -> tuple[bool, str]:
         inst = _sample_instance(rng, 4, 10, min_viable=1)
         policy = threshold_policy(inst)
 
-        x, rest = _draw_candidate(rng, ground_set_accepted(inst, policy).indices)
-        A = ExplanationSet(rest)
-        state = fixed_marginal_state(inst, policy, A)
-        gain, _ = marginal_gain_fixed(inst, policy, A, state, x)
-        exact = utility(inst, policy, A.add(x)) - utility(inst, policy, A)
-        worst_fixed = max(worst_fixed, abs(gain - exact))
+        x, A = _draw_candidate(rng, ground_set_accepted(inst, policy).indices)
+        state = fixed_marginal_state(inst, policy, ExplanationSet(A))
+        fa, fax = _batch_scores(partial(_fixed_scores, inst, policy), [A, A + (x,)])
+        worst_fixed = max(worst_fixed, abs(_gains(inst, state, [x])[0] - (fax - fa)))
 
-        xj, rest = _draw_candidate(rng, ground_set_viable(inst).indices)
-        Aj = ExplanationSet(rest)
-        jstate = joint_marginal_state(inst, Aj)
-        jgain, _ = marginal_gain_joint(inst, Aj, jstate, xj)
-        jexact = joint_objective(inst, Aj.add(xj)) - joint_objective(inst, Aj)
-        worst_joint = max(worst_joint, abs(jgain - jexact))
+        x, A = _draw_candidate(rng, ground_set_viable(inst).indices)
+        state = joint_marginal_state(inst, ExplanationSet(A))
+        ha, hax = _batch_scores(partial(_joint_scores, inst), [A, A + (x,)])
+        worst_joint = max(worst_joint, abs(_gains(inst, state, [x])[0] - (hax - ha)))
     ok = worst_fixed <= 1e-12 and worst_joint <= 1e-12
     detail = (
         f"1000 draws, worst |fixed|={worst_fixed:.3e}, "

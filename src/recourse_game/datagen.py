@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -226,10 +227,10 @@ def save_instance(instance: Instance, values_path, cost_path) -> None:
 
 
 def _parse_float(token: str, path, line_no: int) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise ValueError(f"{path}: line {line_no}: bad float {token!r}") from None
+    if "_" not in token:  # float() reads digit groups: "1_0" would be 10.0
+        with suppress(ValueError):
+            return float(token)
+    raise ValueError(f"{path}: line {line_no}: bad float {token!r}")
 
 
 def _data_rows(path, width: int | None = None):

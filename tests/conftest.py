@@ -110,6 +110,14 @@ def tie_heavy_instance(rng: np.random.Generator, m: int) -> rg.Instance:
     return rg.make_instance(px / px.sum(), py, cost, gamma)
 
 
+def graded_policy(rng: np.random.Generator, inst: rg.Instance) -> rg.Policy:
+    """A stochastic policy that is rational and outcome monotonic, ties
+    included: acceptance grows with py - gamma, from 0 to 1 at a drawn
+    slope."""
+    slope = rng.uniform(1.0, 3.0) / (1.0 - inst.gamma)
+    return rg.Policy(np.clip(slope * (inst.py - inst.gamma), 0.0, 1.0))
+
+
 def is_feasible(matroid: rg.PartitionMatroid, indices) -> bool:
     """True iff indices take at most each group's capacity from it."""
     chosen = set(indices)

@@ -10,6 +10,7 @@ import recourse_game as rg
 from conftest import (
     column_set_cases,
     equivalence_cases,
+    graded_policy,
     random_instance,
     ref_fixed_gain,
     ref_leak_payoff,
@@ -30,12 +31,14 @@ from recourse_game.behavior import (
     _leak_targets,
     _leakage_utilities,
     _members,
+    _responses,
     adaptation_matrix,
     fixed_marginal_state,
     joint_marginal_state,
     marginal_gain_fixed,
     marginal_gain_joint,
 )
+from recourse_game.algorithms import _optimal_pi
 from recourse_game.core import _ROW_BLOCK
 from recourse_game.harness import _bin_labels, _scale_costs
 
@@ -143,6 +146,34 @@ def test_rejected_member_of_a_follows_itself():
     assert rg.best_respond(inst, policy, A).moved[1] == 1
     targets = _leak_targets(inst, policy, A)
     assert targets[1, 0] == 1 and targets[1, 1:].tolist() == [1, 1, 1]
+
+
+def test_a_repeated_member_changes_no_score():
+    # sets padded to one width by repeating their own members score row by
+    # row as their one-set calls, under a stochastic monotone policy and
+    # under each row's optimal policy; an (n, 0) batch scores as ∅
+    def assert_rows_are_one_set_calls(inst, policy, sets, a_idx):
+        fixed = _responses(inst, policy.pi, a_idx)[1]
+        joint = _responses(inst, _optimal_pi(inst, a_idx), a_idx)[1]
+        for S, u, h in zip(sets, fixed, joint, strict=True):
+            A = rg.ExplanationSet(S)
+            assert u.tobytes() == np.float64(rg.utility(inst, policy, A)).tobytes()
+            assert h.tobytes() == np.float64(rg.joint_objective(inst, A)).tobytes()
+
+    rng = rg.seeded_rng(rg.derive_seed(0, "repeat-rule"))
+    for t in range(200):
+        m = 3 + int(rng.integers(8))
+        inst = tie_heavy_instance(rng, m) if t % 2 else random_instance(rng, m)
+        policy = graded_policy(rng, inst)
+        viable = rg.ground_set_viable(inst).indices
+        sets = [S for S in (subset(rng, viable) for _ in range(4)) if S]
+        if sets:
+            width = 1 + max(map(len, sets))
+            padded = [S + tuple(rng.choice(S, width - len(S))) for S in sets]
+            assert_rows_are_one_set_calls(inst, policy, sets, np.array(padded))
+        assert_rows_are_one_set_calls(
+            inst, policy, [()] * 3, np.empty((3, 0), dtype=int)
+        )
 
 
 def test_mismatched_shapes_raise_named_errors():

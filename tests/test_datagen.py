@@ -516,6 +516,15 @@ def _table(names=("a",), kinds=(KIND_ACTIONABLE,), columns=((1.0, 2.0),)):
             lambda d: rg.load_instance(d / "v2.csv", d / "diag.csv", 0.3),
             "/diag.csv: cost[1][1] must be 0", id="cost-invariant",
         ),
+        # float() would read a digit-grouped "1_0" as 10.0
+        pytest.param(
+            lambda d: rg.load_instance(d / "grouped.csv", d / "c2.csv", 0.3),
+            "/grouped.csv: line 3: bad float '0.2_5'", id="values-digit-groups",
+        ),
+        pytest.param(
+            lambda d: rg.load_instance(d / "v2.csv", d / "grouped-c.csv", 0.3),
+            "/grouped-c.csv: line 2: bad float '1_0'", id="cost-digit-groups",
+        ),
         pytest.param(
             lambda d: rg.load_instance(d / "v2.csv", d / "c2.csv", 1.5),
             "gamma must lie strictly in (0, 1), got 1.5", id="gamma-names-no-file",
@@ -539,6 +548,8 @@ def test_file_and_table_refusals(tmp_path, call, message):
     (tmp_path / "sum.csv").write_text("px,py\n0.5,0.9\n0.4,0.4\n")
     (tmp_path / "infs.csv").write_text("px,py\ninf,0.9\n-inf,0.4\n")
     (tmp_path / "diag.csv").write_text("0.0,1.0\n1.0,0.5\n")
+    (tmp_path / "grouped.csv").write_text("px,py\n0.5,0.9\n0.5,0.2_5\n")
+    (tmp_path / "grouped-c.csv").write_text("0.0,1.0\n1_0,0.0\n")
     # a file's message starts with its path, tmp_path / name
     where = re.escape(str(tmp_path))
     with pytest.raises(ValueError, match=f"(^|{where}){re.escape(message)}$"):

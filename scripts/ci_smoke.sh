@@ -105,7 +105,8 @@ echo '{"instance": {"m": 6, "gamma": 0.3},
 # gamma, alpha and p_l must be numbers: a string or a bool is refused
 echo '{"instance": {"m": 6}, "alpha_sweep": ["1"]}' > smoke/alpha-string.json
 echo '{"instance": {"m": 6}, "pl_sweep": [true]}' > smoke/pl-bool.json
-# a matroid block must cover the synthetic instance's m values
+# a matroid block must cover the synthetic instance's m values, and `matroid`
+# needs one ("matroid --m 10" below has none)
 echo '{"instance": {"m": 8, "gamma": 0.3},
   "matroid": {"groups": [[0, 1, 2], [3, 4, 5]], "capacities": [2, 1]}}' \
   > smoke/matroid-size.json
@@ -118,7 +119,8 @@ for bad in "compare --config smoke/unknown-key.json" \
   "leakage --m 10 --alpha 1,2" "matroid --config smoke/matroid-capacity.json" \
   "matroid --config smoke/matroid-member.json" \
   "compare --config smoke/alpha-string.json" \
-  "leakage --config smoke/pl-bool.json" "matroid --config smoke/matroid-size.json"; do
+  "leakage --config smoke/pl-bool.json" "matroid --config smoke/matroid-size.json" \
+  "matroid --m 10"; do
   rc=0
   # shellcheck disable=SC2086  # $bad holds a command and several flags
   "${cli[@]}" $bad --outdir smoke/rejected || rc=$?

@@ -41,7 +41,6 @@ from .behavior import (
     utility,
 )
 from .core import (
-    INFINITE_COST,
     ExplanationSet,
     Instance,
     PartitionMatroid,
@@ -76,7 +75,6 @@ __all__ = [
     "ExperimentConfig",
     "ExplanationSet",
     "FeatureTable",
-    "INFINITE_COST",
     "Instance",
     "JointSolution",
     "NO_EXPLANATION",

@@ -21,6 +21,7 @@ from math import comb
 import numpy as np
 
 from .behavior import (  # marginal_gain_joint is re-exported for algorithms.*
+    MarginalState,
     _advance,
     _check_drawn_from,
     _cost_to,
@@ -99,17 +100,15 @@ def _pop_best(heap: list, gains, stamp: int, n: int) -> list:
 
 
 def _lazy_greedy(
-    instance: Instance, policy: Policy, kernel, group_of, caps: tuple[int, ...]
+    instance: Instance, state: MarginalState, kernel, group_of, caps: tuple[int, ...]
 ) -> ExplanationSet:
-    """Greedy over accepted values x with room left in group group_of[x] (of
-    caps[g] in group g), scored by kernel(instance, fixed-policy state, xs),
-    which must not grow with A; stops when no such value has positive gain."""
+    """Greedy from the marginal state at ∅ over the values x it does not reject, with
+    room left in group group_of[x] (of caps[g] in group g), scored by kernel(instance,
+    state, xs), which must not grow with A; stops when none has positive gain."""
     room = list(caps)
-    state = fixed_marginal_state(instance, policy)
-    ground = ground_set_accepted(instance, policy).indices
-    ground = [x for x in ground if room[group_of[x]] > 0]
+    ground = np.flatnonzero(~state.rejected).tolist()
     # every candidate stale at an infinite bound; in index order, a heap
-    heap = [(-np.inf, x, -1) for x in ground]
+    heap = [(-np.inf, x, -1) for x in ground if room[group_of[x]] > 0]
     A: list[int] = []
     while heap:
         gains = partial(kernel, instance, state)
@@ -134,7 +133,8 @@ def greedy_fixed_policy(instance: Instance, policy: Policy, k: int) -> Explanati
     lazily, in blocks: all m once, then those whose stale bound nears the top.
     """
     _check_greedy_policy(instance, policy)
-    return _lazy_greedy(instance, policy, _gains, [0] * instance.m, _counts([k], "k"))
+    state = fixed_marginal_state(instance, policy)
+    return _lazy_greedy(instance, state, _gains, [0] * instance.m, _counts([k], "k"))
 
 
 def greedy_matroid(
@@ -155,7 +155,8 @@ def greedy_matroid(
                 stacklevel=2,
             )
     group_of = {i: g for g, members in enumerate(matroid.groups) for i in members}
-    return _lazy_greedy(instance, policy, _gains, group_of, matroid.capacities)
+    state = fixed_marginal_state(instance, policy)
+    return _lazy_greedy(instance, state, _gains, group_of, matroid.capacities)
 
 
 def optimal_policy_for(instance: Instance, A: ExplanationSet) -> Policy:
@@ -241,7 +242,7 @@ def randomized_joint_runs(
     if k == 0:  # no state and no draws: every run publishes the empty set
         return [_joint_solution(instance, ())] * len(list(rngs))
     start = joint_marginal_state(instance, ExplanationSet())
-    first_heap = [(-np.inf, x, -1) for x in ground_set_viable(instance).indices]
+    first_heap = [(-np.inf, x, -1) for x in np.flatnonzero(~start.rejected).tolist()]
     draws = [tuple(rng.integers(k, size=k).tolist()) for rng in rngs]
     shared = Counter(slots[:i] for slots in draws for i in range(1, k + 1))
     stepped = {(): (start, first_heap, ())}  # slot prefix -> (state, heap, picks)

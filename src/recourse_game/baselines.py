@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algorithms import _lazy_greedy
-from .behavior import _coverage, utility
+from .behavior import _coverage, fixed_marginal_state, utility
 from .core import ExplanationSet, Instance, Policy, _counts, ground_set_accepted
 
 
@@ -90,4 +90,5 @@ def diverse_explanations(instance: Instance, policy: Policy, k: int) -> Explanat
     is monotone submodular, so the shared lazy greedy picks what re-scoring
     every candidate would."""
     caps = _counts([k], "k")
-    return _lazy_greedy(instance, policy, _coverage, [0] * instance.m, caps)
+    state = fixed_marginal_state(instance, policy)
+    return _lazy_greedy(instance, state, _coverage, [0] * instance.m, caps)

@@ -24,8 +24,6 @@ PROB_SUM_TOL = 1e-9
 # rather than format rounding.
 NORMALIZE_WINDOW = 1e-6
 
-INFINITE_COST = np.inf
-
 # Rows per block wherever an m x m array is filled in row blocks, so a float
 # temporary spans 64 rows, not m: at m=1000 generation's two live blocks are
 # 13% of the cost matrix.
@@ -174,10 +172,6 @@ class Policy:
             raise ValueError("policy entries must lie in [0, 1]")
         object.__setattr__(self, "pi", pi)
 
-    @property
-    def m(self) -> int:
-        return self.pi.shape[0]
-
     def is_deterministic(self) -> bool:
         return bool(((self.pi == 0.0) | (self.pi == 1.0)).all())
 
@@ -209,9 +203,6 @@ class ExplanationSet:
 
     def as_set(self) -> frozenset:
         return frozenset(self.indices)
-
-    def add(self, i: int) -> "ExplanationSet":
-        return ExplanationSet(self.indices + (i,))
 
 
 @dataclass(frozen=True)

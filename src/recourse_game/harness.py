@@ -123,6 +123,8 @@ class ExperimentConfig:
         elif self.matroid is not None and self.experiment == "matroid":
             # only `matroid` reads the block; a file instance's m is known once read
             _check_matroid_size(self.matroid, self.synthetic.m)
+        if self.matroid is None and self.experiment == "matroid":
+            raise ValueError("matroid experiment needs a matroid block in the config")
 
 
 def _write_csv(config: ExperimentConfig, name: str, header: list[str], rows) -> Path:
@@ -290,7 +292,7 @@ def group_balance(
 
 def run_matroid(config: ExperimentConfig) -> list[Path]:
     """Group balance of cardinality- vs matroid-constrained explanations."""
-    if config.matroid is None:
+    if config.matroid is None:  # a config built for `matroid` never gets here
         raise ValueError("matroid experiment needs a matroid block in the config")
     # the budget is the matroid's, so its instance is seeded, and its
     # provenance line written, at matroid.k

@@ -74,7 +74,7 @@ def eager_greedy_steps(inst, policy, group_of, capacities, gains=kernel_gains):
             return
         yield state, scored, best_x
         _, state = marginal_gain_fixed(inst, policy, A, state, best_x)
-        A = A.add(best_x)
+        A = rg.ExplanationSet(A.indices + (best_x,))
         used[group_of[best_x]] += 1
 
 
@@ -99,7 +99,7 @@ def eager_joint_steps(inst, k, rng, gains=kernel_gains):
         yield state, scored, pick
         if pick is not None:
             _, state = marginal_gain_joint(inst, A, state, pick)
-            A = A.add(pick)
+            A = rg.ExplanationSet(A.indices + (pick,))
 
 
 def eager_randomized_joint(inst, k, rng):
@@ -140,7 +140,7 @@ def padded_joint_steps(inst, k, rng):
         real = {int(perm[x]): g for x, g in scored.items() if perm[x] < inst.m}
         yield state, real, int(perm[pick]) if perm[pick] < inst.m else None
         _, state = marginal_gain_joint(aug, A, state, pick)
-        A = A.add(pick)
+        A = rg.ExplanationSet(A.indices + (pick,))
 
 
 def test_lazy_greedy_matches_eager():
@@ -178,6 +178,64 @@ def test_lazy_randomized_joint_matches_eager():
         assert sol.explanations.indices == A.indices
         assert repr(sol.utility) == repr(u)
         assert lazy_rng.integers(2**31) == eager_rng.integers(2**31)
+
+
+class ZeroSlots:
+    """A stream that draws slot 0 for every iteration."""
+
+    def integers(self, high, size):
+        return np.zeros(size, dtype=int)
+
+
+def _one_ulp_instance():
+    """h(0, 1) and h(0, 1, 3) differ by one ulp, though 3's gain is 0."""
+    px = np.array([3, 2, 3, 1, 0, 1, 1]) / 11
+    py = [1.0, 1.0, 0.75, 0.75, 0.0, 0.0, 0.0]
+    inf = np.inf
+    cost = [
+        [0, 0, inf, 0.5, 0.5, 0, inf],
+        [inf, 0, 1.5, 1, inf, 1.5, 1.5],
+        [inf, 0, 0, 0, 0.5, 0.5, 0],
+        [0, 1.5, 0, 0, 1, 0, 1.5],
+        [inf, 1, 0.5, 1, 0, 0.5, 1],
+        [0.5, 1.5, 1.5, 1.5, 1, 0, 0.5],
+        [inf, 1.5, 0, 0, 1.5, 1.5, 0],
+    ]
+    return rg.make_instance(px, py, cost, 0.5)
+
+
+def test_the_lazy_greedy_on_the_joint_state_is_the_zero_slot_stream():
+    # The one lazy loop, started from the joint state at the empty set, is
+    # the deterministic joint greedy: it picks a prefix of what the all-zero
+    # stream of randomized_joint_runs picks, and every pick of the stream
+    # past that prefix has gain exactly 0. Picks are compared, not h: a
+    # gain-0 pick can move h by one ulp.
+    rng = rg.seeded_rng(rg.derive_seed(0, "alg-lazy-joint-prefix"))
+    cases = [_one_ulp_instance()]
+    for t in range(120):
+        m = 1 + rng.integers(11)
+        if t % 2:
+            cases.append(tie_heavy_instance(rng, m))
+        else:  # the generator draws m >= 2
+            cases.append(random_instance(rng, max(m, 2)))
+    for inst in cases:
+        for k in range(inst.m + 2):
+            start = joint_marginal_state(inst, rg.ExplanationSet())
+            lazy = algorithms._lazy_greedy(inst, start, _gains, [0] * inst.m, (k,))
+            [run] = rg.randomized_joint_runs(inst, k, [ZeroSlots()])
+            picks = run.explanations.indices
+            assert picks[: len(lazy)] == lazy.indices, (inst, k)
+            state = start
+            for i, x in enumerate(picks):
+                if i >= len(lazy):
+                    assert _gains(inst, state, [x])[0] == 0.0, (inst, k, i)
+                state = _advance(inst, state, x)
+    inst = cases[0]
+    assert rg.randomized_joint_runs(inst, 3, [ZeroSlots()])[0].explanations == (
+        rg.ExplanationSet((0, 1, 3))
+    )
+    h = [rg.joint_objective(inst, rg.ExplanationSet(A)) for A in ((0, 1), (0, 1, 3))]
+    assert h == [0.4545454545454546, 0.45454545454545453]
 
 
 def test_lazy_randomized_joint_evaluates_fewer_gains(monkeypatch):
@@ -638,15 +696,16 @@ def test_joint_marginal_matches_recomputation():
         A = rg.ExplanationSet(subset(rng, [i for i in viable if i != x]))
         state = joint_marginal_state(inst, A)
         gain, new_state = marginal_gain_joint(inst, A, state, x)
-        exact = rg.joint_objective(inst, A.add(x)) - rg.joint_objective(inst, A)
+        Ax = rg.ExplanationSet(A.indices + (x,))
+        exact = rg.joint_objective(inst, Ax) - rg.joint_objective(inst, A)
         assert gain == pytest.approx(exact, abs=1e-12)
         rest = [i for i in viable if i != x and i not in A]
         if rest:
             y = rest[rng.integers(len(rest))]
-            g2, _ = marginal_gain_joint(inst, A.add(x), new_state, y)
-            exact2 = rg.joint_objective(inst, A.add(x).add(y)) - rg.joint_objective(
-                inst, A.add(x)
-            )
+            g2, _ = marginal_gain_joint(inst, Ax, new_state, y)
+            exact2 = rg.joint_objective(
+                inst, rg.ExplanationSet(Ax.indices + (y,))
+            ) - rg.joint_objective(inst, Ax)
             assert g2 == pytest.approx(exact2, abs=1e-12)
 
 

@@ -121,8 +121,8 @@ def test_min_cost_prefers_only_finite_candidate():
     cost = np.array(
         [
             [0.0, 2.0, 0.4],
-            [2.0, 0.0, rg.INFINITE_COST],
-            [0.5, rg.INFINITE_COST, 0.0],
+            [2.0, 0.0, np.inf],
+            [0.5, np.inf, 0.0],
         ]
     )
     # accepted = {0, 1}; only 0 is finitely reachable from the rejected value 2

@@ -301,7 +301,7 @@ def test_load_instance_parses_costs_in_place(tmp_path):
 
 def test_instance_files_use_inf_token(tmp_path):
     inst = rg.make_instance(
-        [0.5, 0.5], [0.9, 0.4], [[0.0, rg.INFINITE_COST], [0.3, 0.0]], 0.5
+        [0.5, 0.5], [0.9, 0.4], [[0.0, np.inf], [0.3, 0.0]], 0.5
     )
     values, costs = tmp_path / "v.csv", tmp_path / "c.csv"
     rg.save_instance(inst, values, costs)

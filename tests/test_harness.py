@@ -667,9 +667,32 @@ def test_readme_lists_the_synthetic_instance_keys():
 
 
 def test_cli_matroid_missing_block_fails(tmp_path, capsys):
-    rc = cli.main(["matroid", "--m", "6", "--outdir", str(tmp_path)])
-    assert rc == 1
-    assert "matroid" in capsys.readouterr().err
+    # a usage error (exit 2), refused before anything is drawn or written
+    outdir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["matroid", "--m", "6", "--outdir", str(outdir)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: matroid experiment needs a matroid block in the config" in err
+    assert not outdir.exists()
+
+
+def test_a_missing_matroid_block_is_refused_when_the_config_is_built(
+    cli_config, capsys
+):
+    # file instances too: refused before their files are read
+    argv = ["matroid", "--values", "v.csv", "--costs", "c.csv", "--gamma", "0.3"]
+    assert cli_config(argv) == 2
+    message = "matroid experiment needs a matroid block in the config"
+    assert message in capsys.readouterr().err
+    for instance in (
+        dict(synthetic=rg.SynthConfig(m=6)),
+        dict(values_path="v", cost_path="c", gamma=0.3),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExperimentConfig(experiment="matroid", outdir="o", **instance)
+        # the other commands never read the block, so they build without it
+        ExperimentConfig(experiment="compare", outdir="o", **instance)
 
 
 # -- CLI config merge --------------------------------------------------------------

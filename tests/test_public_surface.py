@@ -61,6 +61,41 @@ def test_marginal_states_are_built_only_in_behavior():
     assert builders == {"behavior.py"}
 
 
+def _called_names(node: ast.AST) -> set[str]:
+    """The plain names that node calls, e.g. `f` in `f(x)`."""
+    return {
+        n.func.id
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+    }
+
+
+def _functions(path: Path) -> dict[str, ast.FunctionDef]:
+    tree = ast.parse(path.read_text())
+    return {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+
+def test_the_lazy_greedy_starts_from_a_state_it_is_given():
+    # one loop for every objective: the caller builds the marginal state, and
+    # the values the loop may pick are those the state does not reject
+    loop = _functions(PACKAGE / "algorithms.py")["_lazy_greedy"]
+    assert "policy" not in [a.arg for a in loop.args.args]
+    builders = {"fixed_marginal_state", "joint_marginal_state"}
+    assert not _called_names(loop) & builders
+
+
+def test_only_the_oracles_read_a_ground_set_in_algorithms():
+    # the solvers take their candidates from the state builders in behavior.py,
+    # which refuse members outside that set; only the brute-force oracles
+    # enumerate a ground set themselves
+    readers = {
+        name
+        for name, fn in _functions(PACKAGE / "algorithms.py").items()
+        if any(c.startswith("ground_set_") for c in _called_names(fn))
+    }
+    assert readers == {"brute_force_fixed", "brute_force_joint"}
+
+
 def test_no_module_imports_inside_a_function():
     nested = []
     for path in PACKAGE.glob("*.py"):

@@ -135,6 +135,23 @@ rc=0
 (cd smoke/pathless && "${cli[@]}" compare --config ../outdir-int.json) || rc=$?
 test "$rc" -eq 2 || { echo "outdir 5: exit $rc, expected 2"; exit 1; }
 test -z "$(ls -A smoke/pathless)" || { echo "outdir 5: wrote files"; exit 1; }
+# a scalar sweep and a half-given file instance are usage errors that name
+# the key at fault
+echo '{"instance": {"m": 6}, "k_sweep": 3}' > smoke/scalar-k.json
+rc=0
+"${cli[@]}" compare --config smoke/scalar-k.json --outdir smoke/scalar \
+  2> smoke/scalar.err || rc=$?
+test "$rc" -eq 2 || { echo "scalar k_sweep: exit $rc, expected 2"; exit 1; }
+grep -q "k_sweep must be a list" smoke/scalar.err \
+  || { echo "scalar k_sweep: stderr does not name k_sweep"; cat smoke/scalar.err; exit 1; }
+rc=0
+"${cli[@]}" compare --values smoke/instance/instance_values.csv --gamma 0.3 \
+  --outdir smoke/half 2> smoke/half.err || rc=$?
+test "$rc" -eq 2 || { echo "no --costs: exit $rc, expected 2"; exit 1; }
+grep -q "a costs file" smoke/half.err \
+  || { echo "no --costs: stderr does not name costs"; cat smoke/half.err; exit 1; }
+test ! -e smoke/scalar && test ! -e smoke/half \
+  || { echo "a refused run wrote files"; exit 1; }
 
 echo "== File and synthetic compare agree"
 "${cli[@]}" generate --m 12 --k 2 --seed 2 --outdir agree/instance

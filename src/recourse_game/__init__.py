@@ -30,13 +30,11 @@ from .baselines import (
 )
 from .behavior import (
     NO_EXPLANATION,
-    Assignment,
     BestResponseResult,
     assign_explanations,
     best_respond,
     group_improvement,
     leakage_utility,
-    leakage_utility_mc,
     transport_matrix,
     utility,
 )
@@ -69,7 +67,6 @@ from .harness import TOOL_VERSION, ExperimentConfig
 __version__ = TOOL_VERSION
 
 __all__ = [
-    "Assignment",
     "BestResponseResult",
     "BRUTE_FORCE_CAP",
     "ExperimentConfig",
@@ -101,7 +98,6 @@ __all__ = [
     "is_rational",
     "joint_objective",
     "leakage_utility",
-    "leakage_utility_mc",
     "load_feature_table",
     "load_instance",
     "make_instance",

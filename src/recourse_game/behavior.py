@@ -29,12 +29,8 @@ from .core import (
     _reals,
 )
 
-# Assignment entry for individuals who receive no explanation.
+# assign_explanations entry for individuals who receive no explanation.
 NO_EXPLANATION = -1
-
-# Samples per block of leakage_utility_mc's integer draws and payoffs: at
-# m=10 a block's draws and payoffs take 1.3 MB, 100,000 samples' 16 MB.
-_MC_ROWS = 8192
 
 
 def adaptation_matrix(instance: Instance, policy: Policy) -> np.ndarray:
@@ -57,14 +53,6 @@ def _region_rows(instance: Instance, pi: np.ndarray, rows: np.ndarray) -> np.nda
         np.subtract(pi, block, out=block)
         np.greater_equal(block, pi[r, None], out=region[s : s + r.size])
     return region
-
-
-@dataclass(frozen=True, eq=False)
-class Assignment:
-    """explanation_of[i] is the explanation index given to individual i, or
-    NO_EXPLANATION for accepted individuals and for an empty A."""
-
-    explanation_of: np.ndarray
 
 
 def _members(instance: Instance, A: ExplanationSet) -> np.ndarray:
@@ -127,10 +115,11 @@ def _followed(instance: Instance, pi: np.ndarray, a_idx: np.ndarray):
 
 def assign_explanations(
     instance: Instance, policy: Policy, A: ExplanationSet
-) -> Assignment:
-    """Pick one explanation from A for every individual with pi(x_i) < 1.
+) -> np.ndarray:
+    """The member of A that each individual receives, as an (m,) int array.
 
-    If A intersects the region of adaptation, the explanation maximizes the
+    It is NO_EXPLANATION for accepted individuals and for an empty A. If A
+    intersects the region of adaptation, the explanation maximizes the
     outcome probability there (ties: lower cost from i, then lower index).
     Otherwise any choice leaves the best response unchanged, and the minimum
     cost member of A is reported (ties: lower index).
@@ -138,14 +127,14 @@ def assign_explanations(
     m = instance.m
     _check_policy_length(instance, policy.pi)
     if len(A) == 0:
-        return Assignment(np.full(m, NO_EXPLANATION, dtype=int))
+        return np.full(m, NO_EXPLANATION, dtype=int)
     a_idx = _members(instance, A)
     _, reach, moved = _followed(instance, policy.pi, a_idx)
     cost_a = instance.cost[:, a_idx]
     at_min = cost_a == cost_a.min(axis=1)[:, None]
     nearest = np.where(at_min, a_idx, m).min(axis=1)
     out = np.where(reach.any(axis=1), moved, nearest)
-    return Assignment(np.where(policy.pi < 1.0, out, NO_EXPLANATION))
+    return np.where(policy.pi < 1.0, out, NO_EXPLANATION)
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,57 +418,6 @@ def _leakage_utilities(instance, policy, A, pls) -> list[float]:
         value = np.where(changed, (1.0 - p_l) * stay + p_l * mix, stay) if p_l else stay
         out.append(float(np.sum(instance.px * value)))
     return out
-
-
-def leakage_utility_mc(
-    instance: Instance,
-    policy: Policy,
-    A: ExplanationSet,
-    p_l: float,
-    samples: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Monte-Carlo cross-check of leakage_utility.
-
-    Returns (mean, standard error) over `samples` simulated populations.
-    Exists only to validate the analytic expectation; experiments use the
-    exact form.
-
-    In sample s, individual i learns a leaked member when the (s, i)-th
-    uniform is below p_l, and then member 1 + the (s, i)-th integer in
-    [0, |A|). Every uniform is drawn first, straight into a boolean leak
-    mask; the integers and payoffs follow in blocks of _MC_ROWS samples.
-    Bounded integers take 32-bit words through the bit generator's own
-    buffer, so the blocks draw what one-shot (samples, m) arrays would and
-    leave the generator in the same state. The peak is the mask, the
-    per-sample sums and one block.
-    """
-    (p_l,) = _reals([p_l], "p_l", 0.0, 1.0)
-    (samples,) = _counts([samples], "samples", 1)
-    targets = _leak_targets(instance, policy, A)
-    payoff = (policy.pi * (instance.py - instance.gamma))[targets].ravel()
-    offsets = np.arange(0, payoff.size, len(A) + 1)  # flat index of column 0
-
-    blocks = [slice(s, s + _MC_ROWS) for s in range(0, samples, _MC_ROWS)]
-    leak = np.zeros((samples, instance.m), dtype=bool)
-    if len(A):
-        for rows in blocks:
-            block = leak[rows]
-            np.less(rng.random(block.shape), p_l, out=block)
-    per_sample = np.empty(samples)
-    for rows in blocks:
-        draws = leak[rows].astype(int)
-        if len(A):
-            draws *= rng.integers(1, len(A) + 1, size=draws.shape)
-        draws += offsets
-        gathered = payoff.take(draws)
-        gathered *= instance.px
-        # a row sum of the C-contiguous block equals that row's 1-D sum
-        per_sample[rows] = gathered.sum(axis=1)
-        del draws, gathered  # before the next block's draws
-    mean = float(per_sample.mean())
-    stderr = float(per_sample.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
-    return mean, stderr
 
 
 def group_improvement(

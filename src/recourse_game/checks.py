@@ -35,10 +35,10 @@ from .algorithms import (
 )
 from .behavior import (
     _gains,
+    _leak_targets,
     fixed_marginal_state,
     joint_marginal_state,
     leakage_utility,
-    leakage_utility_mc,
     utility,
 )
 from .baselines import diverse_explanations, threshold_policy
@@ -47,6 +47,8 @@ from .core import (
     Instance,
     PartitionMatroid,
     Policy,
+    _counts,
+    _reals,
     ground_set_accepted,
     ground_set_viable,
     make_instance,
@@ -377,6 +379,62 @@ def check_marginal_consistency(base_seed: int) -> tuple[bool, str]:
         f"worst |joint|={worst_joint:.3e}"
     )
     return ok, detail
+
+
+# Samples per block of leakage_utility_mc's integer draws and payoffs: at
+# m=10 a block's draws and payoffs take 1.3 MB, 100,000 samples' 16 MB.
+_MC_ROWS = 8192
+
+
+def leakage_utility_mc(
+    instance: Instance,
+    policy: Policy,
+    A: ExplanationSet,
+    p_l: float,
+    samples: int,
+    rng: np.random.Generator,
+) -> tuple[float, float]:
+    """Monte-Carlo cross-check of leakage_utility.
+
+    Returns (mean, standard error) over `samples` simulated populations.
+    Exists only to validate the analytic expectation; experiments use the
+    exact form.
+
+    In sample s, individual i learns a leaked member when the (s, i)-th
+    uniform is below p_l, and then member 1 + the (s, i)-th integer in
+    [0, |A|). Every uniform is drawn first, straight into a boolean leak
+    mask; the integers and payoffs follow in blocks of _MC_ROWS samples.
+    Bounded integers take 32-bit words through the bit generator's own
+    buffer, so the blocks draw what one-shot (samples, m) arrays would and
+    leave the generator in the same state. The peak is the mask, the
+    per-sample sums and one block.
+    """
+    (p_l,) = _reals([p_l], "p_l", 0.0, 1.0)
+    (samples,) = _counts([samples], "samples", 1)
+    targets = _leak_targets(instance, policy, A)
+    payoff = (policy.pi * (instance.py - instance.gamma))[targets].ravel()
+    offsets = np.arange(0, payoff.size, len(A) + 1)  # flat index of column 0
+
+    blocks = [slice(s, s + _MC_ROWS) for s in range(0, samples, _MC_ROWS)]
+    leak = np.zeros((samples, instance.m), dtype=bool)
+    if len(A):
+        for rows in blocks:
+            block = leak[rows]
+            np.less(rng.random(block.shape), p_l, out=block)
+    per_sample = np.empty(samples)
+    for rows in blocks:
+        draws = leak[rows].astype(int)
+        if len(A):
+            draws *= rng.integers(1, len(A) + 1, size=draws.shape)
+        draws += offsets
+        gathered = payoff.take(draws)
+        gathered *= instance.px
+        # a row sum of the C-contiguous block equals that row's 1-D sum
+        per_sample[rows] = gathered.sum(axis=1)
+        del draws, gathered  # before the next block's draws
+    mean = float(per_sample.mean())
+    stderr = float(per_sample.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
+    return mean, stderr
 
 
 @_criterion()

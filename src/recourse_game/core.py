@@ -201,9 +201,6 @@ class ExplanationSet:
     def __contains__(self, i) -> bool:
         return i in self.indices  # by value: 1.7 is not 1
 
-    def as_set(self) -> frozenset:
-        return frozenset(self.indices)
-
 
 @dataclass(frozen=True)
 class PartitionMatroid:

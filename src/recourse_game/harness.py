@@ -96,7 +96,10 @@ class ExperimentConfig:
         if self.k_sweep is None:
             object.__setattr__(self, "k_sweep", (1 if k is None else k,))
         for sweep in ("k_sweep", "alpha_sweep", "pl_sweep"):
-            object.__setattr__(self, sweep, tuple(getattr(self, sweep)))
+            try:  # iter() refuses a number, and a 0-d array, with a TypeError
+                object.__setattr__(self, sweep, tuple(getattr(self, sweep)))
+            except TypeError:
+                raise ValueError(f"{sweep} must be a list") from None
             if not getattr(self, sweep):
                 raise ValueError(f"{sweep} must be nonempty")
         ks = _counts(self.k_sweep, "k and every k_sweep entry")
@@ -111,9 +114,9 @@ class ExperimentConfig:
             object.__setattr__(self, name, *_counts([getattr(self, name)], name, low))
         object.__setattr__(self, "outdir", *_paths([self.outdir], "outdir"))
         if self.synthetic is None:
-            if self.values_path is None or self.cost_path is None:
-                raise ValueError("config needs a synthetic block or instance files")
-            for name in ("values_path", "cost_path"):
+            for name, key in (("values_path", "values"), ("cost_path", "costs")):
+                if getattr(self, name) is None:
+                    raise ValueError(f"config needs a synthetic block or a {key} file")
                 object.__setattr__(self, name, *_paths([getattr(self, name)], name))
             if self.gamma is None:
                 raise ValueError("file-based instances need gamma in the config")
@@ -283,7 +286,7 @@ def group_balance(
     return [
         (
             float(inst.px[[i for i in members if rejected[i]]].sum()),
-            *(len(A.as_set() & set(members)) for A in chosen),
+            *(len(set(A) & set(members)) for A in chosen),
             *(gains[g] for gains in impr),
         )
         for g, members in enumerate(matroid.groups)

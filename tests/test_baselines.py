@@ -303,8 +303,8 @@ def test_baseline_sets_are_accepted():
     for _ in range(20):
         inst = random_instance(rng, 4 + rng.integers(9))
         policy = rg.threshold_policy(inst)
-        accepted = rg.ground_set_accepted(inst, policy).as_set()
+        accepted = frozenset(rg.ground_set_accepted(inst, policy))
         if not accepted:
             continue
         for fn in (rg.min_cost_explanations, rg.diverse_explanations):
-            assert fn(inst, policy, 2).as_set() <= accepted
+            assert frozenset(fn(inst, policy, 2)) <= accepted

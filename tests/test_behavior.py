@@ -23,7 +23,6 @@ from conftest import (
     traced_peak,
 )
 from recourse_game.behavior import (
-    _MC_ROWS,
     _advance,
     _coverage,
     _followed,
@@ -39,6 +38,7 @@ from recourse_game.behavior import (
     marginal_gain_joint,
 )
 from recourse_game.algorithms import _optimal_pi
+from recourse_game.checks import _MC_ROWS, leakage_utility_mc
 from recourse_game.core import _ROW_BLOCK
 from recourse_game.harness import _bin_labels, _scale_costs
 
@@ -98,12 +98,12 @@ def test_region_rows_match_the_broadcast_formula_in_one_float_block():
 def test_assignment_on_witness(nonmono):
     policy = rg.Policy([1.0, 0.0, 0.0])
     a = rg.assign_explanations(nonmono, policy, rg.ExplanationSet((0,)))
-    assert a.explanation_of.tolist() == [rg.NO_EXPLANATION, 0, 0]
+    assert a.tolist() == [rg.NO_EXPLANATION, 0, 0]
 
 
 def test_assignment_empty_set(nonmono):
     a = rg.assign_explanations(nonmono, rg.Policy([1.0, 0.0, 0.0]), rg.ExplanationSet())
-    assert a.explanation_of.tolist() == [rg.NO_EXPLANATION] * 3
+    assert a.tolist() == [rg.NO_EXPLANATION] * 3
 
 
 def test_assignment_unreachable_explanation_stays():
@@ -111,7 +111,7 @@ def test_assignment_unreachable_explanation_stays():
         [0.5, 0.5], [0.9, 0.2], [[0.0, 1.0], [np.inf, 0.0]], 0.5
     )
     policy = rg.Policy([1.0, 0.0])
-    assert rg.assign_explanations(inst, policy, rg.ExplanationSet((0,))).explanation_of[1] == 0
+    assert rg.assign_explanations(inst, policy, rg.ExplanationSet((0,)))[1] == 0
     res = rg.best_respond(inst, policy, rg.ExplanationSet((0,)))
     assert res.moved[1] == 1
 
@@ -126,7 +126,7 @@ def test_assignment_prefers_outcome_then_cost_then_index():
     )
     policy = rg.Policy([1.0, 1.0, 0.0])
     a = rg.assign_explanations(inst, policy, rg.ExplanationSet((0, 1)))
-    assert a.explanation_of[2] == 1
+    assert a[2] == 1
 
 
 def test_rejected_member_of_a_follows_itself():
@@ -142,7 +142,7 @@ def test_rejected_member_of_a_follows_itself():
     A = rg.ExplanationSet((2, 1, 0))
     _, reach, _ = _followed(inst, policy.pi, _members(inst, A))
     assert reach[1].tolist() == [True, True, False]
-    assert rg.assign_explanations(inst, policy, A).explanation_of[1] == 1
+    assert rg.assign_explanations(inst, policy, A)[1] == 1
     assert rg.best_respond(inst, policy, A).moved[1] == 1
     targets = _leak_targets(inst, policy, A)
     assert targets[1, 0] == 1 and targets[1, 1:].tolist() == [1, 1, 1]
@@ -559,7 +559,7 @@ def test_leakage_matches_monte_carlo():
         A = rg.ExplanationSet(tuple(accepted[:2]))
         p_l = float(rng.uniform(0.2, 0.9))
         analytic = rg.leakage_utility(inst, policy, A, p_l)
-        mc, se = rg.leakage_utility_mc(inst, policy, A, p_l, samples=100_000, rng=rng)
+        mc, se = leakage_utility_mc(inst, policy, A, p_l, samples=100_000, rng=rng)
         assert abs(analytic - mc) <= 3.0 * se + 1e-12
 
 
@@ -577,7 +577,7 @@ def test_leakage_refuses_a_p_l_that_is_not_a_number(p_l):
     with pytest.raises(ValueError, match="^p_l must be a number$"):
         rg.leakage_utility(inst, policy, A, p_l)
     with pytest.raises(ValueError, match="^p_l must be a number$"):
-        rg.leakage_utility_mc(inst, policy, A, p_l, 10, rg.seeded_rng(0))
+        leakage_utility_mc(inst, policy, A, p_l, 10, rg.seeded_rng(0))
 
 
 def test_leakage_reads_a_numpy_p_l_as_its_float():
@@ -586,7 +586,7 @@ def test_leakage_reads_a_numpy_p_l_as_its_float():
     assert rg.leakage_utility(inst, policy, A, np.float32(0.5)) == rg.leakage_utility(
         inst, policy, A, 0.5
     )
-    runs = [rg.leakage_utility_mc(inst, policy, A, p, 50, rg.seeded_rng(0))
+    runs = [leakage_utility_mc(inst, policy, A, p, 50, rg.seeded_rng(0))
             for p in (np.float32(0.5), 0.5)]
     assert runs[0] == runs[1]
 
@@ -596,14 +596,14 @@ def test_leakage_mc_rejects_bad_sample_counts():
     policy, A = rg.threshold_policy(inst), rg.ExplanationSet((0, 1))
     for samples in (0, -1):
         with pytest.raises(ValueError, match="samples must be >= 1"):
-            rg.leakage_utility_mc(inst, policy, A, 0.5, samples, rg.seeded_rng(0))
-    mean, stderr = rg.leakage_utility_mc(inst, policy, A, 0.5, 1, rg.seeded_rng(0))
+            leakage_utility_mc(inst, policy, A, 0.5, samples, rg.seeded_rng(0))
+    mean, stderr = leakage_utility_mc(inst, policy, A, 0.5, 1, rg.seeded_rng(0))
     assert np.isfinite(mean) and stderr == 0.0
     for samples in (10.5, np.float64(10.0)):
         with pytest.raises(ValueError, match="^samples must be an integer$"):
-            rg.leakage_utility_mc(inst, policy, A, 0.5, samples, rg.seeded_rng(0))
-    want = rg.leakage_utility_mc(inst, policy, A, 0.5, 10, rg.seeded_rng(0))
-    got = rg.leakage_utility_mc(inst, policy, A, 0.5, np.int64(10), rg.seeded_rng(0))
+            leakage_utility_mc(inst, policy, A, 0.5, samples, rg.seeded_rng(0))
+    want = leakage_utility_mc(inst, policy, A, 0.5, 10, rg.seeded_rng(0))
+    got = leakage_utility_mc(inst, policy, A, 0.5, np.int64(10), rg.seeded_rng(0))
     assert got == want
 
 
@@ -615,7 +615,7 @@ def test_leakage_mc_peaks_near_two_draw_arrays():
     assert len(A) > 0
     samples = 100_000
     peak = traced_peak(
-        lambda: rg.leakage_utility_mc(inst, policy, A, 0.5, samples, rg.seeded_rng(0))
+        lambda: leakage_utility_mc(inst, policy, A, 0.5, samples, rg.seeded_rng(0))
     )
     assert peak <= 2.5 * samples * inst.m * np.dtype(np.int64).itemsize
 
@@ -629,7 +629,7 @@ def test_leakage_mc_streams_below_one_draw_array():
     assert len(A) > 0
     samples = 100_000
     peak = traced_peak(
-        lambda: rg.leakage_utility_mc(inst, policy, A, 0.5, samples, rg.seeded_rng(0))
+        lambda: leakage_utility_mc(inst, policy, A, 0.5, samples, rg.seeded_rng(0))
     )
     assert peak <= 0.5 * samples * inst.m * np.dtype(np.int64).itemsize
 
@@ -657,7 +657,7 @@ def test_leakage_mc_blocks_match_one_shot_draws(size):
     for samples in (_MC_ROWS - 1, _MC_ROWS, _MC_ROWS + 1, 5 * _MC_ROWS // 2):
         for p_l in (0.0, 0.37, 1.0):
             rng, ref = np.random.default_rng(samples), np.random.default_rng(samples)
-            got = rg.leakage_utility_mc(inst, policy, A, p_l, samples, rng)
+            got = leakage_utility_mc(inst, policy, A, p_l, samples, rng)
             assert got == ref_leakage_mc(inst, policy, A, p_l, samples, ref)
             assert rng.random() == ref.random()
             if size >= 2 and p_l == 0.37:
@@ -721,7 +721,7 @@ def test_leakage_matches_reference_loop_bit_for_bit():
 def test_leakage_mc_matches_reference_loop_bit_for_bit():
     for t, (inst, policy, A) in enumerate(leak_cases("leak-mc-equivalence", 120)):
         p_l = (0.0, 0.37, 1.0)[t % 3]
-        got = rg.leakage_utility_mc(
+        got = leakage_utility_mc(
             inst, policy, A, p_l, samples=40, rng=np.random.default_rng(t)
         )
         want = ref_leakage_mc(inst, policy, A, p_l, 40, np.random.default_rng(t))
@@ -752,7 +752,7 @@ def test_leakage_matches_reference_loop_on_tie_heavy_examples():
         assert [repr(u) for u in _leakage_utilities(inst, policy, A, pls)] == [
             repr(ref_leakage_utility(inst, policy, A, q)) for q in pls
         ]
-        got = rg.leakage_utility_mc(
+        got = leakage_utility_mc(
             inst, policy, A, p_l, samples=8, rng=np.random.default_rng(1)
         )
         assert got == ref_leakage_mc(inst, policy, A, p_l, 8, np.random.default_rng(1))

@@ -204,11 +204,11 @@ def test_accepted_subset_of_viable_for_rational_policies():
     rng = rg.seeded_rng(rg.derive_seed(0, "core-rational"))
     for _ in range(50):
         inst = random_instance(rng, 3 + rng.integers(8))
-        viable = rg.ground_set_viable(inst).as_set()
+        viable = frozenset(rg.ground_set_viable(inst))
         pi = np.where(inst.py >= inst.gamma, (rng.random(inst.m) > 0.5) * 1.0, 0.0)
         policy = rg.Policy(pi)
         assert rg.is_rational(inst, policy)
-        assert rg.ground_set_accepted(inst, policy).as_set() <= viable
+        assert frozenset(rg.ground_set_accepted(inst, policy)) <= viable
 
 
 def test_policy_validation_and_determinism_flag():

@@ -891,6 +891,34 @@ def test_cli_rejects_non_integer_counts(cli_config, capsys, command, config, mes
 
 
 @pytest.mark.parametrize(
+    "sweep, value", [("k_sweep", 3), ("alpha_sweep", 2.0), ("pl_sweep", 0.5)]
+)
+def test_a_scalar_sweep_is_refused_by_name(cli_config, capsys, sweep, value):
+    # a ValueError like every other config refusal, naming its key
+    for scalar in (value, np.array(value)):  # a 0-d array is no list either
+        with pytest.raises(ValueError, match=f"^{sweep} must be a list$"):
+            small_config("x", **{sweep: scalar})
+    assert cli_config(["compare"], {"instance": {"m": 6}, sweep: value}) == 2
+    assert f"{sweep} must be a list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "given, field, missing",
+    [("values", "values_path", "costs"), ("costs", "cost_path", "values")],
+)
+def test_a_half_given_file_instance_names_the_missing_file(
+    cli_config, capsys, given, field, missing
+):
+    refusal = f"config needs a synthetic block or a {missing} file"
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        ExperimentConfig(experiment="compare", outdir="x", gamma=0.3, **{field: "f"})
+    assert cli_config(["compare", f"--{given}", "f.csv", "--gamma", "0.3"]) == 2
+    assert refusal in capsys.readouterr().err
+    assert cli_config(["compare"], {"instance": {given: "f.csv", "gamma": 0.3}}) == 2
+    assert refusal in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "flags, message",
     [
         (["--k", ","], "argument --k: empty list"),

@@ -353,7 +353,7 @@ def test_targets_match_per_individual_loop(inst, data):
     A = rg.ExplanationSet(order[: data.draw(st.integers(0, inst.m))])
     explanation_of, moved = ref_assignment(inst, policy, A)
     assert rg.best_respond(inst, policy, A).moved.tolist() == moved
-    assigned = rg.assign_explanations(inst, policy, A).explanation_of
+    assigned = rg.assign_explanations(inst, policy, A)
     assert assigned.tolist() == explanation_of
     targets = _leak_targets(inst, policy, A)
     assert targets[:, 0].tolist() == moved
